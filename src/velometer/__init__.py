@@ -10,11 +10,11 @@ __version__ = "0.1.0"
 from .config import PipelineConfig, SimConfig
 from .events import EventBatch, ImuData, batch_by_count, make_events
 from .geometry import (BodyKinematics, CameraIntrinsics, StereoRig,
-                       flow_matrices, motion_flow)
+                       flow_matrices, flow_rows, motion_flow)
 from .imu import (ImuBias, OrientationTrack, Preintegration, preintegrate,
                   predicted_velocity_increment)
-from .normal_flow import (NormalFlowMeasurement, normal_flow_from_gradient,
+from .normal_flow import (FlowBatch, normal_flow_from_gradient,
                           process_batch, select_candidates)
 from .spline import VelocitySpline, basis
-from .stereo import DepthEstimate, FlowDepthObservation, associate, match_block
+from .stereo import DepthEstimate, associate, match_block
 from .time_surface import SurfacePair, TimeSurface, update_time_surface

@@ -11,8 +11,8 @@ import sys
 import numpy as np
 
 from . import dataio
-from .config import PipelineConfig, apply_override, load_overrides
-from .estimator import RunReport
+from .config import (PipelineConfig, apply_override, load_overrides,
+                     validate_config)
 from .evaluation import (MetricError, VelocityTrack, align_and_compare,
                          dead_reckon)
 from .events import batch_by_count
@@ -110,6 +110,7 @@ def cmd_evaluate(args):
 
 def cmd_flow_debug(args):
     cfg = _apply_configs(PipelineConfig(), args.config)
+    validate_config(cfg)
     rig = dataio.read_calibration(args.calib)
     events = dataio.read_events_csv(args.events)
     intr = rig.left if args.camera == "left" else rig.right
@@ -117,10 +118,13 @@ def cmd_flow_debug(args):
     with open(args.out, "w") as fh:
         for batch in batch_by_count(events, cfg.flow.batch_size):
             surfaces.update(batch)
-            for m in process_batch(batch, surfaces, cfg.flow):
-                fh.write(f"{int(round(m.t * 1e9))},{m.x},{m.y},"
-                         f"{m.direction[0]:.9f},{m.direction[1]:.9f},"
-                         f"{m.magnitude:.6f},{m.fit_rms:.9e}\n")
+            flows = process_batch(batch, surfaces, cfg.flow)
+            t_ns = int(round(flows.t * 1e9))
+            for k in range(len(flows)):
+                fh.write(f"{t_ns},{flows.x[k]},{flows.y[k]},"
+                         f"{flows.direction[k, 0]:.9f},"
+                         f"{flows.direction[k, 1]:.9f},"
+                         f"{flows.magnitude[k]:.6f},{flows.fit_rms[k]:.9e}\n")
     print(f"flow dump written to {args.out}")
     return EXIT_OK
 

@@ -48,7 +48,6 @@ class ImuConfig:
     gyro_bias_std: float = 2.66e-4   # rad/s
     preint_dt: float = 0.03          # s, pre-integration interval
     max_gap_factor: float = 2.0      # reject intervals with sample gaps > factor / rate
-    bias_max: float = 1.0            # sanity bound on bias magnitudes
 
 
 @dataclass
@@ -82,7 +81,6 @@ class EstimatorConfig:
     max_step_bias: float = 0.5       # cap on bias moves per LM step
     anchor_sigma: float = 0.0        # m/s, optional prior tying control points to
                                      # the state at optimize entry (0 disables)
-    use_right_flows: bool = False
     bias_tie: bool = True            # random-walk tie between consecutive segment biases
     bias_prior_acc: float = 0.1      # weak zero prior, m/s^2
     bias_prior_gyro: float = 0.02    # rad/s
@@ -118,6 +116,25 @@ class PipelineConfig:
 
     def gravity_vec(self):
         return np.asarray(self.gravity, dtype=float)
+
+
+def validate_config(cfg: PipelineConfig):
+    """Raise ValueError naming the first key whose value is out of range."""
+    checks = (
+        ("flow.batch_size", cfg.flow.batch_size, cfg.flow.batch_size > 0,
+         "must be positive"),
+        ("depth.block", cfg.depth.block,
+         cfg.depth.block > 0 and cfg.depth.block % 2 == 1,
+         "must be a positive odd number"),
+        ("depth.min_disparity", cfg.depth.min_disparity,
+         cfg.depth.min_disparity <= cfg.depth.max_disparity,
+         f"must not exceed depth.max_disparity={cfg.depth.max_disparity}"),
+        ("spline.knot_dt", cfg.spline.knot_dt, cfg.spline.knot_dt > 0,
+         "must be positive"),
+    )
+    for key, value, ok, rule in checks:
+        if not ok:
+            raise ValueError(f"config {key}={value} {rule}")
 
 
 def _coerce(current, text):

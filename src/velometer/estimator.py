@@ -17,77 +17,21 @@ comes from gyro integration and only feeds the gravity direction and the
 rotational flow component.
 """
 
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .config import PipelineConfig
 from .events import ImuData, SequencingError
-from .geometry import CameraIntrinsics, StereoRig
+from .geometry import StereoRig, flow_rows
 from .imu import (ImuBias, OrientationTrack, Preintegration, preintegrate,
                   split_intervals)
 from .initializer import InitializationError, ransac_initialize
+from .normal_flow import FlowBatch
 from .rotations import hat, quat_to_matrix, right_jacobian_so3
 from .spline import VelocitySpline
 
 DV_STD_FLOOR = 1e-5     # m/s, keeps whitening finite for noise-free config
-
-
-def _flow_rows(intr: CameraIntrinsics, xs, ys, directions):
-    """Batched n^T A and n^T B rows of the projected-flow model."""
-    xr = xs - intr.cx
-    yr = ys - intr.cy
-    f = intr.f
-    nx, ny = directions[:, 0], directions[:, 1]
-    a_rows = np.stack([-f * nx, -f * ny, nx * xr + ny * yr], axis=1)
-    b_rows = np.stack([
-        nx * xr * yr / f + ny * (f + yr * yr / f),
-        -nx * (f + xr * xr / f) - ny * xr * yr / f,
-        nx * yr - ny * xr,
-    ], axis=1)
-    return a_rows, b_rows
-
-
-@dataclass
-class FlowBlock:
-    """All flow observations of one batch (they share a timestamp)."""
-
-    t: float
-    a_rows: np.ndarray       # (K, 3) n^T A
-    nb_rows: np.ndarray      # (K, 3) effective n^T B (camera offset folded in)
-    depth: np.ndarray        # (K,)
-    magnitude: np.ndarray    # (K,)
-    weight: np.ndarray       # (K,)
-    gyro_raw: np.ndarray     # (3,) raw gyro interpolated at t
-    pixels: np.ndarray = None
-
-    def __len__(self):
-        return len(self.depth)
-
-
-def make_flow_block(observations, t, gyro_raw, intr: CameraIntrinsics,
-                    cam_offset=0.0):
-    """Vectorize a list of FlowDepthObservation into one block.
-
-    `cam_offset` is the camera center's x offset in the body frame (nonzero
-    for right-camera flows); it folds the lever-arm velocity into the
-    rotational term.
-    """
-    xs = np.array([float(o.flow.x) for o in observations])
-    ys = np.array([float(o.flow.y) for o in observations])
-    dirs = np.stack([o.flow.direction for o in observations])
-    a_rows, b_rows = _flow_rows(intr, xs, ys, dirs)
-    depth = np.array([o.depth for o in observations])
-    if cam_offset != 0.0:
-        lever = hat(np.array([cam_offset, 0.0, 0.0]))
-        b_rows = b_rows - (a_rows / depth[:, None]) @ lever
-    return FlowBlock(
-        t=float(t), a_rows=a_rows, nb_rows=b_rows, depth=depth,
-        magnitude=np.array([o.flow.magnitude for o in observations]),
-        weight=np.array([o.weight for o in observations]),
-        gyro_raw=np.asarray(gyro_raw, dtype=float),
-        pixels=np.stack([xs, ys], axis=1))
 
 
 def huber_weights(r, delta):
@@ -152,7 +96,7 @@ class Estimator:
         self.spline: VelocitySpline = None
         self.orientation: OrientationTrack = None
         self.imu: ImuData = None
-        self.flow_blocks = []
+        self.flow_batches = []
         self.preints = []
         self.status = "uninitialized"
         self.rng = np.random.default_rng(config.estimator.seed)
@@ -193,38 +137,29 @@ class Estimator:
             return self.spline.biases[-1]
         return self.spline.bias_at(t)
 
-    def _flow_sigma_scale(self, block: FlowBlock):
-        cfg = self.cfg.estimator
-        sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * block.magnitude)
-        return block.weight / sigma
-
-    def flow_residual_block(self, block: FlowBlock, control_points=None,
+    def flow_residual_block(self, batch: FlowBatch, control_points=None,
                             biases=None):
-        """Whitened flow residuals and Jacobians for one block.
+        """Whitened flow residuals and Jacobians for one depth-matched batch.
 
         Returns (r (K,), jac_cp (K, 12), jac_bw (K, 3), segment index).
         """
         sp = self.spline
         cp = sp.control_points if control_points is None else control_points
         bs = sp.biases if biases is None else biases
-        j, w = sp.weights(block.t)
+        j, w = sp.weights(batch.t)
         v = w @ cp[j:j + 4]
-        omega = block.gyro_raw - bs[j].gyro
-        scale = self._flow_sigma_scale(block)
-        pred = block.a_rows @ v / block.depth + block.nb_rows @ omega
-        r = (block.magnitude - pred) * scale
-        a_scaled = -(block.a_rows / block.depth[:, None]) * scale[:, None]
-        jac_cp = (a_scaled[:, None, :] * w[None, :, None]).reshape(len(block), 12)
-        jac_bw = block.nb_rows * scale[:, None]
+        omega = self.imu.interp_gyro(batch.t) - bs[j].gyro
+        a_rows, b_rows = flow_rows(self.rig.left, batch.x, batch.y,
+                                   batch.direction)
+        cfg = self.cfg.estimator
+        sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * batch.magnitude)
+        scale = batch.weight / sigma
+        pred = a_rows @ v / batch.depth + b_rows @ omega
+        r = (batch.magnitude - pred) * scale
+        a_scaled = -(a_rows / batch.depth[:, None]) * scale[:, None]
+        jac_cp = (a_scaled[:, None, :] * w[None, :, None]).reshape(len(batch), 12)
+        jac_bw = b_rows * scale[:, None]
         return r, jac_cp, jac_bw, j
-
-    def build_normal_flow_residual(self, obs, cam_offset=0.0):
-        """Single-observation residual (value, 12 control-point Jacobians,
-        gyro-bias Jacobian, segment index)."""
-        gyro_raw = self.imu.interp_gyro(obs.t)
-        block = make_flow_block([obs], obs.t, gyro_raw, self.rig.left, cam_offset)
-        r, jac_cp, jac_bw, j = self.flow_residual_block(block)
-        return float(r[0]), jac_cp[0], jac_bw[0], j
 
     def imu_residual(self, pre: Preintegration, control_points=None,
                      biases=None):
@@ -260,8 +195,6 @@ class Estimator:
                           + rot @ hat(v1) @ right_jacobian_so3(phi) @ pre.jac_dq_bw)
         jac_bias = np.concatenate([jac_ba, jac_bw], axis=1)
         return r, jac_cp0, j0, jac_cp1, j1, jac_bias, seg_b
-
-    build_imu_residual = imu_residual
 
     # ------------------------------------------------------------------
     # optimization
@@ -309,9 +242,9 @@ class Estimator:
             rows_r.append(r)
             rows_j.append(jmat)
 
-        for block in self.flow_blocks:
-            r, jac_cp, jac_bw, j = self.flow_residual_block(block, cp, biases)
-            jmat = np.zeros((len(block), ncols))
+        for batch in self.flow_batches:
+            r, jac_cp, jac_bw, j = self.flow_residual_block(batch, cp, biases)
+            jmat = np.zeros((len(batch), ncols))
             jmat[:, 3 * j:3 * j + 12] = jac_cp
             col = 3 * n + 6 * j
             jmat[:, col + 3:col + 6] = jac_bw
@@ -448,12 +381,12 @@ class Estimator:
     # incremental interface
     # ------------------------------------------------------------------
 
-    def _try_initialize(self, observations, t):
+    def _try_initialize(self, flows: FlowBatch, t):
         est_cfg = self.cfg.estimator
         self.report.init_attempts += 1
         gyro = self.imu.interp_gyro(t)
         omega = gyro - self.current_bias().gyro
-        result = ransac_initialize(observations, omega, self.rig.left,
+        result = ransac_initialize(flows, omega, self.rig.left,
                                    est_cfg, self.rng)
         dt = self.cfg.spline.knot_dt
         self.spline = VelocitySpline(
@@ -497,11 +430,12 @@ class Estimator:
             self._emit_velocity(self.last_batch_t
                                 + self.cfg.estimator.output_lag)
 
-    def step(self, observations, t_batch):
-        """Ingest one batch of flow/depth observations stamped at t_batch.
+    def step(self, flows: FlowBatch, t_batch):
+        """Ingest one depth-matched flow batch, stamped at t_batch == flows.t.
 
-        IMU data через feed_imu must already cover t_batch. Returns the
-        OptimizeReport, or None while initialization has not succeeded.
+        An empty batch adds IMU residuals only. IMU data fed through
+        feed_imu must already cover t_batch. Returns the OptimizeReport, or
+        None while initialization has not succeeded.
         """
         if t_batch <= self.last_batch_t:
             raise SequencingError(
@@ -510,22 +444,20 @@ class Estimator:
             raise SequencingError("IMU data does not cover the batch time")
         self.last_batch_t = t_batch
         self.report.batches += 1
-        self.report.observations += len(observations)
+        self.report.observations += len(flows)
 
         if self.status == "uninitialized":
-            if len(observations) < 3:
+            if len(flows) < 3:
                 return None
             try:
-                self._try_initialize(observations, t_batch)
+                self._try_initialize(flows, t_batch)
             except InitializationError:
                 return None
 
         self.spline.extend_to(t_batch + 1e-9,
                               max_dv=self.cfg.spline.max_extrap_dv)
-        if observations:
-            gyro_raw = self.imu.interp_gyro(t_batch)
-            self.flow_blocks.append(make_flow_block(
-                observations, t_batch, gyro_raw, self.rig.left))
+        if len(flows):
+            self.flow_batches.append(flows)
         self._extend_preints(t_batch)
         report = self.optimize()
         self.status = "tracking"
@@ -538,8 +470,8 @@ class Estimator:
             if self.spline.num_controls < before:
                 t_min = self.spline.t_min
                 self.preints = [p for p in self.preints if p.t0 >= t_min - 1e-9]
-                self.flow_blocks = [b for b in self.flow_blocks
-                                    if b.t >= t_min - 1e-9]
+                self.flow_batches = [b for b in self.flow_batches
+                                     if b.t >= t_min - 1e-9]
         return report
 
     def velocity_track(self):

@@ -8,7 +8,7 @@ integrates the accelerometer instead (gravity compensated through
 gyro-propagated orientation).
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ class MetricsReport:
     median_ave: float
     rve_percentiles: dict
     drift: float = None           # m, dead-reckoned end-point error
-    runtime: dict = field(default_factory=dict)
 
     def to_text(self):
         lines = [
@@ -64,8 +63,6 @@ class MetricsReport:
             lines.append(f"rve_p{k}_percent: {v:.3f}")
         if self.drift is not None:
             lines.append(f"deadreckon_drift_m: {self.drift:.6f}")
-        for k, v in self.runtime.items():
-            lines.append(f"{k}: {v}")
         return "\n".join(lines) + "\n"
 
 

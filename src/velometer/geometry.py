@@ -11,10 +11,13 @@ camera moving with body-frame linear velocity v and angular velocity w, is
 
     flow = A(x) @ v / Z + B(x) @ w
 
-with A, B the 2x3 matrices returned by :func:`flow_matrices`.
+with A, B the 2x3 matrices returned by :func:`flow_matrices`. A normal-flow
+measurement observes only the component along its unit direction n, one
+linear constraint n^T A v / Z + n^T B w; :func:`flow_rows` computes its
+rows n^T A and n^T B for many pixels at once.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -54,7 +57,6 @@ class StereoRig:
     left: CameraIntrinsics
     right: CameraIntrinsics
     baseline: float
-    t_body_leftcam: np.ndarray = field(default_factory=lambda: np.eye(4))
 
     def __post_init__(self):
         if self.baseline <= 0:
@@ -94,6 +96,25 @@ def flow_matrices(intr: CameraIntrinsics, px):
     b = np.array([[xr * yr / f, -(f + xr * xr / f), yr],
                   [f + yr * yr / f, -xr * yr / f, -xr]])
     return a, b
+
+
+def flow_rows(intr: CameraIntrinsics, xs, ys, directions):
+    """Rows n^T A and n^T B of the projected-flow model, (K, 3) each.
+
+    `xs`, `ys` are pixel coordinates (K,) and `directions` the unit normals
+    (K, 2); row k equals n_k @ flow_matrices(intr, (xs[k], ys[k])).
+    """
+    xr = xs - intr.cx
+    yr = ys - intr.cy
+    f = intr.f
+    nx, ny = directions[:, 0], directions[:, 1]
+    a_rows = np.stack([-f * nx, -f * ny, nx * xr + ny * yr], axis=1)
+    b_rows = np.stack([
+        nx * xr * yr / f + ny * (f + yr * yr / f),
+        -nx * (f + xr * xr / f) - ny * xr * yr / f,
+        nx * yr - ny * xr,
+    ], axis=1)
+    return a_rows, b_rows
 
 
 def motion_flow(intr: CameraIntrinsics, px, kin: BodyKinematics, depth: float):

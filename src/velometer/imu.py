@@ -41,10 +41,6 @@ class ImuBias:
     def copy(self):
         return ImuBias(self.accel.copy(), self.gyro.copy())
 
-    def check(self, bound):
-        if np.linalg.norm(self.accel) > bound or np.linalg.norm(self.gyro) > bound:
-            raise ValueError("bias magnitude beyond sanity bound")
-
 
 @dataclass
 class Preintegration:

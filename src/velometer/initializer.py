@@ -1,6 +1,6 @@
 """Linear bootstrap of the body velocity from one batch of observations.
 
-Each flow/depth pair contributes one linear constraint on v:
+Each row of a depth-matched flow batch contributes one linear constraint on v:
 
     (n^T A) v = Z * (magnitude - n^T B omega)
 
@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import EstimatorConfig
-from .geometry import CameraIntrinsics, flow_matrices
+from .geometry import CameraIntrinsics, flow_rows
+from .normal_flow import FlowBatch
 
 
 class InitializationError(RuntimeError):
@@ -26,24 +27,16 @@ class InitializationError(RuntimeError):
 @dataclass
 class InitResult:
     velocity: np.ndarray
-    inliers: np.ndarray      # indices into the observation list
+    inliers: np.ndarray      # row indices into the flow batch
     rms: float               # px/s over the inliers
     iterations: int
 
 
-def constraint_rows(observations, omega, intr: CameraIntrinsics):
+def constraint_rows(flows: FlowBatch, omega, intr: CameraIntrinsics):
     """Stack (a_rows, rhs, depths): a_rows @ v = rhs, residual scaled by 1/Z."""
-    a_rows = np.empty((len(observations), 3))
-    rhs = np.empty(len(observations))
-    depths = np.empty(len(observations))
-    omega = np.asarray(omega, dtype=float)
-    for i, obs in enumerate(observations):
-        a, b = flow_matrices(intr, (obs.flow.x, obs.flow.y))
-        n = obs.flow.direction
-        a_rows[i] = n @ a
-        rhs[i] = obs.depth * (obs.flow.magnitude - n @ (b @ omega))
-        depths[i] = obs.depth
-    return a_rows, rhs, depths
+    a_rows, b_rows = flow_rows(intr, flows.x, flows.y, flows.direction)
+    rhs = flows.depth * (flows.magnitude - b_rows @ np.asarray(omega, dtype=float))
+    return a_rows, rhs, flows.depth
 
 
 def _condition_ratio(mat):
@@ -53,9 +46,9 @@ def _condition_ratio(mat):
     return s[0] / s[-1]
 
 
-def ransac_initialize(observations, omega, intr: CameraIntrinsics,
+def ransac_initialize(flows: FlowBatch, omega, intr: CameraIntrinsics,
                       cfg: EstimatorConfig = None, rng=None) -> InitResult:
-    """RANSAC over 3-observation minimal solves; raises InitializationError.
+    """RANSAC over 3-row minimal solves; raises InitializationError.
 
     Failure reasons: "too_few_observations", "rank_deficient" (all usable
     systems have a singular-value ratio beyond cfg.cond_max, e.g. every flow
@@ -63,14 +56,13 @@ def ransac_initialize(observations, omega, intr: CameraIntrinsics,
     """
     cfg = cfg or EstimatorConfig()
     rng = rng or np.random.default_rng(cfg.seed)
-    k = len(observations)
+    k = len(flows)
     if k < 3:
         raise InitializationError("too_few_observations",
                                   f"need at least 3 observations, got {k}")
-    a_rows, rhs, depths = constraint_rows(observations, omega, intr)
-    mags = np.array([o.flow.magnitude for o in observations])
+    a_rows, rhs, depths = constraint_rows(flows, omega, intr)
     # plane-fit error grows with flow speed: loosen the gate accordingly
-    eps = np.maximum(cfg.ransac_eps, cfg.ransac_eps_frac * mags)
+    eps = np.maximum(cfg.ransac_eps, cfg.ransac_eps_frac * flows.magnitude)
 
     def residuals(v):
         return (a_rows @ v - rhs) / depths

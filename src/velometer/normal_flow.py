@@ -25,16 +25,38 @@ from .time_surface import SurfacePair, TimeSurface
 
 
 @dataclass
-class NormalFlowMeasurement:
-    t: float                 # timestamp of the measurement (batch end)
-    x: int
-    y: int
-    direction: np.ndarray    # unit 2-vector along the temporal gradient
-    magnitude: float         # px/s, non-negative
-    grad: np.ndarray         # s/px temporal gradient, kept for diagnostics
-    fit_rms: float           # s, rms of the plane fit
-    event_t: float           # time of the originating event (diagnostics)
-    polarity: int
+class FlowBatch:
+    """Normal flows of one event batch as parallel arrays, one row per flow.
+
+    This is the visual observation from the front end to the optimizer:
+    :func:`process_batch` fills the flow rows, :func:`velometer.stereo.associate`
+    keeps the rows it can match and fills `depth` and `weight`.
+    """
+
+    t: float                 # batch end time, shared by every row
+    x: np.ndarray            # (K,) int pixel column
+    y: np.ndarray            # (K,) int pixel row
+    direction: np.ndarray    # (K, 2) unit vectors along the temporal gradient
+    magnitude: np.ndarray    # (K,) px/s, non-negative
+    fit_rms: np.ndarray      # (K,) s, rms of the plane fit
+    depth: np.ndarray = None     # (K,) m, along the optical axis
+    weight: np.ndarray = None    # (K,) in (0, 1], match score and fit quality
+
+    @classmethod
+    def empty(cls, t):
+        return cls(float(t), np.empty(0, np.int64), np.empty(0, np.int64),
+                   np.empty((0, 2)), np.empty(0), np.empty(0))
+
+    def __len__(self):
+        return len(self.x)
+
+    def subset(self, idx):
+        """The rows at `idx` (integer indices or a boolean mask), as a copy."""
+        def take(a):
+            return None if a is None else a[idx]
+        return FlowBatch(self.t, self.x[idx], self.y[idx], self.direction[idx],
+                         self.magnitude[idx], self.fit_rms[idx],
+                         take(self.depth), take(self.weight))
 
 
 def _box_sum(img, radius):
@@ -135,7 +157,7 @@ def fit_planes(surface: TimeSurface, xs, ys, window, cfg: FlowConfig):
     off = np.arange(-r, r + 1)
     pys = ys[:, None, None] + off[None, :, None]  # (K, 2r+1, 2r+1)
     pxs = xs[:, None, None] + off[None, None, :]
-    tv = surface.stamps[pys, pxs].reshape(len(xs), -1)      # (K, P)
+    tv = surface.stamps[pys, pxs].reshape(len(xs), len(x_des))  # (K, P)
     valid = (tv >= t0) & (tv <= t1)
     tv = np.where(valid, tv - t1, 0.0)            # shift for conditioning
 
@@ -173,6 +195,37 @@ def fit_plane(surface: TimeSurface, px, window, cfg: FlowConfig = None):
     return grads[0], float(rms[0])
 
 
+def _corrected_flows(grads, cfg: FlowConfig):
+    """Rows of (direction, magnitude, ok) for gradients (K, 2): the direction
+    is the gradient direction and the speed its inverse norm."""
+    gnorm = np.hypot(grads[:, 0], grads[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        magnitude = 1.0 / gnorm
+        direction = grads / gnorm[:, None]
+    ok = (gnorm > cfg.min_grad) & (magnitude <= cfg.max_flow)
+    return direction, magnitude, ok
+
+
+def _benosman_flows(grads, cfg: FlowConfig):
+    """Like :func:`_corrected_flows` with the component-wise reciprocal."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        w = 1.0 / grads
+        magnitude = np.hypot(w[:, 0], w[:, 1])
+        direction = w / magnitude[:, None]
+    ok = ((np.hypot(grads[:, 0], grads[:, 1]) > cfg.min_grad)
+          & np.isfinite(w).all(axis=1)
+          & (magnitude <= cfg.max_flow) & (magnitude > 0))
+    return direction, magnitude, ok
+
+
+def _one_flow(convert, grad, cfg):
+    direction, magnitude, ok = convert(
+        np.asarray(grad, dtype=float).reshape(1, 2), cfg or FlowConfig())
+    if not ok[0]:
+        return None
+    return direction[0], float(magnitude[0])
+
+
 def normal_flow_from_gradient(grad, cfg: FlowConfig = None):
     """Unit direction and speed of the normal flow from a temporal gradient.
 
@@ -180,15 +233,7 @@ def normal_flow_from_gradient(grad, cfg: FlowConfig = None):
     Returns None for gradients too small (near-infinite flow) or flows above
     the configured maximum.
     """
-    cfg = cfg or FlowConfig()
-    grad = np.asarray(grad, dtype=float)
-    gnorm = float(np.hypot(grad[0], grad[1]))
-    if gnorm <= cfg.min_grad:
-        return None
-    magnitude = 1.0 / gnorm
-    if magnitude > cfg.max_flow:
-        return None
-    return grad / gnorm, magnitude
+    return _one_flow(_corrected_flows, grad, cfg)
 
 
 def benosman_flow_from_gradient(grad, cfg: FlowConfig = None):
@@ -198,59 +243,40 @@ def benosman_flow_from_gradient(grad, cfg: FlowConfig = None):
     the normal flow (it agrees with the correct formula only when both
     components are equal).
     """
-    cfg = cfg or FlowConfig()
-    grad = np.asarray(grad, dtype=float)
-    if float(np.hypot(grad[0], grad[1])) <= cfg.min_grad:
-        return None
-    with np.errstate(divide="ignore"):
-        w = 1.0 / grad
-    if not np.all(np.isfinite(w)):
-        return None
-    magnitude = float(np.hypot(w[0], w[1]))
-    if magnitude > cfg.max_flow or magnitude <= 0:
-        return None
-    return w / magnitude, magnitude
+    return _one_flow(_benosman_flows, grad, cfg)
 
 
-def process_batch(batch: EventBatch, surfaces: SurfacePair, cfg: FlowConfig):
+def process_batch(batch: EventBatch, surfaces: SurfacePair,
+                  cfg: FlowConfig) -> FlowBatch:
     """Full per-batch front end: cull, fit planes, convert to normal flow.
 
     Surfaces must already be updated through the batch. Individual failures
-    (bad fits, out-of-range flows) drop the measurement silently. All
-    measurements carry the batch end time; the raw event time is kept as a
-    diagnostic field.
+    (bad fits, out-of-range flows) drop the row silently. Every row carries
+    the batch end time; rows are ordered by the time of their originating
+    event, then x, y and polarity.
     """
     if batch.duration < cfg.min_batch_duration:
-        return []
+        return FlowBatch.empty(batch.t_end)
     idx = select_candidates(batch, surfaces, cfg)
-    if len(idx) == 0:
-        return []
     if len(idx) > cfg.max_measurements:
         take = np.unique(np.round(
             np.linspace(0, len(idx) - 1, cfg.max_measurements)).astype(int))
         idx = idx[take]
 
-    converter = (normal_flow_from_gradient if cfg.mode == "corrected"
-                 else benosman_flow_from_gradient)
-    window = (batch.t_start, batch.t_end)
-    out = []
-    ev = batch.events
+    ev = batch.events[idx]
+    xs = ev["x"].astype(np.int64)
+    ys = ev["y"].astype(np.int64)
+    grads = np.empty((len(idx), 2))
+    rms = np.empty(len(idx))
+    ok = np.empty(len(idx), dtype=bool)
     for pol in (1, -1):
-        sub = idx[ev["p"][idx] == pol]
-        if len(sub) == 0:
-            continue
-        xs = ev["x"][sub].astype(np.int64)
-        ys = ev["y"][sub].astype(np.int64)
-        grads, rms, ok = fit_planes(surfaces.for_polarity(pol), xs, ys, window, cfg)
-        for k in np.flatnonzero(ok):
-            flow = converter(grads[k], cfg)
-            if flow is None:
-                continue
-            direction, magnitude = flow
-            out.append(NormalFlowMeasurement(
-                t=batch.t_end, x=int(xs[k]), y=int(ys[k]),
-                direction=direction, magnitude=float(magnitude),
-                grad=grads[k].copy(), fit_rms=float(rms[k]),
-                event_t=float(ev["t"][sub[k]]), polarity=pol))
-    out.sort(key=lambda mm: (mm.event_t, mm.x, mm.y, mm.polarity))
-    return out
+        sel = ev["p"] == pol
+        grads[sel], rms[sel], ok[sel] = fit_planes(
+            surfaces.for_polarity(pol), xs[sel], ys[sel],
+            (batch.t_start, batch.t_end), cfg)
+    convert = _corrected_flows if cfg.mode == "corrected" else _benosman_flows
+    direction, magnitude, flow_ok = convert(grads, cfg)
+    keep = np.flatnonzero(ok & flow_ok)
+    order = keep[np.lexsort((ev["p"][keep], ys[keep], xs[keep], ev["t"][keep]))]
+    return FlowBatch(batch.t_end, xs[order], ys[order], direction[order],
+                     magnitude[order], rms[order])

@@ -1,18 +1,18 @@
 """Offline pipeline: events + IMU in, velocity track + run report out.
 
-Batches the left event stream by count, keeps per-polarity time surfaces for
-both cameras, extracts normal flow from the left camera, attaches stereo
-depth by block matching against the right surface, and feeds the estimator.
-The right camera's flow can optionally contribute residuals too (lever-arm
-corrected); by default it only serves depth.
+Batches the left event stream by count and keeps per-polarity time surfaces
+for both cameras. Per batch, the left camera's plane fits yield one
+FlowBatch of normal flows; stereo block matching against the right camera's
+surface keeps the rows it can match and attaches their depth; the estimator
+takes that batch as it is. The right camera serves depth only.
 """
 
 import time
 
 import numpy as np
 
-from .config import PipelineConfig
-from .estimator import Estimator, make_flow_block
+from .config import PipelineConfig, validate_config
+from .estimator import Estimator
 from .events import EventBatch, ImuData, batch_by_count
 from .geometry import StereoRig
 from .normal_flow import process_batch
@@ -45,14 +45,13 @@ class VelocityPipeline:
     def __init__(self, rig: StereoRig, config: PipelineConfig = None):
         self.rig = rig
         self.cfg = config or PipelineConfig()
+        validate_config(self.cfg)
         w, h = rig.left.width, rig.left.height
         self.left_surfaces = SurfacePair.create(w, h)
         self.right_surfaces = SurfacePair.create(w, h)
         self.estimator = Estimator(rig, self.cfg)
-        self.flow_log = []          # (t, measurement) for the debug dump
 
-    def run(self, events_left, events_right, imu: ImuData, q0=None,
-            keep_flow_log=False):
+    def run(self, events_left, events_right, imu: ImuData, q0=None):
         """Process complete streams; returns (times, velocities, report)."""
         cfg = self.cfg
         est = self.estimator
@@ -70,12 +69,11 @@ class VelocityPipeline:
                 break
             # bring the right camera's surfaces up to this batch's window
             hi = int(np.searchsorted(right_t, batch.t_end, side="right"))
-            right_batch = None
             if hi > right_cursor:
                 chunk = events_right[right_cursor:hi]
-                right_batch = EventBatch(chunk, float(chunk["t"][0]),
-                                         max(float(chunk["t"][-1]), batch.t_end))
-                self.right_surfaces.update(right_batch)
+                self.right_surfaces.update(EventBatch(
+                    chunk, float(chunk["t"][0]),
+                    max(float(chunk["t"][-1]), batch.t_end)))
                 right_cursor = hi
             self.left_surfaces.update(batch)
             if batch_idx < cfg.flow.warmup_batches:
@@ -87,15 +85,7 @@ class VelocityPipeline:
                             self.right_surfaces.combined(), window,
                             self.rig, cfg.depth)
             est.report.flows += len(flows)
-            if keep_flow_log:
-                self.flow_log.extend(flows)
-
-            extra_blocks = []
-            if cfg.estimator.use_right_flows and right_batch is not None:
-                extra_blocks = self._right_flow_blocks(right_batch, window)
             est.step(obs, batch.t_end)
-            if est.status == "tracking":
-                est.flow_blocks.extend(extra_blocks)
 
         est.finalize()
         est.report.wall_time = time.perf_counter() - t_start
@@ -106,19 +96,3 @@ class VelocityPipeline:
         if est.status != "tracking" or len(ts) == 0:
             raise EstimationFailure("pipeline never reached tracking state")
         return ts, vs, est.report
-
-    def _right_flow_blocks(self, right_batch, window):
-        """Normal flow on the right camera, depth matched back to the left."""
-        cfg = self.cfg
-        flows = process_batch(right_batch, self.right_surfaces, cfg.flow)
-        if not flows:
-            return []
-        obs = associate(flows, self.right_surfaces.combined(),
-                        self.left_surfaces.combined(), window,
-                        self.rig, cfg.depth, reverse=True)
-        if not obs:
-            return []
-        t = window[1]
-        gyro_raw = self.estimator.imu.interp_gyro(t)
-        return [make_flow_block(obs, t, gyro_raw, self.rig.right,
-                                cam_offset=self.rig.baseline)]

@@ -20,10 +20,9 @@ import numpy as np
 
 from .config import ImuConfig, SimConfig
 from .events import EVENT_DTYPE, ImuData, make_events
-from .geometry import CameraIntrinsics, StereoRig, BodyKinematics, motion_flow
-from .normal_flow import NormalFlowMeasurement
-from .rotations import axis_angle_matrices, hat, matrix_to_quat
-from .stereo import FlowDepthObservation
+from .geometry import CameraIntrinsics, StereoRig, flow_rows
+from .normal_flow import FlowBatch
+from .rotations import axis_angle_matrices, matrix_to_quat
 
 
 # --------------------------------------------------------------------------
@@ -633,78 +632,73 @@ def _project_scene_points(scene, traj, rig, t, camera="left", per_edge=24):
     return px, z[sel], tangent, eidx[sel]
 
 
-def exact_observations(scene, traj, rig, t, count=60, camera="left"):
-    """Noise-free flow/depth observations straight from geometry.
+def exact_observations(scene, traj, rig, t, count=60):
+    """Noise-free, depth-matched left-camera flows straight from geometry.
 
-    Observations are exactly consistent with the projected-flow model at the
-    stored integer pixel: the edge point is slid along the edge until it
-    projects onto the pixel center, the normal is the unit normal of the
-    projected edge oriented с the temporal gradient (the side the edge moves
-    toward), and the magnitude is the projection of the true motion flow.
+    Rows are exactly consistent with the projected-flow model at the stored
+    integer pixel: the edge point is slid along the edge until it projects
+    onto the pixel center, the normal is the unit normal of the projected
+    edge oriented along the temporal gradient (the side the edge moves
+    toward), and the magnitude is the projected true motion,
+    n^T A v / Z + n^T B w. Every row has zero fit rms, its true depth and
+    unit weight.
     """
-    px, depth, tangent, eidx = _project_scene_points(scene, traj, rig, t, camera)
+    px, _, _, eidx = _project_scene_points(scene, traj, rig, t)
     if len(px) == 0:
-        return []
-    intr = rig.left if camera == "left" else rig.right
-    offset_x = 0.0 if camera == "left" else rig.baseline
-    rs, ps = _camera_positions(traj, np.array([t]), offset_x)
+        return FlowBatch.empty(t)
+    intr = rig.left
+    rs, ps = _camera_positions(traj, np.array([t]), 0.0)
     r, p = rs[0], ps[0]
-    v_cam = traj.velocity_body(t)
-    omega = traj.omega_body(t)
-    if camera == "right":
-        v_cam = v_cam + np.cross(omega, np.array([rig.baseline, 0.0, 0.0]))
-    kin = BodyKinematics(v=v_cam, omega=omega)
     take = np.unique(np.round(np.linspace(0, len(px) - 1,
                                           min(count, len(px)))).astype(int))
-    out = []
-    seen = set()
-    for i in take:
-        pix = np.round(px[i])
-        e0, e1 = scene.edges[eidx[i]]
-        cam0 = r.T @ (e0 - p)
-        d_cam = r.T @ (e1 - e0)
+    pix = np.round(px[take])
+    e0, e1 = scene.edges[eidx[take], 0], scene.edges[eidx[take], 1]
+    cam0 = (e0 - p) @ r              # rows of r.T @ (e0 - p)
+    d_cam = (e1 - e0) @ r
 
-        def project(s_val):
-            c = cam0 + s_val * d_cam
-            return np.array([intr.f * c[0] / c[2] + intr.cx,
-                             intr.f * c[1] / c[2] + intr.cy]), c
+    def project(s_val):
+        c = cam0 + s_val[:, None] * d_cam
+        return np.stack([intr.f * c[:, 0] / c[:, 2] + intr.cx,
+                         intr.f * c[:, 1] / c[:, 2] + intr.cy], axis=1), c
 
-        # slide the edge parameter until the point projects at the pixel center
-        s = 0.5
+    # slide the edge parameter until the point projects at the pixel center;
+    # a point whose projected tangent vanishes stops with its last values
+    k = len(take)
+    s = np.full(k, 0.5)
+    tan2d = np.zeros((k, 2))
+    norm2 = np.zeros(k)
+    active = np.ones(k, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(8):
             proj, cam = project(s)
-            tan2d = np.array([
-                intr.f * (d_cam[0] * cam[2] - cam[0] * d_cam[2]) / cam[2] ** 2,
-                intr.f * (d_cam[1] * cam[2] - cam[1] * d_cam[2]) / cam[2] ** 2])
-            norm2 = float(tan2d @ tan2d)
-            if norm2 < 1e-12:
-                break
-            ds = float((pix - proj) @ tan2d) / norm2
-            s = float(np.clip(s + ds, 0.0, 1.0))
-        proj, cam = project(s)
-        if np.linalg.norm(proj - pix) > 0.6 or cam[2] <= 1e-3:
-            continue
-        if not (1 <= pix[0] <= intr.width - 2 and 1 <= pix[1] <= intr.height - 2):
-            continue
-        key = (int(pix[0]), int(pix[1]))
-        if key in seen:
-            continue
-        seen.add(key)
-        tan2d /= np.sqrt(norm2)
-        n = np.array([-tan2d[1], tan2d[0]])
-        z = float(cam[2])
-        flow = motion_flow(intr, pix, kin, z)
-        mag = float(n @ flow)
-        if mag < 0:
-            n, mag = -n, -mag
-        if mag < 1e-6:
-            continue
-        m = NormalFlowMeasurement(
-            t=float(t), x=int(pix[0]), y=int(pix[1]),
-            direction=n, magnitude=mag, grad=n / max(mag, 1e-12),
-            fit_rms=0.0, event_t=float(t), polarity=1)
-        out.append(FlowDepthObservation(flow=m, depth=z, weight=1.0))
-    return out
+            tan_i = (intr.f * (d_cam[:, :2] * cam[:, 2:] - cam[:, :2] * d_cam[:, 2:])
+                     / cam[:, 2:] ** 2)
+            norm2_i = np.sum(tan_i * tan_i, axis=1)
+            tan2d[active] = tan_i[active]
+            norm2[active] = norm2_i[active]
+            active &= norm2_i >= 1e-12
+            ds = np.sum((pix - proj) * tan_i, axis=1) / norm2_i
+            s = np.where(active, np.clip(s + ds, 0.0, 1.0), s)
+    proj, cam = project(s)
+    ok = ((np.linalg.norm(proj - pix, axis=1) <= 0.6) & (cam[:, 2] > 1e-3)
+          & (pix[:, 0] >= 1) & (pix[:, 0] <= intr.width - 2)
+          & (pix[:, 1] >= 1) & (pix[:, 1] <= intr.height - 2))
+    idx = np.flatnonzero(ok)
+    _, first = np.unique(pix[idx], axis=0, return_index=True)
+    idx = idx[np.sort(first)]           # the first point claims its pixel
+    tan2d = tan2d[idx] / np.sqrt(norm2[idx])[:, None]
+    n = np.stack([-tan2d[:, 1], tan2d[:, 0]], axis=1)
+    x, y = pix[idx, 0].astype(np.int64), pix[idx, 1].astype(np.int64)
+    z = cam[idx, 2]
+    a_rows, b_rows = flow_rows(intr, x, y, n)
+    mag = a_rows @ traj.velocity_body(t) / z + b_rows @ traj.omega_body(t)
+    flip = mag < 0
+    n[flip] = -n[flip]
+    mag = np.abs(mag)
+    keep = mag >= 1e-6
+    return FlowBatch(float(t), x[keep], y[keep], n[keep], mag[keep],
+                     np.zeros(int(keep.sum())), depth=z[keep],
+                     weight=np.ones(int(keep.sum())))
 
 
 def export_dataset(out_dir, preset, cfg: SimConfig, imu_cfg: ImuConfig,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .config import DepthConfig
 from .geometry import StereoRig
-from .normal_flow import NormalFlowMeasurement
+from .normal_flow import FlowBatch
 from .time_surface import TimeSurface
 
 
@@ -33,19 +33,6 @@ class DepthEstimate:
     depth: float        # m, along the optical axis
     disparity: float    # px, refined; depth * disparity == f * baseline
     score: float        # match confidence in [0, 1]
-
-
-@dataclass
-class FlowDepthObservation:
-    """A normal-flow measurement with its depth: the estimator's visual input."""
-
-    flow: NormalFlowMeasurement
-    depth: float
-    weight: float       # in (0, 1], from match score and plane-fit residual
-
-    @property
-    def t(self):
-        return self.flow.t
 
 
 def _normalize(surface: TimeSurface, window):
@@ -70,18 +57,22 @@ def match_block(left: TimeSurface, right: TimeSurface, px, window, rig: StereoRi
     if not (half <= x < w - half and half <= y < h - half):
         raise ValueError(f"pixel ({x}, {y}) too close to the border for a "
                          f"{cfg.block}x{cfg.block} block")
-    res = match_blocks(left, right, np.array([x]), np.array([y]), window, rig, cfg)
-    return res[0]
+    disp, score, ok = match_blocks(left, right, np.array([x]), np.array([y]),
+                                   window, cfg)
+    if not ok[0]:
+        return None
+    d = float(disp[0])
+    return DepthEstimate(x=x, y=y, depth=rig.left.f * rig.baseline / d,
+                         disparity=d, score=float(score[0]))
 
 
 def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
-                 rig: StereoRig, cfg: DepthConfig, reverse=False):
-    """Vectorized block matching at many reference pixels; None per failure.
+                 cfg: DepthConfig):
+    """Vectorized block matching of left pixels (xs, ys) against x - d in
+    the right surface.
 
-    With reverse=False the reference is the left camera and the match is
-    searched at x - d in the right surface; reverse=True flips the roles
-    (right-camera reference, search at x + d in `right`, which then holds
-    the left surface).
+    Returns (disparity, score, ok) arrays, one entry per reference pixel;
+    `ok` is False where no acceptable, unambiguous peak exists.
     """
     half = cfg.block // 2
     lv, lm = _normalize(left, window)
@@ -95,17 +86,16 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
     blk = cfg.block
     pys = np.broadcast_to(ys[:, None, None] + off[None, :, None], (k, blk, blk))
     pxs = np.broadcast_to(xs[:, None, None] + off[None, None, :], (k, blk, blk))
-    lpatch = lv[pys, pxs].reshape(k, -1)                  # (K, P)
-    lmask = lm[pys, pxs].reshape(k, -1)
+    lpatch = lv[pys, pxs].reshape(k, block_px)            # (K, P)
+    lmask = lm[pys, pxs].reshape(k, block_px)
 
     # target patches for every disparity
-    shift = disps if not reverse else -disps
-    rx = pxs[:, None, :, :] - shift[None, :, None, None]  # (K, D, B, B)
+    rx = pxs[:, None, :, :] - disps[None, :, None, None]  # (K, D, B, B)
     ry = np.broadcast_to(pys[:, None, :, :], rx.shape)
     feasible = (rx.min(axis=(2, 3)) >= 0) & (rx.max(axis=(2, 3)) <= right.width - 1)
     rxc = np.clip(rx, 0, right.width - 1)
-    rpatch = rv[ry, rxc].reshape(k, d, -1)                # (K, D, P)
-    rmask = rm[ry, rxc].reshape(k, d, -1)
+    rpatch = rv[ry, rxc].reshape(k, d, block_px)          # (K, D, P)
+    rmask = rm[ry, rxc].reshape(k, d, block_px)
 
     both = lmask[:, None, :] & rmask                      # (K, D, P)
     n = both.sum(axis=2)
@@ -116,63 +106,46 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
     rmse = np.sqrt(np.einsum("kdp,kdp->kd", diff, diff) / nf)
     scores = np.where(enough, np.exp(-rmse / cfg.value_scale), -np.inf)
 
-    out = []
-    f = rig.left.f
-    fb = f * rig.baseline
-    for i in range(k):
-        s = scores[i]
-        best = int(np.argmax(s))
-        best_score = s[best]
-        if not np.isfinite(best_score) or best_score < cfg.score_min:
-            out.append(None)
-            continue
-        masked = s.copy()
-        masked[max(best - 1, 0):best + 2] = -np.inf
-        second = masked.max()
-        if np.isfinite(second) and second > 0 and best_score < cfg.margin * second:
-            out.append(None)
-            continue
-        disp = float(disps[best])
-        if (0 < best < d - 1 and best_score < 1.0 - 1e-9
-                and np.isfinite(s[best - 1]) and np.isfinite(s[best + 1])):
-            denom = s[best - 1] - 2.0 * s[best] + s[best + 1]
-            if denom < -1e-12:
-                delta = 0.5 * (s[best - 1] - s[best + 1]) / denom
-                disp += float(np.clip(delta, -0.5, 0.5))
-        out.append(DepthEstimate(x=int(xs[i]), y=int(ys[i]),
-                                 depth=fb / disp, disparity=disp,
-                                 score=float(np.clip(best_score, 0.0, 1.0))))
-    return out
+    rows = np.arange(k)
+    best = np.argmax(scores, axis=1)
+    best_score = scores[rows, best]
+    near = np.abs(np.arange(d)[None, :] - best[:, None]) <= 1
+    second = np.where(near, -np.inf, scores).max(axis=1, initial=-np.inf)
+    ambiguous = (np.isfinite(second) & (second > 0)
+                 & (best_score < cfg.margin * second))
+    ok = np.isfinite(best_score) & (best_score >= cfg.score_min) & ~ambiguous
+
+    # parabolic refinement over the score triplet around the peak
+    lo = scores[rows, np.maximum(best - 1, 0)]
+    hi = scores[rows, np.minimum(best + 1, d - 1)]
+    with np.errstate(invalid="ignore"):
+        denom = lo - 2.0 * best_score + hi
+        refine = ((best > 0) & (best < d - 1) & (best_score < 1.0 - 1e-9)
+                  & np.isfinite(lo) & np.isfinite(hi) & (denom < -1e-12))
+        delta = 0.5 * (lo - hi) / np.where(refine, denom, -1.0)
+    disp = disps[best] + np.where(refine, np.clip(delta, -0.5, 0.5), 0.0)
+    return disp, np.clip(best_score, 0.0, 1.0), ok
 
 
-def associate(flows, left: TimeSurface, right: TimeSurface, window,
-              rig: StereoRig, cfg: DepthConfig = None, reverse=False):
-    """Attach stereo depth to normal-flow measurements.
+def associate(flows: FlowBatch, left: TimeSurface, right: TimeSurface, window,
+              rig: StereoRig, cfg: DepthConfig = None) -> FlowBatch:
+    """Attach stereo depth to the rows of a flow batch.
 
-    Flows that cannot be matched (border, no events on the right, weak or
-    ambiguous correlation) are dropped. Weight combines the match score with
+    Returns the rows that could be matched, with `depth` and `weight` set;
+    rows near the border, without events on the right, or with a weak or
+    ambiguous correlation are dropped. Weight combines the match score with
     the plane-fit quality: score * exp(-fit_rms / batch_duration).
     """
     cfg = cfg or DepthConfig()
-    if not flows:
-        return []
     half = cfg.block // 2
     w, h = left.width, left.height
-    usable = [m for m in flows
-              if half <= m.x < w - half and half <= m.y < h - half]
-    if not usable:
-        return []
-    xs = np.array([m.x for m in usable])
-    ys = np.array([m.y for m in usable])
-    matches = match_blocks(left, right, xs, ys, window, rig, cfg, reverse)
+    flows = flows.subset((flows.x >= half) & (flows.x < w - half)
+                         & (flows.y >= half) & (flows.y < h - half))
+    disp, score, ok = match_blocks(left, right, flows.x, flows.y, window, cfg)
     tau = window[1] - window[0]
-    out = []
-    for m, est in zip(usable, matches):
-        if est is None:
-            continue
-        weight = est.score * float(np.exp(-m.fit_rms / tau))
-        if weight <= 0:
-            continue
-        out.append(FlowDepthObservation(flow=m, depth=est.depth,
-                                        weight=min(weight, 1.0)))
+    weight = score * np.exp(-flows.fit_rms / tau)
+    ok &= weight > 0
+    out = flows.subset(ok)
+    out.depth = rig.left.f * rig.baseline / disp[ok]
+    out.weight = np.minimum(weight[ok], 1.0)
     return out

@@ -19,13 +19,11 @@ class TimeSurface:
         self.width = width
         self.height = height
         self.stamps = np.full((height, width), NEVER)
-        self.polarity = np.zeros((height, width), dtype=np.int8)
         self.t_ref = float(t_ref)
 
     def copy(self):
         ts = TimeSurface(self.width, self.height, self.t_ref)
         ts.stamps = self.stamps.copy()
-        ts.polarity = self.polarity.copy()
         return ts
 
     def valid_mask(self, t0, t1):
@@ -43,7 +41,7 @@ def _latest_per_pixel(events, width):
 
 
 def update_time_surface(ts: TimeSurface, batch: EventBatch) -> TimeSurface:
-    """Write each event's timestamp/polarity at its pixel; latest wins.
+    """Write each event's timestamp at its pixel; latest wins.
 
     Batches must arrive in order: the batch may not start before the
     surface's reference time.
@@ -57,7 +55,6 @@ def update_time_surface(ts: TimeSurface, batch: EventBatch) -> TimeSurface:
         raise ValueError("event outside image bounds")
     idx = _latest_per_pixel(ev, ts.width)
     ts.stamps[ev["y"][idx], ev["x"][idx]] = ev["t"][idx]
-    ts.polarity[ev["y"][idx], ev["x"][idx]] = ev["p"][idx]
     ts.t_ref = batch.t_end
     return ts
 
@@ -91,7 +88,5 @@ class SurfacePair:
         """Latest-of-either-polarity surface (used for stereo matching)."""
         out = TimeSurface(self.pos.width, self.pos.height,
                           max(self.pos.t_ref, self.neg.t_ref))
-        newer = self.neg.stamps > self.pos.stamps
-        out.stamps = np.where(newer, self.neg.stamps, self.pos.stamps)
-        out.polarity = np.where(newer, self.neg.polarity, self.pos.polarity).astype(np.int8)
+        out.stamps = np.maximum(self.neg.stamps, self.pos.stamps)
         return out

@@ -108,6 +108,17 @@ class TestEstimateCli:
                    "--out", str(tmp_path / "v.csv")])
         assert rc == 2
 
+    def test_out_of_range_config_exit_code(self, dataset, tmp_path):
+        rc = main(["estimate",
+                   "--events-left", dataset["events_left"],
+                   "--events-right", dataset["events_right"],
+                   "--imu", dataset["imu"],
+                   "--calib", dataset["calib"],
+                   "--config", "flow.batch_size=0",
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        assert not (tmp_path / "v.csv").exists()
+
     def test_config_override_changes_behavior(self, dataset, tmp_path):
         vel = tmp_path / "v.csv"
         rc = main(["estimate",

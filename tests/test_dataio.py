@@ -3,7 +3,7 @@ import pytest
 
 from velometer import dataio
 from velometer.config import (PipelineConfig, apply_override, clone_config,
-                              load_overrides)
+                              load_overrides, validate_config)
 from velometer.events import ImuData, make_events
 from velometer.geometry import CameraIntrinsics, StereoRig
 
@@ -135,6 +135,19 @@ class TestConfigOverrides:
         dup = clone_config(cfg)
         dup.flow.mode = "benosman"
         assert cfg.flow.mode == "corrected"
+
+    @pytest.mark.parametrize("key, value", [
+        ("flow.batch_size", "0"),
+        ("depth.block", "16"),
+        ("depth.min_disparity", "49"),
+        ("spline.knot_dt", "0"),
+    ])
+    def test_out_of_range_value_rejected(self, key, value):
+        cfg = PipelineConfig()
+        validate_config(cfg)
+        apply_override(cfg, key, value)
+        with pytest.raises(ValueError, match=key):
+            validate_config(cfg)
 
 
 class TestManifest:

@@ -2,9 +2,10 @@ import numpy as np
 import pytest
 
 from velometer.config import PipelineConfig
-from velometer.estimator import Estimator, huber_weights, make_flow_block
+from velometer.estimator import Estimator, huber_weights
 from velometer.events import SequencingError
 from velometer.imu import ImuBias, preintegrate
+from velometer.normal_flow import FlowBatch
 from velometer.rotations import matrix_to_quat
 from velometer.simulator import (default_rig, exact_observations, make_scene,
                                  make_trajectory, ground_truth)
@@ -58,10 +59,10 @@ class TestFlowResidual:
         fit_spline_to_truth(est, traj)
         obs = exact_observations(scene, traj, rig, 0.35, count=20)
         assert len(obs) >= 5
-        for o in obs:
-            value, *_ = est.build_normal_flow_residual(o)
+        for k in range(len(obs)):
+            r, *_ = est.flow_residual_block(obs.subset([k]))
             # residual limited by the spline's representation error
-            assert abs(value) < 2e-2
+            assert abs(r[0]) < 2e-2
 
     def test_jacobian_matches_finite_differences(self):
         cfg, rig, traj, scene = make_setup(duration=0.8)
@@ -71,9 +72,7 @@ class TestFlowResidual:
         for k in range(est.spline.num_segments):
             est.spline.biases[k] = ImuBias(rng.normal(0, 1e-3, 3),
                                            rng.normal(0, 1e-4, 3))
-        obs = exact_observations(scene, traj, rig, 0.35, count=5)
-        gyro_raw = est.imu.interp_gyro(0.35)
-        block = make_flow_block(obs, 0.35, gyro_raw, rig.left)
+        block = exact_observations(scene, traj, rig, 0.35, count=5)
         r0, jac_cp, jac_bw, j = est.flow_residual_block(block)
         eps = 1e-6
         for m in range(4):
@@ -95,10 +94,10 @@ class TestFlowResidual:
         cfg, rig, traj, scene = make_setup(duration=0.8)
         est = estimator_with_truth(cfg, rig, traj, 0.8)
         est.spline.control_points += 0.5
-        obs = exact_observations(scene, traj, rig, 0.35, count=3)
-        v1, *_ = est.build_normal_flow_residual(obs[0])
+        one = exact_observations(scene, traj, rig, 0.35, count=3).subset([0])
+        (v1,), *_ = est.flow_residual_block(one)
         est.cfg.estimator.flow_sigma *= np.sqrt(2.0)
-        v2, *_ = est.build_normal_flow_residual(obs[0])
+        (v2,), *_ = est.flow_residual_block(one)
         assert abs(v2 - v1 / np.sqrt(2.0)) < 1e-12
 
 
@@ -168,9 +167,8 @@ class TestOptimize:
         est = estimator_with_truth(cfg, rig, traj, duration)
         fit_spline_to_truth(est, traj)
         for t in np.arange(0.1, duration, 0.1):
-            obs = exact_observations(scene, traj, rig, t, count=30)
-            gyro_raw = est.imu.interp_gyro(t)
-            est.flow_blocks.append(make_flow_block(obs, t, gyro_raw, rig.left))
+            est.flow_batches.append(exact_observations(scene, traj, rig, t,
+                                                       count=30))
         est._extend_preints(duration - 0.05)
         if perturb:
             rng = np.random.default_rng(seed)
@@ -208,7 +206,7 @@ class TestOptimize:
         est, _ = self._tracking_estimator(perturb=0.3)
         x = est._pack()
         _, _, cost1 = est._assemble(x)
-        est.flow_blocks = est.flow_blocks[::-1]
+        est.flow_batches = est.flow_batches[::-1]
         est.preints = est.preints[::-1]
         _, _, cost2 = est._assemble(x)
         assert abs(cost1 - cost2) < 1e-12 * max(1.0, cost1)
@@ -217,9 +215,9 @@ class TestOptimize:
         # flows at one timestamp, no IMU residuals: only the active control
         # points may move
         est, _ = self._tracking_estimator(duration=1.0)
-        est.flow_blocks = est.flow_blocks[4:5]
+        est.flow_batches = est.flow_batches[4:5]
         est.preints = []
-        t_active = est.flow_blocks[0].t
+        t_active = est.flow_batches[0].t
         j_active, _ = est.spline.segment_of(t_active)
         before = est.spline.control_points.copy()
         est.optimize(max_iters=5)
@@ -264,7 +262,7 @@ class TestStep:
         est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
         obs = exact_observations(scene, traj, rig, 0.1, count=40)
         est.step(obs, 0.1)
-        rep = est.step([], 0.35)    # texture gap: IMU residuals only
+        rep = est.step(FlowBatch.empty(0.35), 0.35)  # texture gap: IMU only
         assert rep is not None and rep.converged
         v = est.spline.velocity(0.35)
         assert np.linalg.norm(v - traj.velocity_body(0.35)) < 0.05
@@ -286,7 +284,7 @@ class TestStep:
         est = Estimator(rig, cfg)
         est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
         est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
-        assert est.step([], 0.1) is None
+        assert est.step(FlowBatch.empty(0.1), 0.1) is None
         assert est.status == "uninitialized"
         obs = exact_observations(scene, traj, rig, 0.3, count=40)
         est.step(obs, 0.3)

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from velometer.geometry import (BodyKinematics, CameraIntrinsics, StereoRig,
-                                flow_matrices, motion_flow)
+                                flow_matrices, flow_rows, motion_flow)
 
 INTR = CameraIntrinsics(f=100.0, cx=173.0, cy=130.0, width=346, height=260)
 
@@ -89,8 +89,10 @@ def test_superposition_in_v_and_omega(vx, vz, wx, wz):
 
 
 def test_projected_flow_consistency():
-    # n^T flow equals n^T A v / Z + n^T B w exactly
+    # n^T flow equals n^T A v / Z + n^T B w exactly, and flow_rows gives the
+    # same n^T A, n^T B rows for all pixels at once
     rng = np.random.default_rng(3)
+    pixels, normals, expected_a, expected_b = [], [], [], []
     for _ in range(20):
         px = (rng.uniform(1, 345), rng.uniform(1, 259))
         v = rng.normal(size=3)
@@ -102,6 +104,14 @@ def test_projected_flow_consistency():
         lhs = n @ motion_flow(INTR, px, BodyKinematics(v=v, omega=w), z)
         rhs = n @ a @ v / z + n @ b @ w
         assert abs(lhs - rhs) < 1e-12
+        pixels.append(px)
+        normals.append(n)
+        expected_a.append(n @ a)
+        expected_b.append(n @ b)
+    xs, ys = np.array(pixels).T
+    a_rows, b_rows = flow_rows(INTR, xs, ys, np.array(normals))
+    assert np.allclose(a_rows, expected_a, rtol=1e-12, atol=1e-9)
+    assert np.allclose(b_rows, expected_b, rtol=1e-12, atol=1e-9)
 
 
 def test_out_of_bounds_pixel_rejected():

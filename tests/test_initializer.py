@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -5,25 +7,25 @@ from velometer.config import EstimatorConfig
 from velometer.geometry import CameraIntrinsics, flow_matrices
 from velometer.initializer import (InitializationError, constraint_rows,
                                    ransac_initialize)
-from velometer.normal_flow import NormalFlowMeasurement
-from velometer.stereo import FlowDepthObservation
+from velometer.normal_flow import FlowBatch
 
 INTR = CameraIntrinsics(f=230.0, cx=173.0, cy=130.0, width=346, height=260)
 
 
-def make_obs(x, y, n, magnitude, depth, t=1.0, weight=1.0):
+def make_flows(rows, t=1.0):
+    """Depth-matched flow batch from (x, y, n, magnitude, depth) rows."""
+    x, y, n, magnitude, depth = zip(*rows)
     n = np.asarray(n, dtype=float)
-    n = n / np.linalg.norm(n)
-    flow = NormalFlowMeasurement(t=t, x=x, y=y, direction=n,
-                                 magnitude=float(magnitude),
-                                 grad=n / max(magnitude, 1e-9), fit_rms=0.0,
-                                 event_t=t, polarity=1)
-    return FlowDepthObservation(flow=flow, depth=depth, weight=weight)
+    n = n / np.linalg.norm(n, axis=1, keepdims=True)
+    k = len(rows)
+    return FlowBatch(t, np.array(x), np.array(y), n,
+                     np.array(magnitude, dtype=float), np.zeros(k),
+                     depth=np.array(depth, dtype=float), weight=np.ones(k))
 
 
 def synthetic_observations(v, omega, rng, count=30, outliers=0):
-    """Observations consistent with (v, omega) plus optional gross outliers."""
-    obs = []
+    """Flows consistent with (v, omega) plus optional gross outliers."""
+    rows = []
     for _ in range(count):
         x = int(rng.integers(20, 326))
         y = int(rng.integers(20, 240))
@@ -36,13 +38,11 @@ def synthetic_observations(v, omega, rng, count=30, outliers=0):
             n, mag = -n, -mag
         if mag < 1.0:
             continue
-        obs.append(make_obs(x, y, n, mag, z))
+        rows.append((x, y, n, mag, z))
+    obs = make_flows(rows)
     k = len(obs)
     for i in rng.choice(k, size=min(outliers, k), replace=False):
-        bad = obs[i]
-        obs[i] = make_obs(bad.flow.x, bad.flow.y, bad.flow.direction,
-                          bad.flow.magnitude + rng.uniform(500, 2000),
-                          bad.depth)
+        obs.magnitude[i] += rng.uniform(500, 2000)
     return obs
 
 
@@ -50,7 +50,7 @@ class TestMinimalSolve:
     def test_noise_free_recovery(self):
         rng = np.random.default_rng(0)
         v = np.array([1.0, 2.0, 3.0])
-        obs = synthetic_observations(v, np.zeros(3), rng, count=6)[:3]
+        obs = synthetic_observations(v, np.zeros(3), rng, count=6).subset([0, 1, 2])
         res = ransac_initialize(obs, np.zeros(3), INTR)
         assert np.allclose(res.velocity, v, atol=1e-9)
 
@@ -72,9 +72,7 @@ class TestRansac:
         n_out = int(0.4 * len(obs))
         outlier_idx = set(rng.choice(len(obs), size=n_out, replace=False).tolist())
         for i in outlier_idx:
-            o = obs[i]
-            obs[i] = make_obs(o.flow.x, o.flow.y, o.flow.direction,
-                              o.flow.magnitude + rng.uniform(300, 1500), o.depth)
+            obs.magnitude[i] += rng.uniform(300, 1500)
         cfg = EstimatorConfig(seed=5)
         res = ransac_initialize(obs, np.zeros(3), INTR, cfg)
         assert np.allclose(res.velocity, v, atol=1e-6)
@@ -90,10 +88,7 @@ class TestRansac:
             obs = synthetic_observations(v, np.zeros(3), rng, count=30)
             n_out = int(0.4 * len(obs))
             for i in rng.choice(len(obs), size=n_out, replace=False):
-                o = obs[i]
-                obs[i] = make_obs(o.flow.x, o.flow.y, o.flow.direction,
-                                  o.flow.magnitude + rng.uniform(300, 1500),
-                                  o.depth)
+                obs.magnitude[i] += rng.uniform(300, 1500)
             try:
                 res = ransac_initialize(obs, np.zeros(3), INTR,
                                         EstimatorConfig(seed=trial))
@@ -108,7 +103,7 @@ class TestDegeneracy:
     def test_too_few_observations(self):
         rng = np.random.default_rng(4)
         obs = synthetic_observations(np.array([1.0, 0, 1.0]), np.zeros(3),
-                                     rng, count=5)[:2]
+                                     rng, count=5).subset([0, 1])
         with pytest.raises(InitializationError) as ei:
             ransac_initialize(obs, np.zeros(3), INTR)
         assert ei.value.reason == "too_few_observations"
@@ -118,14 +113,15 @@ class TestDegeneracy:
         # line through the edge; every constraint row is identical
         v = np.array([0.5, 0.0, 1.0])
         n = np.array([1.0, 0.0])
-        obs = []
+        rows = []
         for y in range(40, 220, 10):
             x = 200
             a, b = flow_matrices(INTR, (x, y))
             mag = n @ a @ v / 2.0
             if mag < 0:
                 mag = -mag
-            obs.append(make_obs(x, y, n, max(mag, 1.0), 2.0))
+            rows.append((x, y, n, max(mag, 1.0), 2.0))
+        obs = make_flows(rows)
         with pytest.raises(InitializationError) as ei:
             ransac_initialize(obs, np.zeros(3), INTR)
         assert ei.value.reason == "rank_deficient"
@@ -133,12 +129,8 @@ class TestDegeneracy:
     def test_constraint_row_geometry(self):
         # rows from a vertical edge: the component along the edge vanishes
         n = np.array([1.0, 0.0])
-        a_rows = []
-        for y in (60, 130, 200):
-            obs = make_obs(250, y, n, 100.0, 2.0)
-            rows, _, _ = constraint_rows([obs], np.zeros(3), INTR)
-            a_rows.append(rows[0])
-        a_rows = np.asarray(a_rows)
+        obs = make_flows([(250, y, n, 100.0, 2.0) for y in (60, 130, 200)])
+        a_rows, _, _ = constraint_rows(obs, np.zeros(3), INTR)
         assert np.allclose(a_rows - a_rows[0], 0.0, atol=1e-9)
 
 
@@ -148,7 +140,6 @@ class TestScaleConsistency:
         v = np.array([0.8, -0.4, 1.5])
         obs = synthetic_observations(v, np.zeros(3), rng, count=25)
         res1 = ransac_initialize(obs, np.zeros(3), INTR, EstimatorConfig(seed=0))
-        scaled = [make_obs(o.flow.x, o.flow.y, o.flow.direction,
-                           o.flow.magnitude, o.depth * 2.0) for o in obs]
+        scaled = replace(obs, depth=obs.depth * 2.0)
         res2 = ransac_initialize(scaled, np.zeros(3), INTR, EstimatorConfig(seed=0))
         assert np.allclose(res2.velocity, 2.0 * res1.velocity, atol=1e-6)

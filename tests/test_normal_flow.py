@@ -206,7 +206,7 @@ class TestProcessBatch:
         pair = SurfacePair.create(40, 40)
         ev = make_events([1.0], [20], [20], [1])
         degenerate = EventBatch(ev, 1.0, 1.0 + 1e-9)   # shorter than 1 us
-        assert process_batch(degenerate, pair, cfg) == []
+        assert len(process_batch(degenerate, pair, cfg)) == 0
 
     def test_full_neighborhood_yields_measurement(self):
         cfg = FlowConfig()
@@ -225,12 +225,36 @@ class TestProcessBatch:
         pair.update(batch)
         out = process_batch(batch, pair, cfg)
         assert len(out) > 0
-        for m in out:
-            assert abs(np.linalg.norm(m.direction) - 1.0) < 1e-9
-            assert m.t == batch.t_end
-            assert 0 <= m.magnitude <= cfg.max_flow
+        assert np.all(np.abs(np.linalg.norm(out.direction, axis=1) - 1.0) < 1e-9)
+        assert out.t == batch.t_end
+        assert np.all((0 <= out.magnitude) & (out.magnitude <= cfg.max_flow))
         # gradient is 0.002 s/px along +x: 500 px/s flow in +x
-        center = [m for m in out if (m.x, m.y) == (30, 30)]
-        assert center
-        assert np.allclose(center[0].direction, [1.0, 0.0], atol=1e-6)
-        assert abs(center[0].magnitude - 500.0) < 1e-3
+        center = np.flatnonzero((out.x == 30) & (out.y == 30))
+        assert len(center)
+        assert np.allclose(out.direction[center[0]], [1.0, 0.0], atol=1e-6)
+        assert abs(out.magnitude[center[0]] - 500.0) < 1e-3
+
+    def test_rows_ordered_by_event_time_then_pixel(self):
+        # two swept regions whose stamps fall with x, so equal event times
+        # recur across regions and along columns; the stream lists regions
+        # and rows in the opposite order to the expected output
+        cfg = FlowConfig()
+        pair = SurfacePair.create(60, 60)
+        stamp = {}
+        rows = []
+        for cx in (40, 18):
+            for dy in range(4, -5, -1):
+                for dx in range(-4, 5):
+                    t = 1.0 - 0.002 * dx
+                    stamp[(cx + dx, 30 + dy)] = t
+                    rows.append((t, cx + dx, 30 + dy))
+        order = np.argsort([r[0] for r in rows], kind="stable")
+        ts_, xs, ys = (np.asarray(c)[order] for c in zip(*rows))
+        ev = make_events(ts_, xs, ys, np.ones(len(xs), np.int8))
+        batch = EventBatch(ev, 0.99, 1.01)
+        pair.update(batch)
+        out = process_batch(batch, pair, cfg)
+        keys = [(stamp[(x, y)], x, y) for x, y in zip(out.x, out.y)]
+        assert len(keys) >= 20
+        assert any(a[0] == b[0] for a, b in zip(keys, keys[1:]))
+        assert keys == sorted(keys)

@@ -237,12 +237,13 @@ class TestGroundTruthAndBypass:
         assert len(obs) >= 10
         kin = BodyKinematics(v=traj.velocity_body(0.25),
                              omega=traj.omega_body(0.25))
-        for o in obs:
-            full = motion_flow(rig.left, (o.flow.x, o.flow.y), kin, o.depth)
+        for k in range(len(obs)):
+            full = motion_flow(rig.left, (obs.x[k], obs.y[k]), kin, obs.depth[k])
             # n^T flow must equal the stored magnitude up to pixel rounding
-            proj = o.flow.direction @ full
+            proj = obs.direction[k] @ full
+            mag = obs.magnitude[k]
             assert proj > 0
-            assert abs(proj - o.flow.magnitude) < 0.15 * abs(o.flow.magnitude) + 2.0
+            assert abs(proj - mag) < 0.15 * abs(mag) + 2.0
 
     def test_true_depth_at_edge_pixels(self):
         cfg = small_cfg()
@@ -250,8 +251,8 @@ class TestGroundTruthAndBypass:
         traj = lateral_traj(1.0, 0.2)
         scene = tilted_edge_scene(depth=2.0, tilt_deg=10.0)
         obs = exact_observations(scene, traj, rig, 0.1, count=10)
-        px = [(o.flow.x, o.flow.y) for o in obs]
+        px = list(zip(obs.x, obs.y))
         depths = true_depth_at(scene, traj, rig, 0.1, px)
-        for o, z in zip(obs, depths):
+        for z_obs, z in zip(obs.depth, depths):
             assert np.isfinite(z)
-            assert abs(z - o.depth) < 0.05
+            assert abs(z - z_obs) < 0.05

@@ -3,7 +3,7 @@ import pytest
 
 from velometer.config import DepthConfig, FlowConfig, SimConfig
 from velometer.events import EventBatch, batch_by_count, make_events
-from velometer.normal_flow import NormalFlowMeasurement, process_batch
+from velometer.normal_flow import FlowBatch, process_batch
 from velometer.simulator import (StraightTrajectory, default_rig,
                                  generate_stereo_events, tilted_edge_scene,
                                  true_depth_at)
@@ -107,53 +107,49 @@ class TestMatchBlock:
         right.stamps = np.where(np.isfinite(right.stamps),
                                 np.clip(right.stamps + noise, 0, 1 - 1e-6),
                                 right.stamps)
-        rig = rig_for(left)
         xs = np.arange(60, 140, 4)
         ys = np.full_like(xs, 60)
         counts = []
         for smin in (0.2, 0.5, 0.8, 0.95):
             cfg = DepthConfig(score_min=smin)
-            res = match_blocks(left, right, xs, ys, (0.0, 1.0), rig, cfg)
-            counts.append(sum(1 for r in res if r is not None))
+            _, _, ok = match_blocks(left, right, xs, ys, (0.0, 1.0), cfg)
+            counts.append(int(ok.sum()))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
 class TestAssociate:
-    def flow_at(self, x, y, t=1.0):
-        return NormalFlowMeasurement(t=t, x=x, y=y,
-                                     direction=np.array([1.0, 0.0]),
-                                     magnitude=100.0,
-                                     grad=np.array([0.01, 0.0]),
-                                     fit_rms=0.0, event_t=t, polarity=1)
+    def flows_at(self, pixels, t=1.0, fit_rms=0.0):
+        k = len(pixels)
+        xs, ys = np.array(pixels).T
+        return FlowBatch(t, xs, ys, np.tile([1.0, 0.0], (k, 1)),
+                         np.full(k, 100.0), np.full(k, fit_rms))
 
     def test_unmatchable_flow_dropped(self):
         left = textured_surface()
         right = TimeSurface(left.width, left.height)
         rig = rig_for(left)
-        obs = associate([self.flow_at(100, 60)], left, right, (0.0, 1.0), rig)
-        assert obs == []
+        obs = associate(self.flows_at([(100, 60)]), left, right, (0.0, 1.0), rig)
+        assert len(obs) == 0
 
     def test_all_matched(self):
         left = textured_surface(seed=5)
         right = shifted_copy(left, 9)
         rig = rig_for(left)
-        flows = [self.flow_at(x, y) for x in (80, 100, 120) for y in (40, 60, 80)]
+        flows = self.flows_at([(x, y) for x in (80, 100, 120) for y in (40, 60, 80)])
         obs = associate(flows, left, right, (0.0, 1.0), rig)
         assert len(obs) == len(flows)
-        for o in obs:
-            assert 0 < o.weight <= 1.0
-            assert o.depth > 0
+        assert np.all((0 < obs.weight) & (obs.weight <= 1.0))
+        assert np.all(obs.depth > 0)
 
     def test_weight_decays_with_fit_rms(self):
         left = textured_surface(seed=6)
         right = shifted_copy(left, 9)
         rig = rig_for(left)
-        clean = self.flow_at(100, 60)
-        noisy = self.flow_at(100, 60)
-        noisy.fit_rms = 0.5
-        o_clean = associate([clean], left, right, (0.0, 1.0), rig)[0]
-        o_noisy = associate([noisy], left, right, (0.0, 1.0), rig)[0]
-        assert o_noisy.weight < o_clean.weight
+        clean = self.flows_at([(100, 60)])
+        noisy = self.flows_at([(100, 60)], fit_rms=0.5)
+        o_clean = associate(clean, left, right, (0.0, 1.0), rig)
+        o_noisy = associate(noisy, left, right, (0.0, 1.0), rig)
+        assert o_noisy.weight[0] < o_clean.weight[0]
 
 
 class TestSimulatedDepth:
@@ -182,5 +178,5 @@ class TestSimulatedDepth:
         obs = associate(flows, left_pair.combined(), right_pair.combined(),
                         (batch.t_start, batch.t_end), rig)
         assert len(obs) >= 0.3 * len(flows)
-        good = sum(1 for o in obs if abs(o.depth - 2.0) / 2.0 < 0.05)
+        good = np.sum(np.abs(obs.depth - 2.0) / 2.0 < 0.05)
         assert good >= 0.8 * len(obs)

@@ -80,4 +80,3 @@ def test_polarity_pair_routes_events():
     assert pair.pos.stamps[4, 4] == NEVER
     comb = pair.combined()
     assert comb.stamps[3, 3] == 1.0 and comb.stamps[4, 4] == 1.5
-    assert comb.polarity[4, 4] == -1
