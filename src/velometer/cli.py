@@ -57,6 +57,7 @@ def _orientation_from_file(path, imu):
 
 def cmd_estimate(args):
     cfg = _apply_configs(PipelineConfig(), args.config)
+    validate_config(cfg)
     rig = dataio.read_calibration(args.calib)
     ev_left = dataio.read_events_csv(args.events_left)
     ev_right = dataio.read_events_csv(args.events_right)

@@ -127,6 +127,8 @@ def validate_config(cfg: PipelineConfig):
          cfg.depth.block > 0 and cfg.depth.block % 2 == 1,
          "must be a positive odd number"),
         ("depth.min_disparity", cfg.depth.min_disparity,
+         cfg.depth.min_disparity >= 1, "must be at least 1"),
+        ("depth.min_disparity", cfg.depth.min_disparity,
          cfg.depth.min_disparity <= cfg.depth.max_disparity,
          f"must not exceed depth.max_disparity={cfg.depth.max_disparity}"),
         ("spline.knot_dt", cfg.spline.knot_dt, cfg.spline.knot_dt > 0,

@@ -137,20 +137,27 @@ class Estimator:
             return self.spline.biases[-1]
         return self.spline.bias_at(t)
 
+    def _flow_constants(self, batch: FlowBatch):
+        """State-independent terms of a flow batch: (gyro, n^T A, n^T B)."""
+        a_rows, b_rows = flow_rows(self.rig.left, batch.x, batch.y,
+                                   batch.direction)
+        return self.imu.interp_gyro(batch.t), a_rows, b_rows
+
     def flow_residual_block(self, batch: FlowBatch, control_points=None,
-                            biases=None):
+                            biases=None, constants=None):
         """Whitened flow residuals and Jacobians for one depth-matched batch.
 
+        `constants` is _flow_constants(batch), computed here when not given.
         Returns (r (K,), jac_cp (K, 12), jac_bw (K, 3), segment index).
         """
         sp = self.spline
         cp = sp.control_points if control_points is None else control_points
         bs = sp.biases if biases is None else biases
+        gyro, a_rows, b_rows = (self._flow_constants(batch) if constants is None
+                                else constants)
         j, w = sp.weights(batch.t)
         v = w @ cp[j:j + 4]
-        omega = self.imu.interp_gyro(batch.t) - bs[j].gyro
-        a_rows, b_rows = flow_rows(self.rig.left, batch.x, batch.y,
-                                   batch.direction)
+        omega = gyro - bs[j].gyro
         cfg = self.cfg.estimator
         sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * batch.magnitude)
         scale = batch.weight / sigma
@@ -215,12 +222,13 @@ class Estimator:
             biases.append(ImuBias(raw[:3].copy(), raw[3:].copy()))
         return cp, biases
 
-    def _assemble(self, x, anchor=None):
+    def _assemble(self, x, anchor=None, flow_constants=None):
         """Stacked whitened residual, Jacobian and robust cost at state x.
 
         `anchor` optionally ties every control point to a reference value
         with a wide prior, giving otherwise-unconstrained directions a
         diagonal and bounding excursions of barely-observed tail states.
+        `flow_constants` holds _flow_constants() of each window batch.
         """
         est_cfg = self.cfg.estimator
         sp = self.spline
@@ -242,8 +250,11 @@ class Estimator:
             rows_r.append(r)
             rows_j.append(jmat)
 
-        for batch in self.flow_batches:
-            r, jac_cp, jac_bw, j = self.flow_residual_block(batch, cp, biases)
+        if flow_constants is None:
+            flow_constants = [self._flow_constants(b) for b in self.flow_batches]
+        for batch, consts in zip(self.flow_batches, flow_constants):
+            r, jac_cp, jac_bw, j = self.flow_residual_block(batch, cp, biases,
+                                                            consts)
             jmat = np.zeros((len(batch), ncols))
             jmat[:, 3 * j:3 * j + 12] = jac_cp
             col = 3 * n + 6 * j
@@ -314,7 +325,8 @@ class Estimator:
         x = self._pack()
         anchor = self.spline.control_points.copy()
         n_cp = 3 * self.spline.num_controls
-        r, jmat, cost = self._assemble(x, anchor)
+        consts = [self._flow_constants(b) for b in self.flow_batches]
+        r, jmat, cost = self._assemble(x, anchor, consts)
         cost0 = cost
         iters = 0
         converged = False
@@ -341,7 +353,7 @@ class Estimator:
                     lam *= 10.0
                     continue
                 x_new = x + step
-                r_new, j_new, cost_new = self._assemble(x_new, anchor)
+                r_new, j_new, cost_new = self._assemble(x_new, anchor, consts)
                 if cost_new < cost:
                     rel_drop = (cost - cost_new) / max(cost, 1e-300)
                     x, r, jmat, cost = x_new, r_new, j_new, cost_new

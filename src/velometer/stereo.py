@@ -19,11 +19,14 @@ over the score triplet.
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .config import DepthConfig
 from .geometry import StereoRig
 from .normal_flow import FlowBatch
 from .time_surface import TimeSurface
+
+_CHUNK = 32     # reference pixels per block-matching pass
 
 
 @dataclass
@@ -66,10 +69,30 @@ def match_block(left: TimeSurface, right: TimeSurface, px, window, rig: StereoRi
                          disparity=d, score=float(score[0]))
 
 
+def _blocks(strip, block):
+    """(K, B, B + D - 1) row strips -> contiguous (K, D, B*B) blocks.
+
+    Window i of a strip starts i columns right of its first column, so the
+    windows are reversed to put the rightmost block first.
+    """
+    win = sliding_window_view(strip, block, axis=2)[:, :, ::-1]  # (K, B, D, B)
+    k, _, d, _ = win.shape
+    return win.transpose(0, 2, 1, 3).reshape(k, d, block * block)
+
+
 def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
                  cfg: DepthConfig):
     """Vectorized block matching of left pixels (xs, ys) against x - d in
     the right surface.
+
+    The right blocks of all D disparities of a pixel lie in one row strip,
+    columns x - max_disparity - half through x - min_disparity + half. The
+    right surface and its mask are padded on the left by max_disparity +
+    half columns of 0.0 / False, so each strip is a plain (B, B + D - 1)
+    slice starting at padded column x; its B-wide sliding windows, reversed,
+    are the blocks at ascending disparity. Disparities whose block leaves
+    the surface are infeasible and score -inf. Pixels are processed in
+    chunks of _CHUNK so that the (chunk, D, B*B) arrays stay small.
 
     Returns (disparity, score, ok) arrays, one entry per reference pixel;
     `ok` is False where no acceptable, unambiguous peak exists.
@@ -82,29 +105,37 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
     d = len(disps)
     off = np.arange(-half, half + 1)
     block_px = cfg.block * cfg.block
+    strip_w = cfg.block + d - 1
+    pad = ((0, 0), (cfg.max_disparity + half, 0))
+    rv = np.pad(rv, pad)
+    rm = np.pad(rm, pad)
 
-    blk = cfg.block
-    pys = np.broadcast_to(ys[:, None, None] + off[None, :, None], (k, blk, blk))
-    pxs = np.broadcast_to(xs[:, None, None] + off[None, None, :], (k, blk, blk))
-    lpatch = lv[pys, pxs].reshape(k, block_px)            # (K, P)
-    lmask = lm[pys, pxs].reshape(k, block_px)
+    scores = np.empty((k, d))
+    for c0 in range(0, k, _CHUNK):
+        cx = xs[c0:c0 + _CHUNK]
+        cy = ys[c0:c0 + _CHUNK]
+        kc = len(cx)
+        prow = cy[:, None, None] + off[None, :, None]      # (K, B, 1)
+        pcol = cx[:, None, None] + off[None, None, :]      # (K, 1, B)
+        lpatch = lv[prow, pcol].reshape(kc, block_px)      # (K, P)
+        lmask = lm[prow, pcol].reshape(kc, block_px)
 
-    # target patches for every disparity
-    rx = pxs[:, None, :, :] - disps[None, :, None, None]  # (K, D, B, B)
-    ry = np.broadcast_to(pys[:, None, :, :], rx.shape)
-    feasible = (rx.min(axis=(2, 3)) >= 0) & (rx.max(axis=(2, 3)) <= right.width - 1)
-    rxc = np.clip(rx, 0, right.width - 1)
-    rpatch = rv[ry, rxc].reshape(k, d, block_px)          # (K, D, P)
-    rmask = rm[ry, rxc].reshape(k, d, block_px)
+        # target patches for every disparity, from one padded strip per pixel
+        scol = cx[:, None, None] + np.arange(strip_w)[None, None, :]
+        rpatch = _blocks(rv[prow, scol], cfg.block)        # (K, D, P)
+        rmask = _blocks(rm[prow, scol], cfg.block)
+        rx = cx[:, None] - disps[None, :]
+        feasible = (rx - half >= 0) & (rx + half <= right.width - 1)
 
-    both = lmask[:, None, :] & rmask                      # (K, D, P)
-    n = both.sum(axis=2)
-    enough = (n >= cfg.min_valid_frac * block_px) & feasible & (n >= 4)
+        both = lmask[:, None, :] & rmask                  # (K, D, P)
+        n = both.sum(axis=2)
+        enough = (n >= cfg.min_valid_frac * block_px) & feasible & (n >= 4)
 
-    nf = np.maximum(n, 1).astype(float)
-    diff = np.where(both, lpatch[:, None, :] - rpatch, 0.0)
-    rmse = np.sqrt(np.einsum("kdp,kdp->kd", diff, diff) / nf)
-    scores = np.where(enough, np.exp(-rmse / cfg.value_scale), -np.inf)
+        nf = np.maximum(n, 1).astype(float)
+        diff = np.where(both, lpatch[:, None, :] - rpatch, 0.0)
+        rmse = np.sqrt(np.einsum("kdp,kdp->kd", diff, diff) / nf)
+        scores[c0:c0 + _CHUNK] = np.where(enough, np.exp(-rmse / cfg.value_scale),
+                                          -np.inf)
 
     rows = np.arange(k)
     best = np.argmax(scores, axis=1)

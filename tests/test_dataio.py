@@ -140,6 +140,7 @@ class TestConfigOverrides:
         ("flow.batch_size", "0"),
         ("depth.block", "16"),
         ("depth.min_disparity", "49"),
+        ("depth.min_disparity", "0"),
         ("spline.knot_dt", "0"),
     ])
     def test_out_of_range_value_rejected(self, key, value):

@@ -7,7 +7,7 @@ from velometer.normal_flow import FlowBatch, process_batch
 from velometer.simulator import (StraightTrajectory, default_rig,
                                  generate_stereo_events, tilted_edge_scene,
                                  true_depth_at)
-from velometer.stereo import associate, match_block, match_blocks
+from velometer.stereo import _normalize, associate, match_block, match_blocks
 from velometer.time_surface import SurfacePair, TimeSurface
 
 
@@ -115,6 +115,118 @@ class TestMatchBlock:
             _, _, ok = match_blocks(left, right, xs, ys, (0.0, 1.0), cfg)
             counts.append(int(ok.sum()))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
+
+
+def reference_match_blocks(left, right, xs, ys, window, cfg):
+    """The (K, D, B, B) fancy-index gather that match_blocks replaced."""
+    half = cfg.block // 2
+    lv, lm = _normalize(left, window)
+    rv, rm = _normalize(right, window)
+    k = len(xs)
+    disps = np.arange(cfg.min_disparity, cfg.max_disparity + 1)
+    d = len(disps)
+    off = np.arange(-half, half + 1)
+    block_px = cfg.block * cfg.block
+
+    blk = cfg.block
+    pys = np.broadcast_to(ys[:, None, None] + off[None, :, None], (k, blk, blk))
+    pxs = np.broadcast_to(xs[:, None, None] + off[None, None, :], (k, blk, blk))
+    lpatch = lv[pys, pxs].reshape(k, block_px)
+    lmask = lm[pys, pxs].reshape(k, block_px)
+
+    rx = pxs[:, None, :, :] - disps[None, :, None, None]
+    ry = np.broadcast_to(pys[:, None, :, :], rx.shape)
+    feasible = (rx.min(axis=(2, 3)) >= 0) & (rx.max(axis=(2, 3)) <= right.width - 1)
+    rxc = np.clip(rx, 0, right.width - 1)
+    rpatch = rv[ry, rxc].reshape(k, d, block_px)
+    rmask = rm[ry, rxc].reshape(k, d, block_px)
+
+    both = lmask[:, None, :] & rmask
+    n = both.sum(axis=2)
+    enough = (n >= cfg.min_valid_frac * block_px) & feasible & (n >= 4)
+
+    nf = np.maximum(n, 1).astype(float)
+    diff = np.where(both, lpatch[:, None, :] - rpatch, 0.0)
+    rmse = np.sqrt(np.einsum("kdp,kdp->kd", diff, diff) / nf)
+    scores = np.where(enough, np.exp(-rmse / cfg.value_scale), -np.inf)
+
+    rows = np.arange(k)
+    best = np.argmax(scores, axis=1)
+    best_score = scores[rows, best]
+    near = np.abs(np.arange(d)[None, :] - best[:, None]) <= 1
+    second = np.where(near, -np.inf, scores).max(axis=1, initial=-np.inf)
+    ambiguous = (np.isfinite(second) & (second > 0)
+                 & (best_score < cfg.margin * second))
+    ok = np.isfinite(best_score) & (best_score >= cfg.score_min) & ~ambiguous
+
+    lo = scores[rows, np.maximum(best - 1, 0)]
+    hi = scores[rows, np.minimum(best + 1, d - 1)]
+    with np.errstate(invalid="ignore"):
+        denom = lo - 2.0 * best_score + hi
+        refine = ((best > 0) & (best < d - 1) & (best_score < 1.0 - 1e-9)
+                  & np.isfinite(lo) & np.isfinite(hi) & (denom < -1e-12))
+        delta = 0.5 * (lo - hi) / np.where(refine, denom, -1.0)
+    disp = disps[best] + np.where(refine, np.clip(delta, -0.5, 0.5), 0.0)
+    return disp, np.clip(best_score, 0.0, 1.0), ok
+
+
+def with_holes(ts, frac, seed):
+    """Copy of ts with a random fraction of pixels set to "never"."""
+    out = ts.copy()
+    holes = np.random.default_rng(seed).random(ts.stamps.shape) < frac
+    out.stamps[holes] = -np.inf
+    return out
+
+
+class TestStripGather:
+    """match_blocks must equal the per-disparity gather bit for bit."""
+
+    def assert_same(self, left, right, xs, ys, cfg, window=(0.0, 1.0)):
+        xs, ys = np.asarray(xs), np.asarray(ys)
+        got = match_blocks(left, right, xs, ys, window, cfg)
+        want = reference_match_blocks(left, right, xs, ys, window, cfg)
+        for g, w in zip(got, want):
+            assert g.shape == w.shape == (len(xs),)
+            assert np.array_equal(g, w)
+        return got
+
+    def test_holes_in_both_masks(self):
+        base = textured_surface(seed=7)
+        left = with_holes(base, 0.3, seed=1)
+        right = with_holes(shifted_copy(base, 11), 0.3, seed=2)
+        rng = np.random.default_rng(3)
+        xs = rng.integers(60, 190, 300)
+        ys = rng.integers(8, 112, 300)
+        _, _, ok = self.assert_same(left, right, xs, ys, DepthConfig())
+        assert 0 < ok.sum() < len(xs)
+
+    def test_borders(self):
+        left = textured_surface(seed=8)
+        right = with_holes(shifted_copy(left, 6), 0.1, seed=4)
+        cfg = DepthConfig()
+        half = cfg.block // 2
+        # left columns where some or all disparities leave the surface,
+        # and the last columns a block fits in at the right border
+        xs = np.concatenate([np.arange(half, cfg.max_disparity + 2 * half + 2),
+                             np.arange(left.width - half - 4, left.width - half)])
+        ys = np.resize([half, 60, left.height - half - 1], len(xs))
+        _, _, ok = self.assert_same(left, right, xs, ys, cfg)
+        assert ok.any()
+
+    def test_min_disparity_above_one(self):
+        left = textured_surface(seed=9)
+        right = with_holes(shifted_copy(left, 14), 0.2, seed=5)
+        cfg = DepthConfig(min_disparity=9, max_disparity=30)
+        xs = np.arange(10, 190, 3)
+        ys = np.resize(np.arange(10, 110, 7), len(xs))
+        disp, _, ok = self.assert_same(left, right, xs, ys, cfg)
+        assert np.all(np.abs(disp[ok] - 14.0) < 0.5)
+
+    def test_no_pixels(self):
+        left = textured_surface()
+        empty = np.empty(0, dtype=np.int64)
+        self.assert_same(left, shifted_copy(left, 5), empty, empty,
+                         DepthConfig())
 
 
 class TestAssociate:
