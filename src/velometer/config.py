@@ -81,10 +81,8 @@ class EstimatorConfig:
     max_step_bias: float = 0.5       # cap on bias moves per LM step
     anchor_sigma: float = 0.0        # m/s, optional prior tying control points to
                                      # the state at optimize entry (0 disables)
-    bias_tie: bool = True            # random-walk tie between consecutive segment biases
     bias_prior_acc: float = 0.1      # weak zero prior, m/s^2
     bias_prior_gyro: float = 0.02    # rad/s
-    reintegrate: bool = False        # re-integrate IMU with current bias each iteration
     min_imu_dt: float = 1e-3         # reject degenerate pre-integration intervals
 
 

@@ -10,11 +10,12 @@ Two residual families are stacked into one damped Gauss-Newton problem:
     predicted from the spline at both interval ends and the gravity
     direction, whitened by the propagated measurement covariance.
 
-States are the spline control points plus one accelerometer/gyro bias pair
-per spline segment; a weak random-walk tie couples neighboring biases and a
-wide prior keeps unobserved biases bounded. Orientation is not estimated: it
-comes from gyro integration and only feeds the gravity direction and the
-rotational flow component.
+States are the spline control points plus one [accel | gyro] bias row per
+spline segment; a weak random-walk tie couples neighboring biases and a
+wide prior keeps unobserved biases bounded. The window's pre-integrations
+are evaluated together, as arrays with a leading interval axis.
+Orientation is not estimated: it comes from gyro integration and only
+feeds the gravity direction and the rotational flow component.
 """
 
 from dataclasses import dataclass, field
@@ -24,7 +25,7 @@ import numpy as np
 from .config import PipelineConfig
 from .events import ImuData, SequencingError
 from .geometry import StereoRig, flow_rows
-from .imu import (ImuBias, OrientationTrack, Preintegration, preintegrate,
+from .imu import (OrientationTrack, Preintegration, preintegrate,
                   split_intervals)
 from .initializer import InitializationError, ransac_initialize
 from .normal_flow import FlowBatch
@@ -55,6 +56,7 @@ class OptimizeReport:
 class RunReport:
     init_time: float = None
     init_attempts: int = 0
+    init_failure: str = None         # reason of the last failed initialization
     batches: int = 0
     flows: int = 0
     observations: int = 0
@@ -69,6 +71,7 @@ class RunReport:
         lines = [
             f"init_time_s: {self.init_time}",
             f"init_attempts: {self.init_attempts}",
+            f"init_failure: {self.init_failure}",
             f"batches: {self.batches}",
             f"flow_measurements: {self.flows}",
             f"flow_depth_observations: {self.observations}",
@@ -130,13 +133,6 @@ class Estimator:
     # residual builders
     # ------------------------------------------------------------------
 
-    def current_bias(self, t=None):
-        if self.spline is None:
-            return ImuBias()
-        if t is None:
-            return self.spline.biases[-1]
-        return self.spline.bias_at(t)
-
     def _flow_constants(self, batch: FlowBatch):
         """State-independent terms of a flow batch: (gyro, n^T A, n^T B)."""
         a_rows, b_rows = flow_rows(self.rig.left, batch.x, batch.y,
@@ -157,7 +153,7 @@ class Estimator:
                                 else constants)
         j, w = sp.weights(batch.t)
         v = w @ cp[j:j + 4]
-        omega = gyro - bs[j].gyro
+        omega = gyro - bs[j, 3:]
         cfg = self.cfg.estimator
         sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * batch.magnitude)
         scale = batch.weight / sigma
@@ -168,67 +164,74 @@ class Estimator:
         jac_bw = b_rows * scale[:, None]
         return r, jac_cp, jac_bw, j
 
-    def imu_residual(self, pre: Preintegration, control_points=None,
-                     biases=None):
-        """Whitened pre-integration residual and Jacobians.
+    def _imu_constants(self, preints):
+        """State-independent terms of pre-integrations: (stacked, segment and
+        weights at t0, at t1, bias segment, inverse Cholesky factor of the
+        floored covariance, -gravity in the body frame at t0)."""
+        pre = Preintegration.stack(preints)
+        if np.any(pre.dt < self.cfg.estimator.min_imu_dt):
+            raise ValueError(f"interval of {pre.dt.min()}s too short")
+        sp = self.spline
+        j0, w0 = zip(*map(sp.weights, pre.t0))
+        j1, w1 = zip(*map(sp.weights, pre.t1))
+        seg = [sp.segment_of(t)[0] for t in 0.5 * (pre.t0 + pre.t1)]
+        l_mat = np.linalg.cholesky(pre.cov + (DV_STD_FLOOR ** 2) * np.eye(3))
+        g_hat = -self.orientation.gravity_in_body(pre.t0)
+        return (pre, np.array(j0), np.array(w0), np.array(j1), np.array(w1),
+                np.array(seg), np.linalg.inv(l_mat), g_hat)
 
-        Returns (r (3,), jac_cp0 (3,12), seg0, jac_cp1 (3,12), seg1,
-        jac_bias (3,6), bias segment index).
+    def imu_residual(self, preints, control_points=None, biases=None,
+                     constants=None):
+        """Whitened residuals and Jacobians of N pre-integrations at once.
+
+        `constants` is _imu_constants(preints), computed here when not given.
+        Returns (r (N, 3), jac_cp0 (N, 3, 12), seg0 (N,), jac_cp1 (N, 3, 12),
+        seg1 (N,), jac_bias (N, 3, 6), bias segment index (N,)).
         """
-        if pre.dt < self.cfg.estimator.min_imu_dt:
-            raise ValueError(f"interval of {pre.dt}s too short")
         sp = self.spline
         cp = sp.control_points if control_points is None else control_points
         bs = sp.biases if biases is None else biases
-        t_mid = 0.5 * (pre.t0 + pre.t1)
-        seg_b, _ = sp.segment_of(t_mid)
-        j0, w0 = sp.weights(pre.t0)
-        j1, w1 = sp.weights(pre.t1)
-        v0 = w0 @ cp[j0:j0 + 4]
-        v1 = w1 @ cp[j1:j1 + 4]
-        bias = bs[seg_b]
-        dv, dq, phi = pre.corrected(bias)
+        pre, j0, w0, j1, w1, seg, l_inv, g_hat = (
+            self._imu_constants(preints) if constants is None else constants)
+        v0 = np.einsum("nk,nkc->nc", w0, cp[j0[:, None] + np.arange(4)])
+        v1 = np.einsum("nk,nkc->nc", w1, cp[j1[:, None] + np.arange(4)])
+        dv, dq, phi = pre.corrected(bs[seg])
         rot = quat_to_matrix(dq)
-        g_hat = -self.orientation.gravity_in_body(pre.t0)
-        e = dv - (rot @ v1 + g_hat * pre.dt - v0)
-        l_mat = np.linalg.cholesky(pre.cov + (DV_STD_FLOOR ** 2) * np.eye(3))
-        l_inv = np.linalg.inv(l_mat)
-        r = l_inv @ e
-        jac_cp0 = (l_inv[:, None, :] * w0[None, :, None]).reshape(3, 12)
+        e = dv - (np.einsum("nij,nj->ni", rot, v1)
+                  + g_hat * pre.dt[:, None] - v0)
+        r = np.einsum("nij,nj->ni", l_inv, e)
+        n = len(r)
+        jac_cp0 = (l_inv[:, :, None, :] * w0[:, None, :, None]).reshape(n, 3, 12)
         lr = -l_inv @ rot
-        jac_cp1 = (lr[:, None, :] * w1[None, :, None]).reshape(3, 12)
+        jac_cp1 = (lr[:, :, None, :] * w1[:, None, :, None]).reshape(n, 3, 12)
         jac_ba = l_inv @ pre.jac_dv_ba
         jac_bw = l_inv @ (pre.jac_dv_bw
                           + rot @ hat(v1) @ right_jacobian_so3(phi) @ pre.jac_dq_bw)
-        jac_bias = np.concatenate([jac_ba, jac_bw], axis=1)
-        return r, jac_cp0, j0, jac_cp1, j1, jac_bias, seg_b
+        jac_bias = np.concatenate([jac_ba, jac_bw], axis=-1)
+        return r, jac_cp0, j0, jac_cp1, j1, jac_bias, seg
 
     # ------------------------------------------------------------------
     # optimization
     # ------------------------------------------------------------------
 
     def _pack(self):
-        cp = self.spline.control_points
-        bs = np.concatenate([np.concatenate([b.accel, b.gyro])
-                             for b in self.spline.biases])
-        return np.concatenate([cp.ravel(), bs])
+        return np.concatenate([self.spline.control_points.ravel(),
+                               self.spline.biases.ravel()])
 
     def _unpack(self, x):
+        """(control points (n, 3), bias rows (m, 6)), views of x."""
         n = self.spline.num_controls
-        cp = x[:3 * n].reshape(n, 3)
-        biases = []
-        for k in range(self.spline.num_segments):
-            raw = x[3 * n + 6 * k:3 * n + 6 * k + 6]
-            biases.append(ImuBias(raw[:3].copy(), raw[3:].copy()))
-        return cp, biases
+        return x[:3 * n].reshape(n, 3), x[3 * n:].reshape(-1, 6)
 
-    def _assemble(self, x, anchor=None, flow_constants=None):
+    def _assemble(self, x, anchor=None, flow_constants=None,
+                  imu_constants=None):
         """Stacked whitened residual, Jacobian and robust cost at state x.
 
         `anchor` optionally ties every control point to a reference value
         with a wide prior, giving otherwise-unconstrained directions a
         diagonal and bounding excursions of barely-observed tail states.
-        `flow_constants` holds _flow_constants() of each window batch.
+        `flow_constants` holds _flow_constants() of each window batch and
+        `imu_constants` is _imu_constants(self.preints).
         """
         est_cfg = self.cfg.estimator
         sp = self.spline
@@ -270,46 +273,44 @@ class Estimator:
             rows_r.append(r)
             rows_j.append(jmat)
 
-        for pre in self.preints:
-            r, jc0, j0, jc1, j1, jb, seg = self.imu_residual(pre, cp, biases)
-            jmat = np.zeros((3, ncols))
-            jmat[:, 3 * j0:3 * j0 + 12] += jc0
-            jmat[:, 3 * j1:3 * j1 + 12] += jc1
-            col = 3 * n + 6 * seg
-            jmat[:, col:col + 6] += jb
+        if self.preints:
+            r, jc0, j0, jc1, j1, jb, seg = self.imu_residual(
+                self.preints, cp, biases, imu_constants)
+            # row 3i + c belongs to interval i; scatter its column blocks
+            rows = np.arange(r.size)[:, None]
+            j0, j1, seg = (np.repeat(a, 3)[:, None] for a in (j0, j1, seg))
+            jmat = np.zeros((r.size, ncols))
+            jmat[rows, 3 * j0 + np.arange(12)] = jc0.reshape(-1, 12)
+            jmat[rows, 3 * j1 + np.arange(12)] += jc1.reshape(-1, 12)
+            jmat[rows, 3 * n + 6 * seg + np.arange(6)] = jb.reshape(-1, 6)
+            r = r.ravel()
             cost += float(r @ r)
             rows_r.append(r)
             rows_j.append(jmat)
 
         imu_cfg = self.cfg.imu
-        if est_cfg.bias_tie and m > 1:
+        if m > 1:
+            # random walk: rows 6k..6k+5 whiten biases[k + 1] - biases[k]
             n_seg_samples = max(self.cfg.spline.knot_dt * imu_cfg.rate_hz, 1.0)
             sig_a = imu_cfg.acc_bias_std * np.sqrt(n_seg_samples)
             sig_w = imu_cfg.gyro_bias_std * np.sqrt(n_seg_samples)
-            inv = np.concatenate([np.full(3, 1.0 / sig_a), np.full(3, 1.0 / sig_w)])
-            for k in range(m - 1):
-                b0 = np.concatenate([biases[k].accel, biases[k].gyro])
-                b1 = np.concatenate([biases[k + 1].accel, biases[k + 1].gyro])
-                r = (b1 - b0) * inv
-                jmat = np.zeros((6, ncols))
-                c0 = 3 * n + 6 * k
-                jmat[:, c0:c0 + 6] = -np.diag(inv)
-                jmat[:, c0 + 6:c0 + 12] = np.diag(inv)
-                cost += float(r @ r)
-                rows_r.append(r)
-                rows_j.append(jmat)
-
-        inv_prior = np.concatenate([np.full(3, 1.0 / est_cfg.bias_prior_acc),
-                                    np.full(3, 1.0 / est_cfg.bias_prior_gyro)])
-        for k in range(m):
-            b = np.concatenate([biases[k].accel, biases[k].gyro])
-            r = b * inv_prior
-            jmat = np.zeros((6, ncols))
-            c0 = 3 * n + 6 * k
-            jmat[:, c0:c0 + 6] = np.diag(inv_prior)
+            inv = np.repeat([1.0 / sig_a, 1.0 / sig_w], 3)
+            r = ((biases[1:] - biases[:-1]) * inv).ravel()
+            jmat = np.zeros((6 * (m - 1), ncols))
+            jmat[:, 3 * n:] = np.kron(np.eye(m - 1, m, 1) - np.eye(m - 1, m),
+                                      np.diag(inv))
             cost += float(r @ r)
             rows_r.append(r)
             rows_j.append(jmat)
+
+        inv_prior = np.repeat([1.0 / est_cfg.bias_prior_acc,
+                               1.0 / est_cfg.bias_prior_gyro], 3)
+        r = (biases * inv_prior).ravel()
+        jmat = np.zeros((6 * m, ncols))
+        jmat[:, 3 * n:] = np.diag(np.tile(inv_prior, m))
+        cost += float(r @ r)
+        rows_r.append(r)
+        rows_j.append(jmat)
 
         return np.concatenate(rows_r), np.vstack(rows_j), cost
 
@@ -319,14 +320,12 @@ class Estimator:
         max_iters = est_cfg.lm_max_iters if max_iters is None else max_iters
         lam = est_cfg.lm_lambda0 if lambda0 is None else lambda0
 
-        if self.cfg.estimator.reintegrate:
-            self._reintegrate_window()
-
         x = self._pack()
         anchor = self.spline.control_points.copy()
         n_cp = 3 * self.spline.num_controls
-        consts = [self._flow_constants(b) for b in self.flow_batches]
-        r, jmat, cost = self._assemble(x, anchor, consts)
+        consts = ([self._flow_constants(b) for b in self.flow_batches],
+                  self._imu_constants(self.preints) if self.preints else None)
+        r, jmat, cost = self._assemble(x, anchor, *consts)
         cost0 = cost
         iters = 0
         converged = False
@@ -353,7 +352,7 @@ class Estimator:
                     lam *= 10.0
                     continue
                 x_new = x + step
-                r_new, j_new, cost_new = self._assemble(x_new, anchor, consts)
+                r_new, j_new, cost_new = self._assemble(x_new, anchor, *consts)
                 if cost_new < cost:
                     rel_drop = (cost - cost_new) / max(cost, 1e-300)
                     x, r, jmat, cost = x_new, r_new, j_new, cost_new
@@ -380,26 +379,14 @@ class Estimator:
                               iterations=iters, converged=bool(success),
                               lambda_final=lam)
 
-    def _reintegrate_window(self):
-        redone = []
-        for pre in self.preints:
-            t_mid = 0.5 * (pre.t0 + pre.t1)
-            seg, _ = self.spline.segment_of(t_mid)
-            redone.append(preintegrate(self.imu, pre.t0, pre.t1,
-                                       self.spline.biases[seg], self.cfg.imu))
-        self.preints = redone
-
     # ------------------------------------------------------------------
     # incremental interface
     # ------------------------------------------------------------------
 
     def _try_initialize(self, flows: FlowBatch, t):
-        est_cfg = self.cfg.estimator
         self.report.init_attempts += 1
-        gyro = self.imu.interp_gyro(t)
-        omega = gyro - self.current_bias().gyro
-        result = ransac_initialize(flows, omega, self.rig.left,
-                                   est_cfg, self.rng)
+        result = ransac_initialize(flows, self.imu.interp_gyro(t), self.rig.left,
+                                   self.cfg.estimator, self.rng)
         dt = self.cfg.spline.knot_dt
         self.spline = VelocitySpline(
             t - 3.0 * dt, dt, np.tile(result.velocity, (4, 1)))
@@ -428,6 +415,9 @@ class Estimator:
     def _emit_velocity(self, t_to):
         hz = self.cfg.estimator.output_hz
         t_to = t_to - self.cfg.estimator.output_lag
+        # start near the span, not at t = 0: real timestamps are large
+        self._next_emit_idx = max(self._next_emit_idx,
+                                  int(np.floor(self.spline.t_min * hz)))
         while True:
             t = self._next_emit_idx / hz
             if t > t_to or t >= self.spline.t_max:
@@ -463,7 +453,8 @@ class Estimator:
                 return None
             try:
                 self._try_initialize(flows, t_batch)
-            except InitializationError:
+            except InitializationError as exc:
+                self.report.init_failure = exc.reason
                 return None
 
         self.spline.extend_to(t_batch + 1e-9,

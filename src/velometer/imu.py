@@ -12,17 +12,19 @@ of the global state:
 Per-interval covariance of delta_v is propagated from per-sample white-noise
 standard deviations of the accelerometer and the gyro (the gyro enters
 through the rotation error). Bias random walk is handled by the estimator
-(biases are explicit states), not here.
+(biases are explicit states), not here. A bias is one row [accel | gyro] of
+six numbers.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .config import ImuConfig
 from .events import ImuData
-from .rotations import (hat, quat_from_rotvec, quat_identity, quat_mul,
-                        quat_normalize, quat_to_matrix, right_jacobian_so3)
+from .rotations import (hat, quat_conj, quat_from_rotvec, quat_identity,
+                        quat_mul, quat_normalize, quat_to_matrix, quat_to_rotvec,
+                        right_jacobian_so3)
 
 
 class IntegrationError(RuntimeError):
@@ -30,40 +32,36 @@ class IntegrationError(RuntimeError):
 
 
 @dataclass
-class ImuBias:
-    accel: np.ndarray = field(default_factory=lambda: np.zeros(3))
-    gyro: np.ndarray = field(default_factory=lambda: np.zeros(3))
-
-    def __post_init__(self):
-        self.accel = np.asarray(self.accel, dtype=float)
-        self.gyro = np.asarray(self.gyro, dtype=float)
-
-    def copy(self):
-        return ImuBias(self.accel.copy(), self.gyro.copy())
-
-
-@dataclass
 class Preintegration:
+    """One interval; `stack` gives every field a leading interval axis."""
+
     t0: float
     t1: float
     delta_v: np.ndarray          # m/s, integrated specific force in the start frame
     delta_q: np.ndarray          # unit quaternion, start frame <- end frame
     cov: np.ndarray              # 3x3 covariance of delta_v
-    bias_ref: ImuBias            # bias used during integration
+    bias_ref: np.ndarray         # [accel | gyro] bias used during integration
     jac_dv_ba: np.ndarray        # d(delta_v)/d(accel bias)
     jac_dv_bw: np.ndarray        # d(delta_v)/d(gyro bias)
     jac_dq_bw: np.ndarray        # d(rotation vector)/d(gyro bias)
+
+    @classmethod
+    def stack(cls, preints):
+        return cls(**{f.name: np.array([getattr(p, f.name) for p in preints])
+                      for f in fields(cls)})
 
     @property
     def dt(self):
         return self.t1 - self.t0
 
-    def corrected(self, bias: ImuBias):
-        """First-order delta_v / delta_q at a bias different from bias_ref."""
-        dba = bias.accel - self.bias_ref.accel
-        dbw = bias.gyro - self.bias_ref.gyro
-        dv = self.delta_v + self.jac_dv_ba @ dba + self.jac_dv_bw @ dbw
-        phi = self.jac_dq_bw @ dbw
+    def corrected(self, bias):
+        """First-order delta_v / delta_q / rotation-vector correction at a
+        bias row other than bias_ref (rows per interval when stacked)."""
+        db = bias - self.bias_ref
+        dv = (self.delta_v
+              + np.einsum("...ij,...j->...i", self.jac_dv_ba, db[..., :3])
+              + np.einsum("...ij,...j->...i", self.jac_dv_bw, db[..., 3:]))
+        phi = np.einsum("...ij,...j->...i", self.jac_dq_bw, db[..., 3:])
         dq = quat_normalize(quat_mul(self.delta_q, quat_from_rotvec(phi)))
         return dv, dq, phi
 
@@ -93,14 +91,24 @@ def _with_boundary_samples(imu: ImuData, t0, t1, max_gap):
     return ts, np.asarray(acc), np.asarray(gyr)
 
 
-def preintegrate(imu: ImuData, t0: float, t1: float, bias: ImuBias,
+def preintegrate(imu: ImuData, t0: float, t1: float, bias,
                  cfg: ImuConfig = None) -> Preintegration:
-    """Midpoint integration of the IMU over [t0, t1] at the given bias."""
+    """Midpoint integration of the IMU over [t0, t1] at a bias row."""
     cfg = cfg or ImuConfig()
     if t1 <= t0:
         raise IntegrationError("interval must have positive duration")
     max_gap = cfg.max_gap_factor / cfg.rate_hz
     ts, acc, gyr = _with_boundary_samples(imu, t0, t1, max_gap)
+    bias = np.array(bias, dtype=float)
+
+    # per-step terms that do not depend on the running rotation
+    dts = np.diff(ts)
+    w_step = (0.5 * (gyr[:-1] + gyr[1:]) - bias[3:]) * dts[:, None]
+    q_steps = quat_from_rotvec(w_step)
+    step_rots_t = np.swapaxes(quat_to_matrix(q_steps), 1, 2)
+    jrs = right_jacobian_so3(w_step)
+    acc = acc - bias[:3]
+    acc_hats = hat(acc)
 
     q = quat_identity()
     dv = np.zeros(3)
@@ -110,44 +118,36 @@ def preintegrate(imu: ImuData, t0: float, t1: float, bias: ImuBias,
     cov6 = np.zeros((6, 6))          # error state [rotation, delta_v]
     var_a = cfg.acc_noise ** 2
     var_w = cfg.gyro_noise ** 2
+    r1 = quat_to_matrix(q)
 
-    for k in range(len(ts) - 1):
-        dt = ts[k + 1] - ts[k]
+    for k, dt in enumerate(dts):
         if dt <= 0:
             continue
-        w_mid = 0.5 * (gyr[k] + gyr[k + 1]) - bias.gyro
-        a0 = acc[k] - bias.accel
-        a1 = acc[k + 1] - bias.accel
-        r0 = quat_to_matrix(q)
-        q_next = quat_normalize(quat_mul(q, quat_from_rotvec(w_mid * dt)))
-        r1 = quat_to_matrix(q_next)
+        q = quat_normalize(quat_mul(q, q_steps[k]))
+        r0, r1 = r1, quat_to_matrix(q)
 
-        dv += 0.5 * (r0 @ a0 + r1 @ a1) * dt
+        dv += 0.5 * (r0 @ acc[k] + r1 @ acc[k + 1]) * dt
 
         # bias Jacobians (first order, midpoint-consistent)
-        step_rot = quat_to_matrix(quat_from_rotvec(w_mid * dt))
-        jr = right_jacobian_so3(w_mid * dt)
-        j_phi_bw_next = step_rot.T @ j_phi_bw - jr * dt
+        j_phi_bw_next = step_rots_t[k] @ j_phi_bw - jrs[k] * dt
         j_dv_ba += -0.5 * (r0 + r1) * dt
-        j_dv_bw += -0.5 * (r0 @ hat(a0) @ j_phi_bw
-                           + r1 @ hat(a1) @ j_phi_bw_next) * dt
+        j_dv_bw += -0.5 * (r0 @ acc_hats[k] @ j_phi_bw
+                           + r1 @ acc_hats[k + 1] @ j_phi_bw_next) * dt
 
         # covariance: d(phi)' = A d(phi) + noise, d(dv)' += coupling * d(phi)
         f = np.eye(6)
-        f[:3, :3] = step_rot.T
-        f[3:, :3] = -0.5 * (r0 @ hat(a0) + r1 @ hat(a1) @ step_rot.T) * dt
-        g_w = jr * dt
+        f[:3, :3] = step_rots_t[k]
+        f[3:, :3] = -0.5 * (r0 @ acc_hats[k] + r1 @ acc_hats[k + 1] @ step_rots_t[k]) * dt
+        g_w = jrs[k] * dt
         g_a = 0.5 * (r0 + r1) * dt
         q_noise = np.zeros((6, 6))
         q_noise[:3, :3] = var_w * (g_w @ g_w.T)
         q_noise[3:, 3:] = var_a * (g_a @ g_a.T)
         cov6 = f @ cov6 @ f.T + q_noise
-
-        q = q_next
         j_phi_bw = j_phi_bw_next
 
     return Preintegration(t0=float(t0), t1=float(t1), delta_v=dv,
-                          delta_q=q, cov=cov6[3:, 3:].copy(), bias_ref=bias.copy(),
+                          delta_q=q, cov=cov6[3:, 3:].copy(), bias_ref=bias,
                           jac_dv_ba=j_dv_ba, jac_dv_bw=j_dv_bw,
                           jac_dq_bw=j_phi_bw)
 
@@ -178,34 +178,32 @@ def propagate_velocity_world(pre: Preintegration, v_world_start, r_wb_start, gra
 class OrientationTrack:
     """Piecewise orientation from gyro integration, plus gravity queries.
 
-    Stores the world-from-body quaternion at sample times; between samples
-    the rotation is continued analytically with the local angular rate, so
-    queries are continuous. Gravity is the physical world vector (z up,
-    negative z component); `gravity_in_body` simply rotates it.
+    Stores the world-from-body quaternion at sample times (`times` (N,),
+    `quats` (N, 4)); between samples the rotation is continued analytically
+    with the local angular rate (`rates` (N-1, 3)), so queries are
+    continuous. Gravity is the physical world vector (z up, negative z
+    component); `gravity_in_body` simply rotates it.
     """
 
     def __init__(self, t0, q0, gravity_world):
-        self.times = [float(t0)]
-        self.quats = [quat_normalize(np.asarray(q0, dtype=float))]
-        self.rates = []              # per-interval angular rate (body frame)
+        self.times = np.array([float(t0)])
+        self.quats = quat_normalize(np.asarray(q0, dtype=float))[None]
+        self.rates = np.empty((0, 3))
         self.gravity_world = np.asarray(gravity_world, dtype=float)
 
     @classmethod
     def from_samples(cls, times, quats, gravity_world):
         """Track through given world-from-body samples; rates from the
-        relative rotations, so queries between samples interpolate."""
-        from .rotations import quat_conj, quat_to_rotvec
+        relative rotations, so queries between samples interpolate. A sample
+        not later than every earlier one is skipped."""
+        times = np.asarray(times, dtype=float)
+        keep = np.append(True, times[1:] > np.maximum.accumulate(times)[:-1])
         track = cls(times[0], quats[0], gravity_world)
-        for k in range(1, len(times)):
-            q_prev = track.quats[-1]
-            q_next = quat_normalize(np.asarray(quats[k], dtype=float))
-            dt = float(times[k]) - track.times[-1]
-            if dt <= 0:
-                continue
-            rel = quat_mul(quat_conj(q_prev), q_next)
-            track.times.append(float(times[k]))
-            track.quats.append(q_next)
-            track.rates.append(quat_to_rotvec(rel) / dt)
+        track.times = times[keep]
+        track.quats = quat_normalize(np.asarray(quats, dtype=float)[keep])
+        rel = quat_mul(quat_conj(track.quats[:-1]), track.quats[1:])
+        track.rates = (np.reshape([quat_to_rotvec(r) for r in rel], (-1, 3))
+                       / np.diff(track.times)[:, None])
         return track
 
     @property
@@ -216,48 +214,46 @@ class OrientationTrack:
     def t_end(self):
         return self.times[-1]
 
-    def extend(self, imu: ImuData, bias: ImuBias = None, t_to=None):
+    def extend(self, imu: ImuData):
         """Integrate gyro samples forward from the current end time."""
-        bias = bias or ImuBias()
-        t_to = imu.t[-1] if t_to is None else min(t_to, imu.t[-1])
         t = self.t_end
-        if t_to <= t + 1e-12:
+        if imu.t[-1] <= t + 1e-12:
             return self
-        ts = imu.t[(imu.t > t + 1e-12) & (imu.t <= t_to)]
-        ts = np.concatenate([ts, [t_to]]) if (len(ts) == 0 or ts[-1] < t_to - 1e-12) else ts
-        for tk in ts:
-            w0 = imu.interp_gyro(min(max(t, imu.t[0]), imu.t[-1])) - bias.gyro
-            w1 = imu.interp_gyro(min(max(tk, imu.t[0]), imu.t[-1])) - bias.gyro
-            w_mid = 0.5 * (w0 + w1)
-            dt = tk - t
-            q = quat_normalize(quat_mul(self.quats[-1], quat_from_rotvec(w_mid * dt)))
-            self.times.append(float(tk))
-            self.quats.append(q)
-            self.rates.append(w_mid)
-            t = tk
+        ts = np.concatenate([[t], imu.t[imu.t > t + 1e-12]])
+        w = np.stack([imu.interp_gyro(min(max(tk, imu.t[0]), imu.t[-1]))
+                      for tk in ts])
+        w_mid = 0.5 * (w[:-1] + w[1:])
+        q = self.quats[-1]
+        quats = []
+        for step in quat_from_rotvec(w_mid * np.diff(ts)[:, None]):
+            q = quat_normalize(quat_mul(q, step))
+            quats.append(q)
+        self.times = np.concatenate([self.times, ts[1:]])
+        self.quats = np.concatenate([self.quats, quats])
+        self.rates = np.concatenate([self.rates, w_mid])
         return self
 
     def quat(self, t):
-        """World-from-body quaternion at time t (within the covered span)."""
-        if t < self.times[0] - 1e-9 or t > self.times[-1] + 1e-9:
+        """World-from-body quaternion at time t, or one row per time of an
+        array t, within the covered span."""
+        t = np.asarray(t, dtype=float)
+        if np.any(t < self.times[0] - 1e-9) or np.any(t > self.times[-1] + 1e-9):
             raise ValueError(f"time {t} outside orientation coverage "
                              f"[{self.times[0]}, {self.times[-1]}]")
-        times = np.asarray(self.times)
-        k = int(np.searchsorted(times, t, side="right")) - 1
-        k = min(max(k, 0), len(self.times) - 1)
-        if k == len(self.times) - 1:
-            return self.quats[-1]
+        last = len(self.times) - 1
+        k = np.clip(np.searchsorted(self.times, t, side="right") - 1, 0, last)
         dt = t - self.times[k]
-        if dt <= 0:
-            return self.quats[k]
-        return quat_normalize(quat_mul(self.quats[k],
-                                       quat_from_rotvec(self.rates[k] * dt)))
+        rate = self.rates[np.minimum(k, last - 1)] if last else np.zeros(3)
+        q = quat_normalize(quat_mul(self.quats[k],
+                                    quat_from_rotvec(rate * dt[..., None])))
+        # at or past the last sample, or exactly on one: the stored sample
+        return np.where(((k < last) & (dt > 0))[..., None], q, self.quats[k])
 
     def rotation(self, t):
         return quat_to_matrix(self.quat(t))
 
     def gravity_in_body(self, t):
-        return self.rotation(t).T @ self.gravity_world
+        return np.swapaxes(self.rotation(t), -1, -2) @ self.gravity_world
 
 
 def split_intervals(t0, t1, preint_dt, knots=None):

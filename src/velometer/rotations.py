@@ -2,15 +2,29 @@
 
 Quaternions are stored as [w, x, y, z] (Hamilton convention). A quaternion
 q_ab rotates vectors from frame b into frame a: v_a = R(q_ab) @ v_b.
+Helpers whose docstring gives shapes as (..., k) take leading batch axes and
+return, row for row, exactly what they return for one row.
 """
 
 import numpy as np
 
 
+def _matrices(m):
+    """(3, 3, ...) built from component arrays -> (..., 3, 3)."""
+    return m.transpose(*range(2, m.ndim), 0, 1)
+
+
+def _norm(v):
+    """Norm over the last axis, rounded as np.linalg.norm (contiguous rows)."""
+    v = np.ascontiguousarray(v)
+    return np.sqrt(np.vecdot(v, v))
+
+
 def hat(v):
-    """Skew-symmetric matrix such that hat(a) @ b == cross(a, b)."""
-    x, y, z = v
-    return np.array([[0.0, -z, y], [z, 0.0, -x], [-y, x, 0.0]])
+    """Skew-symmetric matrices, hat(a) @ b == cross(a, b); (..., 3) -> (..., 3, 3)."""
+    x, y, z = np.rollaxis(np.asarray(v, dtype=float), -1)
+    o = np.zeros_like(x)
+    return _matrices(np.array([[o, -z, y], [z, o, -x], [-y, x, o]]))
 
 
 def exp_so3(phi):
@@ -25,18 +39,15 @@ def exp_so3(phi):
 
 
 def right_jacobian_so3(phi):
-    """Right Jacobian of exp: Exp(phi + d) ~ Exp(phi) Exp(Jr(phi) d)."""
+    """Right Jacobian, Exp(phi + d) ~ Exp(phi) Exp(Jr d); (..., 3) -> (..., 3, 3)."""
     phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
-    if angle < 1e-8:
-        return np.eye(3) - 0.5 * hat(phi)
-    k = hat(phi / angle)
+    angle = _norm(phi)[..., None, None]
+    small = angle < 1e-8
+    angle = np.where(small, 1.0, angle)
+    k = hat(phi / angle[..., 0])
     s, c = np.sin(angle), np.cos(angle)
-    return (
-        np.eye(3)
-        - ((1.0 - c) / angle) * k
-        + ((angle - s) / angle) * (k @ k)
-    )
+    jr = np.eye(3) - ((1.0 - c) / angle) * k + ((angle - s) / angle) * (k @ k)
+    return np.where(small, np.eye(3) - 0.5 * hat(phi), jr)
 
 
 def quat_identity():
@@ -44,34 +55,38 @@ def quat_identity():
 
 
 def quat_normalize(q):
-    return q / np.linalg.norm(q)
+    """Unit quaternions: (..., 4) -> (..., 4)."""
+    return q / _norm(q)[..., None]
 
 
 def quat_conj(q):
-    return np.array([q[0], -q[1], -q[2], -q[3]])
+    return q * np.array([1.0, -1.0, -1.0, -1.0])
 
 
 def quat_mul(q1, q2):
-    w1, x1, y1, z1 = q1
-    w2, x2, y2, z2 = q2
-    return np.array([
+    """Hamilton product: (..., 4) x (..., 4) -> (..., 4), leading axes broadcast."""
+    w1, x1, y1, z1 = np.rollaxis(q1, -1)
+    w2, x2, y2, z2 = np.rollaxis(q2, -1)
+    q = np.array([
         w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
         w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
         w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
         w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
     ])
+    return np.rollaxis(q, 0, q.ndim)
 
 
 def quat_from_rotvec(phi):
+    """Unit quaternions from rotation vectors: (..., 3) -> (..., 4)."""
     phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
-    if angle < 1e-12:
-        # first-order expansion keeps unit norm to machine precision
-        return quat_normalize(np.array([1.0, 0.5 * phi[0], 0.5 * phi[1], 0.5 * phi[2]]))
-    axis = phi / angle
-    half = 0.5 * angle
-    s = np.sin(half)
-    return np.array([np.cos(half), s * axis[0], s * axis[1], s * axis[2]])
+    angle = _norm(phi)[..., None]
+    small = angle < 1e-12
+    angle = np.where(small, 1.0, angle)
+    q = np.concatenate([np.cos(0.5 * angle), np.sin(0.5 * angle) * (phi / angle)],
+                       axis=-1)
+    # first-order expansion keeps unit norm to machine precision
+    first = np.concatenate([np.ones_like(angle), 0.5 * phi], axis=-1)
+    return np.where(small, quat_normalize(first), q)
 
 
 def quat_to_rotvec(q):
@@ -87,12 +102,13 @@ def quat_to_rotvec(q):
 
 
 def quat_to_matrix(q):
-    w, x, y, z = q
-    return np.array([
+    """Rotation matrices of unit quaternions: (..., 4) -> (..., 3, 3)."""
+    w, x, y, z = np.rollaxis(q, -1)
+    return _matrices(np.array([
         [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
         [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
         [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-    ])
+    ]))
 
 
 def quat_between(v_from, v_to):

@@ -2,12 +2,11 @@
 
 With control points c_0..c_{n-1} and knot spacing dt, segment j covers
 [t0 + (3+j)*dt, t0 + (4+j)*dt) and blends c_j..c_{j+3}; the spline is
-evaluable on [t0 + 3*dt, t0 + n*dt). Each segment carries one IMU bias.
+evaluable on [t0 + 3*dt, t0 + n*dt). Each segment carries one IMU bias,
+a row [accel | gyro] of `biases` (num_segments, 6).
 """
 
 import numpy as np
-
-from .imu import ImuBias
 
 
 def basis(u):
@@ -34,10 +33,10 @@ class VelocitySpline:
         if len(self.control_points) < 4:
             raise ValueError("need at least 4 control points")
         if biases is None:
-            biases = [ImuBias() for _ in range(self.num_segments)]
-        self.biases = list(biases)
-        if len(self.biases) != self.num_segments:
-            raise ValueError("one bias per segment required")
+            biases = np.zeros((self.num_segments, 6))
+        self.biases = np.array(biases, dtype=float)
+        if self.biases.shape != (self.num_segments, 6):
+            raise ValueError("one bias row [accel | gyro] per segment required")
 
     @property
     def num_controls(self):
@@ -54,10 +53,6 @@ class VelocitySpline:
     @property
     def t_max(self):
         return self.t0 + self.num_controls * self.knot_dt
-
-    def copy(self):
-        return VelocitySpline(self.t0, self.knot_dt, self.control_points,
-                              [b.copy() for b in self.biases])
 
     def segment_of(self, t):
         """(segment index, local parameter u) for a covered time t."""
@@ -94,10 +89,6 @@ class VelocitySpline:
             jac[:, 3 * m:3 * m + 3] = w[m] * np.eye(3)
         return j, jac
 
-    def bias_at(self, t):
-        j, _ = self.segment_of(t)
-        return self.biases[j]
-
     def knots(self):
         """Interior evaluation-span knot times (segment boundaries)."""
         return self.t0 + self.knot_dt * np.arange(3, self.num_controls + 1)
@@ -114,7 +105,7 @@ class VelocitySpline:
             dv = np.clip(dv, -max_dv, max_dv)
             self.control_points = np.vstack([self.control_points,
                                              self.control_points[-1] + dv])
-            self.biases.append(self.biases[-1].copy())
+            self.biases = np.vstack([self.biases, self.biases[-1]])
         return self
 
     def drop_oldest(self, t_horizon):
@@ -127,6 +118,6 @@ class VelocitySpline:
             raise ValueError("cannot drop the whole spline")
         while self.num_controls > 4 and self.t_min + self.knot_dt <= t_horizon + 1e-12:
             self.control_points = self.control_points[1:]
-            self.biases.pop(0)
+            self.biases = self.biases[1:]
             self.t0 += self.knot_dt
         return self

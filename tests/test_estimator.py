@@ -2,16 +2,19 @@ import numpy as np
 import pytest
 
 from velometer.config import PipelineConfig
-from velometer.estimator import Estimator, huber_weights
+from velometer.estimator import DV_STD_FLOOR, Estimator, huber_weights
 from velometer.events import SequencingError
-from velometer.imu import ImuBias, preintegrate
+from velometer.imu import preintegrate
 from velometer.normal_flow import FlowBatch
-from velometer.rotations import matrix_to_quat
+from velometer.rotations import (hat, matrix_to_quat, quat_from_rotvec,
+                                 quat_mul, quat_normalize, quat_to_matrix,
+                                 right_jacobian_so3)
 from velometer.simulator import (default_rig, exact_observations, make_scene,
                                  make_trajectory, ground_truth)
 from velometer.spline import VelocitySpline
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+ZERO_BIAS = np.zeros(6)     # [accel | gyro]
 
 
 def make_setup(preset="corridor", speed=3.0, omega=0.8, duration=1.2,
@@ -37,6 +40,45 @@ def estimator_with_truth(cfg, rig, traj, t_end, knot0=0.0):
     est.status = "initialized"
     est.last_preint_end = knot0
     return est
+
+
+def random_biases(est, rng, acc_std, gyro_std):
+    """One [accel | gyro] row per segment, drawn accel first."""
+    for k in range(est.spline.num_segments):
+        est.spline.biases[k] = np.concatenate([rng.normal(0, acc_std, 3),
+                                               rng.normal(0, gyro_std, 3)])
+
+
+def reference_imu_residual(est, pre):
+    """One pre-integration's whitened residual and Jacobians, evaluated on
+    its own with the per-interval arithmetic the stacked form replaces.
+
+    Returns (r (3,), jac_cp0 (3, 12), seg0, jac_cp1 (3, 12), seg1,
+    jac_bias (3, 6), bias segment index).
+    """
+    sp = est.spline
+    seg_b, _ = sp.segment_of(0.5 * (pre.t0 + pre.t1))
+    j0, w0 = sp.weights(pre.t0)
+    j1, w1 = sp.weights(pre.t1)
+    v0 = w0 @ sp.control_points[j0:j0 + 4]
+    v1 = w1 @ sp.control_points[j1:j1 + 4]
+    dba = sp.biases[seg_b, :3] - pre.bias_ref[:3]
+    dbw = sp.biases[seg_b, 3:] - pre.bias_ref[3:]
+    dv = pre.delta_v + pre.jac_dv_ba @ dba + pre.jac_dv_bw @ dbw
+    phi = pre.jac_dq_bw @ dbw
+    rot = quat_to_matrix(quat_normalize(quat_mul(pre.delta_q,
+                                                 quat_from_rotvec(phi))))
+    g_hat = -est.orientation.gravity_in_body(pre.t0)
+    e = dv - (rot @ v1 + g_hat * pre.dt - v0)
+    l_inv = np.linalg.inv(np.linalg.cholesky(pre.cov
+                                             + DV_STD_FLOOR ** 2 * np.eye(3)))
+    jac_cp0 = (l_inv[:, None, :] * w0[None, :, None]).reshape(3, 12)
+    jac_cp1 = ((-l_inv @ rot)[:, None, :] * w1[None, :, None]).reshape(3, 12)
+    jac_ba = l_inv @ pre.jac_dv_ba
+    jac_bw = l_inv @ (pre.jac_dv_bw
+                      + rot @ hat(v1) @ right_jacobian_so3(phi) @ pre.jac_dq_bw)
+    return (l_inv @ e, jac_cp0, j0, jac_cp1, j1,
+            np.concatenate([jac_ba, jac_bw], axis=1), seg_b)
 
 
 def fit_spline_to_truth(est, traj):
@@ -69,9 +111,7 @@ class TestFlowResidual:
         est = estimator_with_truth(cfg, rig, traj, 0.8)
         rng = np.random.default_rng(0)
         est.spline.control_points += rng.normal(0, 0.3, est.spline.control_points.shape)
-        for k in range(est.spline.num_segments):
-            est.spline.biases[k] = ImuBias(rng.normal(0, 1e-3, 3),
-                                           rng.normal(0, 1e-4, 3))
+        random_biases(est, rng, 1e-3, 1e-4)
         block = exact_observations(scene, traj, rig, 0.35, count=5)
         r0, jac_cp, jac_bw, j = est.flow_residual_block(block)
         eps = 1e-6
@@ -84,9 +124,9 @@ class TestFlowResidual:
                 col = jac_cp[:, 3 * m + axis]
                 assert np.allclose(col, fd, rtol=1e-5, atol=1e-7)
         for axis in range(3):
-            est.spline.biases[j].gyro[axis] += eps
+            est.spline.biases[j, 3 + axis] += eps
             r1, *_ = est.flow_residual_block(block)
-            est.spline.biases[j].gyro[axis] -= eps
+            est.spline.biases[j, 3 + axis] -= eps
             fd = (r1 - r0) / eps
             assert np.allclose(jac_bw[:, axis], fd, rtol=1e-5, atol=1e-7)
 
@@ -106,8 +146,8 @@ class TestImuResidual:
         cfg, rig, traj, _ = make_setup(duration=0.8)
         est = estimator_with_truth(cfg, rig, traj, 0.8)
         fit_spline_to_truth(est, traj)
-        pre = preintegrate(est.imu, 0.30, 0.33, ImuBias(), cfg.imu)
-        r, *_ = est.imu_residual(pre)
+        pre = preintegrate(est.imu, 0.30, 0.33, ZERO_BIAS, cfg.imu)
+        (r,), *_ = est.imu_residual([pre])
         # unwhitened error is tiny; whitening divides by ~2e-4 std
         e = np.linalg.cholesky(pre.cov + 1e-10 * np.eye(3)) @ r
         assert np.linalg.norm(e) < 1e-4
@@ -117,15 +157,14 @@ class TestImuResidual:
         est = estimator_with_truth(cfg, rig, traj, 0.8)
         rng = np.random.default_rng(1)
         est.spline.control_points += rng.normal(0, 0.4, est.spline.control_points.shape)
-        for k in range(est.spline.num_segments):
-            est.spline.biases[k] = ImuBias(rng.normal(0, 1e-2, 3),
-                                           rng.normal(0, 1e-3, 3))
-        pre = preintegrate(est.imu, 0.30, 0.33, ImuBias(), cfg.imu)
-        r0, jc0, j0, jc1, j1, jb, seg = est.imu_residual(pre)
+        random_biases(est, rng, 1e-2, 1e-3)
+        pre = preintegrate(est.imu, 0.30, 0.33, ZERO_BIAS, cfg.imu)
+        (r0,), (jc0,), (j0,), (jc1,), (j1,), (jb,), (seg,) = \
+            est.imu_residual([pre])
         eps = 1e-6
 
         def residual():
-            r, *_ = est.imu_residual(pre)
+            (r,), *_ = est.imu_residual([pre])
             return r
 
         jac_cp = {}
@@ -144,21 +183,91 @@ class TestImuResidual:
                     assert np.allclose(jac[:, 3 * m + axis], fd,
                                        rtol=1e-5, atol=1e-6)
         for axis in range(6):
-            arr = est.spline.biases[seg].accel if axis < 3 else est.spline.biases[seg].gyro
-            arr[axis % 3] += eps
+            est.spline.biases[seg, axis] += eps
             rp = residual()
-            arr[axis % 3] -= 2 * eps
+            est.spline.biases[seg, axis] -= 2 * eps
             rm = residual()
-            arr[axis % 3] += eps
+            est.spline.biases[seg, axis] += eps
             fd = (rp - rm) / (2 * eps)
             assert np.allclose(jb[:, axis], fd, rtol=1e-4, atol=5e-4)
 
     def test_degenerate_interval_rejected(self):
         cfg, rig, traj, _ = make_setup(duration=0.8)
         est = estimator_with_truth(cfg, rig, traj, 0.8)
-        pre = preintegrate(est.imu, 0.30, 0.3005, ImuBias(), cfg.imu)
+        good = preintegrate(est.imu, 0.30, 0.33, ZERO_BIAS, cfg.imu)
+        pre = preintegrate(est.imu, 0.30, 0.3005, ZERO_BIAS, cfg.imu)
         with pytest.raises(ValueError):
-            est.imu_residual(pre)
+            est.imu_residual([good, pre])
+
+    def _window(self):
+        """Estimator with a pre-integration window whose biases have moved
+        since integration; intervals end at knots (seg1 == seg0 + 1) and
+        one crosses the knot at 0.4 s."""
+        cfg, rig, traj, _ = make_setup(duration=0.8)
+        est = estimator_with_truth(cfg, rig, traj, 0.8)
+        rng = np.random.default_rng(2)
+        est.spline.control_points += rng.normal(
+            0, 0.4, est.spline.control_points.shape)
+        random_biases(est, rng, 1e-2, 1e-3)
+        est._extend_preints(0.7)
+        est.preints.append(preintegrate(est.imu, 0.38, 0.42,
+                                        est.spline.biases[3], cfg.imu))
+        random_biases(est, rng, 1e-2, 1e-3)
+        return est
+
+    def test_stacked_matches_per_interval(self):
+        est = self._window()
+        stacked = est.imu_residual(est.preints)
+        refs = [reference_imu_residual(est, pre) for pre in est.preints]
+        j0, j1 = stacked[2], stacked[4]
+        assert np.any(j0 == j1) and np.any(j0 != j1)
+        for got, want in zip(stacked, zip(*refs)):
+            want = np.array(want)
+            np.testing.assert_allclose(got, want, rtol=1e-12,
+                                       atol=1e-12 * np.abs(want).max())
+
+    def test_assembled_rows_match_per_interval_loop(self):
+        # no flows and no anchor: the IMU rows come first, then the
+        # bias random-walk tie, then the bias zero prior
+        est = self._window()
+        est.flow_batches = []
+        sp, cfg = est.spline, est.cfg
+        n, m = sp.num_controls, sp.num_segments
+        ncols = 3 * n + 6 * m
+        rows_r, rows_j = [], []
+        for pre in est.preints:
+            r, jc0, j0, jc1, j1, jb, seg = reference_imu_residual(est, pre)
+            jmat = np.zeros((3, ncols))
+            jmat[:, 3 * j0:3 * j0 + 12] += jc0
+            jmat[:, 3 * j1:3 * j1 + 12] += jc1
+            jmat[:, 3 * n + 6 * seg:3 * n + 6 * seg + 6] += jb
+            rows_r.append(r)
+            rows_j.append(jmat)
+        samples = max(cfg.spline.knot_dt * cfg.imu.rate_hz, 1.0)
+        inv = np.repeat([1.0 / (cfg.imu.acc_bias_std * np.sqrt(samples)),
+                         1.0 / (cfg.imu.gyro_bias_std * np.sqrt(samples))], 3)
+        for k in range(m - 1):
+            jmat = np.zeros((6, ncols))
+            c0 = 3 * n + 6 * k
+            jmat[:, c0:c0 + 6] = -np.diag(inv)
+            jmat[:, c0 + 6:c0 + 12] = np.diag(inv)
+            rows_r.append((sp.biases[k + 1] - sp.biases[k]) * inv)
+            rows_j.append(jmat)
+        inv_prior = np.repeat([1.0 / cfg.estimator.bias_prior_acc,
+                               1.0 / cfg.estimator.bias_prior_gyro], 3)
+        for k in range(m):
+            jmat = np.zeros((6, ncols))
+            jmat[:, 3 * n + 6 * k:3 * n + 6 * k + 6] = np.diag(inv_prior)
+            rows_r.append(sp.biases[k] * inv_prior)
+            rows_j.append(jmat)
+        want_r, want_j = np.concatenate(rows_r), np.vstack(rows_j)
+
+        r, jmat, cost = est._assemble(est._pack())
+        np.testing.assert_allclose(r, want_r, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_r).max())
+        np.testing.assert_allclose(jmat, want_j, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_j).max())
+        assert abs(cost - want_r @ want_r) < 1e-12 * cost
 
 
 class TestOptimize:
@@ -187,8 +296,9 @@ class TestOptimize:
         est, traj = self._tracking_estimator(perturb=0.5)
         report = est.optimize(max_iters=30)
         assert report.cost_after < report.cost_before
-        # probe only where flow/IMU data exists; states beyond the last
-        # observation are held by the anchor prior and cannot recover
+        # probe only where flow/IMU data exists: states beyond the last
+        # observation have no residual to pull them back (anchor_sigma is 0
+        # by default, so no anchor prior is active) and cannot recover
         for t in np.arange(0.15, 0.86, 0.1):
             v = est.spline.velocity(t)
             assert np.linalg.norm(v - traj.velocity_body(t)) < 2e-3
@@ -289,3 +399,40 @@ class TestStep:
         obs = exact_observations(scene, traj, rig, 0.3, count=40)
         est.step(obs, 0.3)
         assert est.status == "tracking"
+
+
+class TestEmitVelocity:
+    def test_first_samples_at_epoch_timestamps(self):
+        # seconds since 1970, as dataio reads them from t_ns: the output
+        # index must not walk up from t = 0
+        cfg = PipelineConfig()
+        est = Estimator(default_rig(cfg.sim), cfg)
+        est.spline = VelocitySpline(1.7e9, cfg.spline.knot_dt,
+                                    np.tile([1.0, 0.0, 0.0], (12, 1)))
+        t_to = est.spline.t_min + 0.5
+        est._emit_velocity(t_to)
+        ts, vs = est.velocity_track()
+        hz, lag = cfg.estimator.output_hz, cfg.estimator.output_lag
+        assert len(ts) > 0
+        assert ts[0] >= est.spline.t_min and ts[-1] <= t_to - lag
+        assert np.allclose(np.diff(ts), 1.0 / hz, rtol=0, atol=1e-6)
+        assert ts[0] < est.spline.t_min + 1.0 / hz
+        assert np.allclose(vs, [1.0, 0.0, 0.0])
+
+
+class TestInitFailure:
+    def test_rank_deficient_reason_recorded(self):
+        cfg, rig, traj, _ = make_setup("const-vel", speed=2.0, omega=None,
+                                       duration=1.0)
+        est = Estimator(rig, cfg)
+        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        # four flows at one pixel along one direction: one constraint row
+        k = 4
+        flows = FlowBatch(0.1, np.full(k, 200), np.full(k, 100),
+                          np.tile([1.0, 0.0], (k, 1)), np.full(k, 50.0),
+                          np.zeros(k), depth=np.full(k, 2.0), weight=np.ones(k))
+        assert est.step(flows, 0.1) is None
+        assert est.status == "uninitialized"
+        assert est.report.init_failure == "rank_deficient"
+        assert "init_failure: rank_deficient" in est.report.to_text()

@@ -77,10 +77,8 @@ class TestAlignAndCompare:
 class TestDeadReckon:
     def test_constant_velocity_identity_orientation(self):
         track = const_track([1.0, 0.0, 0.0], t0=0.0, t1=2.0, n=81)
-        orient = OrientationTrack(0.0, quat_identity(), GRAVITY)
-        orient.times.append(2.0)
-        orient.quats.append(quat_identity())
-        orient.rates.append(np.zeros(3))
+        orient = OrientationTrack.from_samples(
+            [0.0, 2.0], [quat_identity(), quat_identity()], GRAVITY)
         t, p = dead_reckon(track, orient, np.zeros(3))
         assert np.allclose(p[-1], [2.0, 0.0, 0.0], atol=1e-12)
 

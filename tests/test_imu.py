@@ -3,7 +3,7 @@ import pytest
 
 from velometer.config import ImuConfig
 from velometer.events import ImuData
-from velometer.imu import (ImuBias, IntegrationError, OrientationTrack,
+from velometer.imu import (IntegrationError, OrientationTrack,
                            Preintegration, predicted_velocity_increment,
                            preintegrate, propagate_velocity_world,
                            split_intervals)
@@ -11,6 +11,7 @@ from velometer.rotations import (exp_so3, quat_from_rotvec, quat_identity,
                                  quat_mul, quat_to_matrix, rotation_angle)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+ZERO_BIAS = np.zeros(6)     # [accel | gyro]
 
 
 def imu_stream(rate, duration, accel_fn, gyro_fn):
@@ -34,7 +35,7 @@ class TestPreintegrate:
     def test_constant_specific_force_no_rotation(self):
         imu = imu_stream(200.0, 0.03, lambda t: np.array([0, 0, 1.0]),
                          lambda t: np.zeros(3))
-        pre = preintegrate(imu, 0.0, 0.03, ImuBias())
+        pre = preintegrate(imu, 0.0, 0.03, ZERO_BIAS)
         assert np.allclose(pre.delta_v, [0, 0, 0.03], atol=1e-12)
         assert np.allclose(pre.delta_q, quat_identity(), atol=1e-12)
 
@@ -43,7 +44,7 @@ class TestPreintegrate:
         w = np.array([0.0, 0.0, np.pi])
         imu = imu_stream(2000.0, 0.5, lambda t: np.array([1.0, 0, 0]),
                          lambda t: w)
-        pre = preintegrate(imu, 0.0, 0.5, ImuBias(),
+        pre = preintegrate(imu, 0.0, 0.5, ZERO_BIAS,
                            ImuConfig(rate_hz=2000.0))
         r_expected = exp_so3(w * 0.5)
         r_got = quat_to_matrix(pre.delta_q)
@@ -62,8 +63,8 @@ class TestPreintegrate:
             gyr_fn = smooth_signal(rng, amp=0.3, max_freq=1.0)
             coarse = imu_stream(200.0, 0.03, acc_fn, gyr_fn)
             dense = imu_stream(2000.0, 0.03, acc_fn, gyr_fn)
-            p1 = preintegrate(coarse, 0.0, 0.03, ImuBias(), cfg)
-            p2 = preintegrate(dense, 0.0, 0.03, ImuBias(),
+            p1 = preintegrate(coarse, 0.0, 0.03, ZERO_BIAS, cfg)
+            p2 = preintegrate(dense, 0.0, 0.03, ZERO_BIAS,
                               ImuConfig(rate_hz=2000.0))
             assert np.linalg.norm(p1.delta_v - p2.delta_v) < 1e-5
             r1 = quat_to_matrix(p1.delta_q)
@@ -74,23 +75,23 @@ class TestPreintegrate:
         t = np.array([0.0, 0.005, 0.025, 0.03])
         imu = ImuData(t, np.zeros((4, 3)), np.zeros((4, 3)))
         with pytest.raises(IntegrationError):
-            preintegrate(imu, 0.0, 0.03, ImuBias())
+            preintegrate(imu, 0.0, 0.03, ZERO_BIAS)
 
     def test_no_coverage(self):
         imu = imu_stream(200.0, 0.02, lambda t: np.zeros(3), lambda t: np.zeros(3))
         with pytest.raises(IntegrationError):
-            preintegrate(imu, 0.0, 0.05, ImuBias())
+            preintegrate(imu, 0.0, 0.05, ZERO_BIAS)
 
     def test_bias_consistency(self):
         # measurements generated with bias b, integrated with bias b ==
         # bias-free measurements integrated with zero bias
         rng = np.random.default_rng(3)
-        bias = ImuBias(accel=rng.normal(0, 0.05, 3), gyro=rng.normal(0, 0.005, 3))
+        bias = np.concatenate([rng.normal(0, 0.05, 3), rng.normal(0, 0.005, 3)])
         acc_fn = smooth_signal(rng, amp=1.0, max_freq=1.0)
         gyr_fn = smooth_signal(rng, amp=0.3, max_freq=1.0)
         clean = imu_stream(200.0, 0.03, acc_fn, gyr_fn)
-        biased = ImuData(clean.t, clean.accel + bias.accel, clean.gyro + bias.gyro)
-        p_clean = preintegrate(clean, 0.0, 0.03, ImuBias())
+        biased = ImuData(clean.t, clean.accel + bias[:3], clean.gyro + bias[3:])
+        p_clean = preintegrate(clean, 0.0, 0.03, ZERO_BIAS)
         p_biased = preintegrate(biased, 0.0, 0.03, bias)
         assert np.allclose(p_clean.delta_v, p_biased.delta_v, atol=1e-9)
         assert np.allclose(p_clean.delta_q, p_biased.delta_q, atol=1e-9)
@@ -99,7 +100,7 @@ class TestPreintegrate:
         rng = np.random.default_rng(4)
         imu = imu_stream(200.0, 0.5, smooth_signal(rng, 2.0, 1.0),
                          smooth_signal(rng, 1.0, 1.0))
-        pre = preintegrate(imu, 0.0, 0.5, ImuBias())
+        pre = preintegrate(imu, 0.0, 0.5, ZERO_BIAS)
         assert abs(np.linalg.norm(pre.delta_q) - 1.0) < 1e-12
 
     def test_covariance_grows_with_duration(self):
@@ -108,10 +109,10 @@ class TestPreintegrate:
                          smooth_signal(rng, 0.3, 1.0))
         traces = []
         for t1 in (0.03, 0.06, 0.12, 0.2):
-            pre = preintegrate(imu, 0.0, t1, ImuBias())
+            pre = preintegrate(imu, 0.0, t1, ZERO_BIAS)
             traces.append(np.trace(pre.cov))
         assert np.all(np.diff(traces) > 0)
-        pre = preintegrate(imu, 0.0, 0.2, ImuBias())
+        pre = preintegrate(imu, 0.0, 0.2, ZERO_BIAS)
         assert np.allclose(pre.cov, pre.cov.T)
         assert np.all(np.linalg.eigvalsh(pre.cov) >= -1e-18)
 
@@ -120,12 +121,12 @@ class TestPreintegrate:
         acc_fn = smooth_signal(rng, amp=2.0, max_freq=1.0)
         gyr_fn = smooth_signal(rng, amp=0.5, max_freq=1.0)
         imu = imu_stream(200.0, 0.03, acc_fn, gyr_fn)
-        pre = preintegrate(imu, 0.0, 0.03, ImuBias())
+        pre = preintegrate(imu, 0.0, 0.03, ZERO_BIAS)
         db = 1e-4
         for axis in range(3):
-            for which in ("accel", "gyro"):
-                bias = ImuBias()
-                getattr(bias, which)[axis] += db
+            for offset in (0, 3):       # accel, gyro
+                bias = np.zeros(6)
+                bias[offset + axis] += db
                 pre_b = preintegrate(imu, 0.0, 0.03, bias)
                 dv_pred, dq_pred, _ = pre.corrected(bias)
                 assert np.allclose(dv_pred, pre_b.delta_v, atol=1e-8)
@@ -139,7 +140,7 @@ class TestVelocityIncrement:
         pre = Preintegration(
             t0=0.0, t1=0.1, delta_v=np.array([0, 0, -0.981]),
             delta_q=quat_identity(), cov=np.eye(3) * 1e-6,
-            bias_ref=ImuBias(), jac_dv_ba=np.zeros((3, 3)),
+            bias_ref=ZERO_BIAS, jac_dv_ba=np.zeros((3, 3)),
             jac_dv_bw=np.zeros((3, 3)), jac_dq_bw=np.zeros((3, 3)))
         g_body = np.array([0.0, 0.0, -9.81])
         res = predicted_velocity_increment(pre, np.zeros(3), np.zeros(3), g_body)
@@ -152,7 +153,7 @@ class TestVelocityIncrement:
     def test_constant_velocity_zero_gravity(self):
         pre = Preintegration(
             t0=0.0, t1=0.1, delta_v=np.zeros(3), delta_q=quat_identity(),
-            cov=np.eye(3) * 1e-6, bias_ref=ImuBias(),
+            cov=np.eye(3) * 1e-6, bias_ref=ZERO_BIAS,
             jac_dv_ba=np.zeros((3, 3)), jac_dv_bw=np.zeros((3, 3)),
             jac_dq_bw=np.zeros((3, 3)))
         v = np.array([1.0, 0.0, 0.0])
@@ -167,7 +168,7 @@ class TestVelocityIncrement:
         traj = make_trajectory("corridor", speed=3.0, omega=0.8, duration=0.5)
         imu = traj.ideal_imu(200.0, GRAVITY)
         t0, t1 = 0.1, 0.13
-        pre = preintegrate(imu, t0, t1, ImuBias())
+        pre = preintegrate(imu, t0, t1, ZERO_BIAS)
         v0 = traj.velocity_body(t0)
         v1 = traj.velocity_body(t1)
         g_body = -traj.rotation(t0).T @ GRAVITY   # specific-force convention
@@ -180,9 +181,9 @@ class TestPropagation:
         rng = np.random.default_rng(7)
         imu = imu_stream(200.0, 0.06, smooth_signal(rng, 2.0, 1.0),
                          smooth_signal(rng, 0.5, 1.0))
-        pa = preintegrate(imu, 0.0, 0.03, ImuBias())
-        pb = preintegrate(imu, 0.03, 0.06, ImuBias())
-        pu = preintegrate(imu, 0.0, 0.06, ImuBias())
+        pa = preintegrate(imu, 0.0, 0.03, ZERO_BIAS)
+        pb = preintegrate(imu, 0.03, 0.06, ZERO_BIAS)
+        pu = preintegrate(imu, 0.0, 0.06, ZERO_BIAS)
         gravity = GRAVITY
         r0 = np.eye(3)
         v0 = np.array([0.3, -0.1, 0.2])
@@ -223,6 +224,24 @@ class TestOrientationTrack:
         track = OrientationTrack(0.0, quat_identity(), GRAVITY)
         with pytest.raises(ValueError):
             track.quat(1.0)
+
+    def test_array_query_equals_single_queries(self):
+        rng = np.random.default_rng(7)
+        imu = imu_stream(200.0, 1.0, smooth_signal(rng, 1.0, 1.0),
+                         smooth_signal(rng, 2.0, 1.0))
+        track = OrientationTrack(0.0, quat_identity(), GRAVITY)
+        track.extend(imu)
+        # between samples, on samples, and at the end of the track
+        ts = np.concatenate([rng.uniform(0.0, 1.0, 50), track.times[:5],
+                             [track.t_end]])
+        np.testing.assert_array_equal(track.quat(ts),
+                                      np.stack([track.quat(t) for t in ts]))
+        np.testing.assert_array_equal(
+            track.gravity_in_body(ts),
+            np.stack([track.gravity_in_body(t) for t in ts]))
+        single = OrientationTrack(0.5, quat_identity(), GRAVITY)
+        np.testing.assert_array_equal(single.quat(np.array([0.5, 0.5])),
+                                      [quat_identity(), quat_identity()])
 
     def test_gravity_rotates_with_body(self):
         q = quat_from_rotvec(np.array([np.pi / 2, 0, 0]))   # roll 90 deg

@@ -4,7 +4,7 @@ import pytest
 from velometer.config import ImuConfig, SimConfig
 from velometer.events import ImuData
 from velometer.geometry import BodyKinematics, motion_flow
-from velometer.imu import ImuBias, preintegrate
+from velometer.imu import preintegrate
 from velometer.rotations import quat_to_matrix, rotation_angle
 from velometer.simulator import (StraightTrajectory, default_rig,
                                  exact_observations, generate_events,
@@ -189,7 +189,7 @@ class TestImuGeneration:
         traj = make_trajectory("corridor", speed=3.0, omega=0.8, duration=0.6)
         imu = traj.ideal_imu(200.0, GRAVITY)
         t0, t1 = 0.2, 0.45
-        pre = preintegrate(imu, t0, t1, ImuBias(),
+        pre = preintegrate(imu, t0, t1, np.zeros(6),
                            ImuConfig(rate_hz=200.0))
         r0 = traj.rotation(t0)
         v_pred = (traj.velocity_world(t0) + GRAVITY * pre.dt

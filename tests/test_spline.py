@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from velometer.imu import ImuBias
 from velometer.spline import VelocitySpline, basis
 
 
