@@ -4,12 +4,14 @@
   imu:         t_ns,ax,ay,az,wx,wy,wz          SI units
   velocity:    t_ns,vx,vy,vz                   m/s
   orientation: t_ns,qw,qx,qy,qz                world-from-body quaternion
+  bias:        t_ns,bax,bay,baz,bwx,bwy,bwz    accel | gyro IMU bias
   calibration: `key = value` lines (left.f, left.cx, ..., baseline)
 
 All writers are deterministic: fixed float formatting, no dict iteration.
 """
 
 import hashlib
+import itertools
 import os
 
 import numpy as np
@@ -33,12 +35,27 @@ def _from_ns(t_ns):
     return np.asarray(t_ns, dtype=np.int64) * 1e-9
 
 
-def write_events_csv(path, events):
-    t_ns = _to_ns(events["t"])
-    p01 = (events["p"] > 0).astype(np.int64)
+# lines formatted by one `%` operation of _write_rows
+_ROWS_PER_WRITE = 1 << 14
+
+
+def _write_rows(path, t, values, fmt):
+    """One line per row: integer nanoseconds of t, then the row of the 2-D
+    `values`, each in the %-format `fmt`, comma separated."""
+    t_ns = _to_ns(t)
+    values = np.asarray(values)
+    line = ",".join(["%d"] + [fmt] * values.shape[1]) + "\n"
     with open(path, "w") as fh:
-        for i in range(len(events)):
-            fh.write(f"{t_ns[i]},{events['x'][i]},{events['y'][i]},{p01[i]}\n")
+        for i in range(0, len(t_ns), _ROWS_PER_WRITE):
+            part = t_ns[i:i + _ROWS_PER_WRITE].tolist()
+            cols = values[i:i + _ROWS_PER_WRITE].T.tolist()
+            fields = tuple(itertools.chain.from_iterable(zip(part, *cols)))
+            fh.write((line * len(part)) % fields)
+
+
+def write_events_csv(path, events):
+    xyp = np.stack([events["x"], events["y"], events["p"] > 0], axis=1)
+    _write_rows(path, events["t"], xyp, "%d")
 
 
 def read_events_csv(path):
@@ -75,13 +92,7 @@ def _find_bad_line(path, ncols):
 
 
 def write_imu_csv(path, imu: ImuData):
-    t_ns = _to_ns(imu.t)
-    with open(path, "w") as fh:
-        for i in range(len(imu.t)):
-            a = imu.accel[i]
-            w = imu.gyro[i]
-            fh.write(f"{t_ns[i]},{a[0]:.12e},{a[1]:.12e},{a[2]:.12e},"
-                     f"{w[0]:.12e},{w[1]:.12e},{w[2]:.12e}\n")
+    _write_rows(path, imu.t, np.hstack([imu.accel, imu.gyro]), "%.12e")
 
 
 def read_imu_csv(path):
@@ -96,11 +107,7 @@ def read_imu_csv(path):
 
 
 def write_velocity_csv(path, t, v):
-    t_ns = _to_ns(t)
-    v = np.asarray(v, dtype=float)
-    with open(path, "w") as fh:
-        for i in range(len(t_ns)):
-            fh.write(f"{t_ns[i]},{v[i, 0]:.15e},{v[i, 1]:.15e},{v[i, 2]:.15e}\n")
+    _write_rows(path, t, v, "%.15e")
 
 
 def read_velocity_csv(path):
@@ -116,12 +123,12 @@ def read_velocity_csv(path):
 
 
 def write_orientation_csv(path, t, quats):
-    t_ns = _to_ns(t)
-    q = np.asarray(quats, dtype=float)
-    with open(path, "w") as fh:
-        for i in range(len(t_ns)):
-            fh.write(f"{t_ns[i]},{q[i, 0]:.15e},{q[i, 1]:.15e},"
-                     f"{q[i, 2]:.15e},{q[i, 3]:.15e}\n")
+    _write_rows(path, t, quats, "%.15e")
+
+
+def write_bias_csv(path, t, biases):
+    """Per-sample IMU biases, rows [accel | gyro]."""
+    _write_rows(path, t, biases, "%.12e")
 
 
 def read_orientation_csv(path):

@@ -220,8 +220,9 @@ class OrientationTrack:
         if imu.t[-1] <= t + 1e-12:
             return self
         ts = np.concatenate([[t], imu.t[imu.t > t + 1e-12]])
-        w = np.stack([imu.interp_gyro(min(max(tk, imu.t[0]), imu.t[-1]))
-                      for tk in ts])
+        # before the first sample np.interp holds the first gyro reading
+        w = np.stack([np.interp(ts, imu.t, imu.gyro[:, k]) for k in range(3)],
+                     axis=1)
         w_mid = 0.5 * (w[:-1] + w[1:])
         q = self.quats[-1]
         quats = []

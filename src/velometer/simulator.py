@@ -9,6 +9,16 @@ between the pixel and the moving projected line), so event timestamps,
 depths and flows are exact up to the configured refinement tolerance.
 Gaussian timestamp jitter and uniform spurious events can be added on top.
 
+Time is cut into coarse steps in which endpoints move about `px_step / 2`
+pixels or less. A pixel can only be crossed during a step if it starts
+within the step's endpoint motion + 1.5 px of the projected line and near
+the segment (edge parameter in (-0.02, 1.02)). Per (step, edge) pair and
+per row of its bounding box, those pixels form one x-interval, where the
+distance slab and the edge-parameter slab intersect; only that interval,
+widened by 1 px against rounding, is enumerated, in (step, edge, row,
+column) order. The exact tests then run on these pixels, so the candidates,
+and with them the events, are those of enumerating every box pixel.
+
 Trajectories are closed-form (straight line or circular arc with the body
 z-axis tracking the tangent), so velocity, acceleration, angular rate and
 orientation are available exactly at any time.
@@ -361,20 +371,54 @@ def _estimate_px_speed(traj, edges, intr, cfg, offset_x):
     return max(max(speeds, default=1.0), 1.0)
 
 
-def _ragged_pixel_grid(x0, x1, y0, y1):
-    """Flattened integer pixel grids for many bounding boxes at once."""
-    wx = x1 - x0 + 1
-    wy = y1 - y0 + 1
-    counts = wx * wy
-    total = int(counts.sum())
-    if total == 0:
-        return (np.empty(0, np.int64),) * 3
+def _ragged_ranges(lo, hi):
+    """Integer ranges lo[i]..hi[i] (inclusive, empty when hi < lo), one after
+    another: (index i, value) per element."""
+    counts = np.maximum(hi - lo + 1, 0)
     owner = np.repeat(np.arange(len(counts)), counts)
-    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    local = np.arange(total) - starts[owner]
-    px = x0[owner] + local % wx[owner]
-    py = y0[owner] + local // wx[owner]
-    return owner, px, py
+    starts = np.cumsum(counts) - counts
+    return owner, lo[owner] + (np.arange(int(counts.sum())) - starts[owner])
+
+
+# a slab whose coefficient along x is below this does not cut the row
+_SLAB_EPS = 1e-6
+
+
+def _band_pixels(a, b, reach, x0, x1, y0, y1):
+    """Pixels of each box [x0, x1] x [y0, y1] that can pass `near` for the
+    segment a-b (rows of (N, 2) arrays): per box row the integer x-range
+    where |n.(p - a)| <= reach and -0.02 < s < 1.02 (n the unit normal, s
+    the edge parameter), widened by 1 px on both sides and clipped to the
+    box. A degenerate segment, or a slab whose coefficient along x is near
+    zero, keeps the whole row. Returns (owner, px, py) in (box, row,
+    column) order.
+    """
+    row, py = _ragged_ranges(y0, y1)
+    u = b - a
+    ln = np.hypot(u[:, 0], u[:, 1])
+    # `_signed_distance` does not normalize a segment shorter than 1e-12 px,
+    # so `near` then passes its whole box
+    degenerate = (ln < 1e-12)[row]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        tx, ty = (u / ln[:, None])[row].T
+    ln, reach = ln[row], reach[row]
+    dy = py - a[row, 1]
+    lo = np.full(len(row), -np.inf)
+    hi = np.full(len(row), np.inf)
+    # bounds on x - a_x: normal (-ty, tx) within reach, then the tangent
+    # (tx, ty) between -0.02 and 1.02 segment lengths
+    for coef, c_lo, c_hi in ((-ty, -reach - tx * dy, reach - tx * dy),
+                             (tx, -0.02 * ln - ty * dy, 1.02 * ln - ty * dy)):
+        cut = (np.abs(coef) >= _SLAB_EPS) & ~degenerate
+        coef = np.where(cut, coef, 1.0)
+        q_lo, q_hi = c_lo / coef, c_hi / coef
+        lo = np.where(cut, np.maximum(lo, np.minimum(q_lo, q_hi)), lo)
+        hi = np.where(cut, np.minimum(hi, np.maximum(q_lo, q_hi)), hi)
+    ax = a[row, 0]
+    xs = np.maximum(np.ceil(ax + lo) - 1, x0[row]).astype(np.int64)
+    xe = np.minimum(np.floor(ax + hi) + 1, x1[row]).astype(np.int64)
+    span, px = _ragged_ranges(xs, xe)
+    return row[span], px, py[span]
 
 
 def _signed_distance(px, py, a, b):
@@ -429,19 +473,21 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
         sk, se = np.nonzero(step_ok)
         if len(sk) == 0:
             continue
-        owner, px, py = _ragged_pixel_grid(x0[sk, se], x1[sk, se],
-                                           y0[sk, se], y1[sk, se])
+        # a pixel can only be crossed if it starts within one step's motion
+        # of the line; only that band of each box is enumerated, and the
+        # exact test runs before the second distance pass
+        reach = np.maximum(
+            np.linalg.norm(a[sk + 1, se] - a[sk, se], axis=-1),
+            np.linalg.norm(b[sk + 1, se] - b[sk, se], axis=-1)) + 1.5
+        owner, px, py = _band_pixels(a[sk, se], b[sk, se], reach,
+                                     x0[sk, se], x1[sk, se],
+                                     y0[sk, se], y1[sk, se])
         if len(owner) == 0:
             continue
         ek = se[owner]
         kk = sk[owner]
         d0, s0 = _signed_distance(px, py, a[kk, ek], b[kk, ek])
-        # a pixel can only be crossed if it starts within one step's motion
-        # of the line; prefilter before the second (costly) distance pass
-        motion = np.maximum(
-            np.linalg.norm(a[sk + 1, se] - a[sk, se], axis=-1),
-            np.linalg.norm(b[sk + 1, se] - b[sk, se], axis=-1))[owner]
-        near = (np.abs(d0) <= motion + 1.5) & (s0 > -0.02) & (s0 < 1.02)
+        near = (np.abs(d0) <= reach[owner]) & (s0 > -0.02) & (s0 < 1.02)
         if not np.any(near):
             continue
         owner, px, py, ek, kk, d0 = (arr[near] for arr in
@@ -741,12 +787,8 @@ def export_dataset(out_dir, preset, cfg: SimConfig, imu_cfg: ImuConfig,
     dataio.write_calibration(paths["calib"], rig)
     dataio.write_velocity_csv(paths["gt_velocity"], gt.t, gt.v_body)
     dataio.write_orientation_csv(paths["gt_orientation"], gt.t, gt.quat_wb)
-    bias_both = np.concatenate([bias_a, bias_w], axis=1)
-    t_ns = np.round(gt.t * 1e9).astype(np.int64)
-    with open(paths["gt_bias"], "w") as fh:
-        for i in range(len(t_ns)):
-            vals = ",".join(f"{v:.12e}" for v in bias_both[i])
-            fh.write(f"{t_ns[i]},{vals}\n")
+    dataio.write_bias_csv(paths["gt_bias"], gt.t,
+                          np.concatenate([bias_a, bias_w], axis=1))
 
     entries = [
         ("seed", seed), ("preset", preset),

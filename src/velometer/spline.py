@@ -59,10 +59,13 @@ class VelocitySpline:
         s = (t - self.t0) / self.knot_dt - 3.0
         j = int(np.floor(s))
         u = s - j
-        if j == self.num_segments and u < 1e-9:
+        # the rounding of t - t0 in units of u, never below 1e-9 (2.4e-6 at
+        # 1.7e9 s, seconds since 1970, with 0.1 s knots)
+        tol = max(1e-9, np.spacing(abs(t)) / self.knot_dt)
+        if j == self.num_segments and u < tol:
             # exactly at (or within rounding of) the span end: not covered
             raise ValueError(f"time {t} at/after span end {self.t_max}")
-        if j == -1 and u > 1.0 - 1e-9:
+        if j == -1 and u > 1.0 - tol:
             j, u = 0, 0.0
         if not (0 <= j < self.num_segments):
             raise ValueError(f"time {t} outside spline span "

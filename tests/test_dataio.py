@@ -87,6 +87,70 @@ class TestImuVelocityOrientation:
         assert np.allclose(q2, q, rtol=1e-14)
 
 
+def per_line_csv(t, columns, fmt):
+    """The per-line f-string text the bulk writers replace."""
+    t_ns = np.round(np.asarray(t, dtype=float) * 1e9).astype(np.int64)
+    return "".join(f"{t_ns[i]}," + ",".join(format(c[i], fmt) for c in columns)
+                   + "\n" for i in range(len(t_ns)))
+
+
+class TestBulkWritersMatchPerLine:
+    # more rows than one `%` operation formats
+    N = 2 * dataio._ROWS_PER_WRITE + 7
+
+    def values(self, rng, cols, finite=False):
+        """Random values with negative and positive zeros and tiny and huge
+        magnitudes mixed in, and non-finite ones unless `finite`."""
+        v = (rng.normal(0, 3, (self.N, cols))
+             * 10.0 ** rng.integers(-300, 300, (self.N, cols)))
+        special = [0.0, -0.0, 1e308, -1e308, 5e-324, -2.5]
+        if not finite:
+            special += [np.inf, -np.inf, np.nan]
+        v[:len(special)] = np.asarray(special)[:, None]
+        return v
+
+    def times(self, rng):
+        # seconds since 1970: t_ns around 1.7e18
+        return 1.7e9 + np.sort(rng.uniform(0.0, 100.0, self.N))
+
+    def test_events(self, tmp_path):
+        rng = np.random.default_rng(4)
+        t = self.times(rng)
+        ev = make_events(t, rng.integers(0, 346, self.N),
+                         rng.integers(0, 260, self.N),
+                         rng.choice([-1, 1], self.N).astype(np.int8))
+        path = tmp_path / "events.csv"
+        dataio.write_events_csv(path, ev)
+        p01 = (ev["p"] > 0).astype(np.int64)
+        assert path.read_text() == per_line_csv(ev["t"],
+                                                [ev["x"], ev["y"], p01], "")
+
+    def test_imu(self, tmp_path):
+        rng = np.random.default_rng(5)
+        v = self.values(rng, 6, finite=True)
+        imu = ImuData(self.times(rng), v[:, :3], v[:, 3:])
+        path = tmp_path / "imu.csv"
+        dataio.write_imu_csv(path, imu)
+        assert path.read_text() == per_line_csv(imu.t, v.T, ".12e")
+
+    def test_velocity_orientation_bias(self, tmp_path):
+        rng = np.random.default_rng(6)
+        t = self.times(rng)
+        for write, cols, fmt in ((dataio.write_velocity_csv, 3, ".15e"),
+                                 (dataio.write_orientation_csv, 4, ".15e"),
+                                 (dataio.write_bias_csv, 6, ".12e")):
+            v = self.values(rng, cols)
+            path = tmp_path / f"{write.__name__}.csv"
+            write(path, t, v)
+            assert path.read_text() == per_line_csv(t, v.T, fmt), \
+                write.__name__
+
+    def test_empty(self, tmp_path):
+        path = tmp_path / "vel.csv"
+        dataio.write_velocity_csv(path, np.empty(0), np.empty((0, 3)))
+        assert path.read_text() == ""
+
+
 class TestCalibration:
     def test_round_trip(self, tmp_path):
         rig = sample_rig()

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from velometer.config import PipelineConfig
 from velometer.estimator import DV_STD_FLOOR, Estimator, huber_weights
-from velometer.events import SequencingError
+from velometer.events import ImuData, SequencingError
 from velometer.imu import preintegrate
 from velometer.normal_flow import FlowBatch
 from velometer.rotations import (hat, matrix_to_quat, quat_from_rotvec,
@@ -364,6 +366,25 @@ class TestStep:
         speed = np.linalg.norm(traj.velocity_body(0.0))
         assert err.mean() < 0.05 * speed
 
+    def test_tracking_at_epoch_timestamps(self):
+        # the same stream stamped in seconds since 1970
+        shift = 1.7e9
+        cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
+                                           duration=1.5)
+        est = Estimator(rig, cfg)
+        est.set_initial_orientation(shift, matrix_to_quat(traj.rotation(0.0)))
+        imu = traj.ideal_imu(cfg.imu.rate_hz, GRAVITY)
+        est.feed_imu(ImuData(imu.t + shift, imu.accel, imu.gyro))
+        for t in np.arange(0.08, 1.5, 0.08):
+            obs = exact_observations(scene, traj, rig, t, count=40)
+            est.step(dataclasses.replace(obs, t=obs.t + shift), t + shift)
+        assert est.status == "tracking"
+        ts, vs = est.velocity_track()
+        mask = ts > shift + 0.3
+        assert mask.sum() > 10
+        err = np.linalg.norm(vs[mask] - traj.velocity_body(0.0)[None, :], axis=1)
+        assert err.mean() < 0.05 * np.linalg.norm(traj.velocity_body(0.0))
+
     def test_imu_only_batches(self):
         cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
                                            duration=1.0)
@@ -404,10 +425,12 @@ class TestStep:
 class TestEmitVelocity:
     def test_first_samples_at_epoch_timestamps(self):
         # seconds since 1970, as dataio reads them from t_ns: the output
-        # index must not walk up from t = 0
+        # index must not walk up from t = 0, and the first sample falls on
+        # t_min within the rounding of t - t0
         cfg = PipelineConfig()
         est = Estimator(default_rig(cfg.sim), cfg)
-        est.spline = VelocitySpline(1.7e9, cfg.spline.knot_dt,
+        dt = cfg.spline.knot_dt
+        est.spline = VelocitySpline(1.7e9 - 3 * dt, dt,
                                     np.tile([1.0, 0.0, 0.0], (12, 1)))
         t_to = est.spline.t_min + 0.5
         est._emit_velocity(t_to)

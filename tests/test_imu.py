@@ -8,7 +8,9 @@ from velometer.imu import (IntegrationError, OrientationTrack,
                            preintegrate, propagate_velocity_world,
                            split_intervals)
 from velometer.rotations import (exp_so3, quat_from_rotvec, quat_identity,
-                                 quat_mul, quat_to_matrix, rotation_angle)
+                                 quat_mul, quat_normalize, quat_to_matrix,
+                                 rotation_angle)
+from velometer.simulator import generate_imu, make_trajectory
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 ZERO_BIAS = np.zeros(6)     # [accel | gyro]
@@ -197,6 +199,26 @@ class TestPropagation:
                               @ quat_to_matrix(pu.delta_q)) < 1e-5
 
 
+def reference_extend(track, imu):
+    """`OrientationTrack.extend` with one `interp_gyro` call per sample, as
+    the array interpolation replaces it."""
+    t = track.t_end
+    if imu.t[-1] <= t + 1e-12:
+        return
+    ts = np.concatenate([[t], imu.t[imu.t > t + 1e-12]])
+    w = np.stack([imu.interp_gyro(min(max(tk, imu.t[0]), imu.t[-1]))
+                  for tk in ts])
+    w_mid = 0.5 * (w[:-1] + w[1:])
+    q = track.quats[-1]
+    quats = []
+    for step in quat_from_rotvec(w_mid * np.diff(ts)[:, None]):
+        q = quat_normalize(quat_mul(q, step))
+        quats.append(q)
+    track.times = np.concatenate([track.times, ts[1:]])
+    track.quats = np.concatenate([track.quats, quats])
+    track.rates = np.concatenate([track.rates, w_mid])
+
+
 class TestOrientationTrack:
     def test_zero_rate_constant(self):
         imu = imu_stream(200.0, 1.0, lambda t: np.zeros(3), lambda t: np.zeros(3))
@@ -242,6 +264,23 @@ class TestOrientationTrack:
         single = OrientationTrack(0.5, quat_identity(), GRAVITY)
         np.testing.assert_array_equal(single.quat(np.array([0.5, 0.5])),
                                       [quat_identity(), quat_identity()])
+
+    def test_extend_matches_per_sample_interpolation(self):
+        # 3 s of noisy spin IMU, appended in overlapping pieces from a start
+        # before the first sample and from one between samples
+        traj = make_trajectory("spin", duration=3.0)
+        imu, _, _ = generate_imu(traj, ImuConfig(), GRAVITY,
+                                 np.random.default_rng(2))
+        pieces = [imu.slice(0.0, 1.0), imu.slice(0.5, 2.2), imu]
+        for t0 in (-0.01, 0.0123):
+            track = OrientationTrack(t0, quat_identity(), GRAVITY)
+            ref = OrientationTrack(t0, quat_identity(), GRAVITY)
+            for piece in pieces:
+                track.extend(piece)
+                reference_extend(ref, piece)
+            np.testing.assert_array_equal(track.times, ref.times)
+            np.testing.assert_array_equal(track.quats, ref.quats)
+            np.testing.assert_array_equal(track.rates, ref.rates)
 
     def test_gravity_rotates_with_body(self):
         q = quat_from_rotvec(np.array([np.pi / 2, 0, 0]))   # roll 90 deg

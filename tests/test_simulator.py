@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
+from velometer import simulator
 from velometer.config import ImuConfig, SimConfig
 from velometer.events import ImuData
 from velometer.geometry import BodyKinematics, motion_flow
 from velometer.imu import preintegrate
 from velometer.rotations import quat_to_matrix, rotation_angle
-from velometer.simulator import (StraightTrajectory, default_rig,
+from velometer.simulator import (Scene, StraightTrajectory, default_rig,
                                  exact_observations, generate_events,
                                  generate_imu, generate_stereo_events,
                                  ground_truth, make_scene, make_trajectory,
@@ -172,6 +173,133 @@ class TestEventGeneration:
             # same sample index on the same edge: identical 3D point
             disp = pl[i, 0] - pr[i, 0]
             assert abs(zl[i] * disp - rig.left.f * rig.baseline) < 1e-9
+
+
+def reference_ragged_pixel_grid(x0, x1, y0, y1):
+    """Every pixel of every bounding box, the enumeration the band replaced:
+    (box index, px, py) in (box, row, column) order."""
+    wx = x1 - x0 + 1
+    wy = y1 - y0 + 1
+    counts = wx * wy
+    total = int(counts.sum())
+    if total == 0:
+        return (np.empty(0, np.int64),) * 3
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.concatenate([[0], np.cumsum(counts)[:-1]])
+    local = np.arange(total) - starts[owner]
+    px = x0[owner] + local % wx[owner]
+    py = y0[owner] + local // wx[owner]
+    return owner, px, py
+
+
+def whole_boxes(a, b, reach, x0, x1, y0, y1):
+    return reference_ragged_pixel_grid(x0, x1, y0, y1)
+
+
+def near_pixels(a, b, reach, x0, x1, y0, y1):
+    """(box, px, py) of every box pixel passing the `near` test."""
+    owner, px, py = reference_ragged_pixel_grid(x0, x1, y0, y1)
+    d, s = simulator._signed_distance(px, py, a[owner], b[owner])
+    near = (np.abs(d) <= reach[owner]) & (s > -0.02) & (s < 1.02)
+    return owner[near], px[near], py[near]
+
+
+class TestBandEnumeration:
+    """The swept-band enumeration against every pixel of the bounding box."""
+
+    def assert_same_events(self, scene, traj, cfg, camera="left"):
+        rig = default_rig(cfg)
+        got = generate_events(scene, traj, rig, cfg,
+                              np.random.default_rng(5), camera)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_band_pixels", whole_boxes)
+            want = generate_events(scene, traj, rig, cfg,
+                                   np.random.default_rng(5), camera)
+        assert len(want) > 0
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("tilt", [15.0, 30.0, -50.0, 80.0])
+    @pytest.mark.parametrize("jitter", [0.0, 1e-4])
+    def test_tilted_edges(self, tilt, jitter):
+        scene = tilted_edge_scene(depth=2.0, tilt_deg=tilt, length=0.8,
+                                  n_edges=3, spacing=0.3)
+        self.assert_same_events(scene, lateral_traj(0.8, 0.1),
+                                SimConfig(jitter_std=jitter, spurious_rate=0.0))
+
+    def test_vertical_and_horizontal_edges(self):
+        # image-aligned edges: one slab has a zero coefficient along x
+        edges = [[[0.1, -0.3, 2.0], [0.1, 0.3, 2.0]],      # vertical
+                 [[-0.4, 0.2, 2.5], [0.4, 0.2, 2.5]]]       # horizontal
+        scene = Scene(edges, [1.0, -1.0])
+        traj = StraightTrajectory(np.zeros(3), np.array([0.5, 0.4, 0.0]),
+                                  np.eye(3), 0.1)
+        self.assert_same_events(scene, traj, small_cfg())
+
+    @pytest.mark.parametrize("p, v", [
+        ([-0.015, 0.066, 1.086], [0.06, -0.57, 0.0]),
+        ([-0.009, -0.073, 1.082], [-0.36, -0.29, 0.0]),
+        ([0.089, 0.03, 1.209], [-0.52, -0.54, 0.0]),
+    ])
+    def test_edge_along_optical_axis(self, p, v):
+        # the edge lies on a ray of the camera at t = 0, so its projection
+        # starts shorter than 1e-12 px; the first step fires events
+        p = np.array(p)
+        scene = Scene([[p, 2 * p + [1e-15, 0.0, 0.0]]], [1.0])
+        traj = StraightTrajectory(np.zeros(3), np.array(v), np.eye(3), 0.02)
+        self.assert_same_events(scene, traj, small_cfg())
+
+    def test_zero_length_projection(self):
+        scene = Scene([[[0.0, 0.0, 2.0], [0.0, 0.0, 4.0]],
+                       [[0.2, -0.2, 2.0], [0.25, 0.2, 2.0]]], [1.0, 1.0])
+        self.assert_same_events(scene, lateral_traj(0.4, 0.05), small_cfg())
+
+    def test_edges_partly_outside_the_frame(self):
+        scene = tilted_edge_scene(depth=1.0, tilt_deg=25.0, length=3.0,
+                                  n_edges=2, spacing=1.2)
+        self.assert_same_events(scene, lateral_traj(0.6, 0.05), small_cfg())
+
+    def test_right_camera_and_preset_scene(self):
+        cfg = SimConfig(spurious_rate=100.0)
+        traj = make_trajectory("const-vel", duration=0.05)
+        scene = make_scene("const-vel", traj, cfg, np.random.default_rng(4))
+        self.assert_same_events(scene, traj, cfg, camera="right")
+
+    def test_band_holds_every_near_pixel(self):
+        rng = np.random.default_rng(8)
+        n = 400
+        a = rng.uniform(-40.0, 140.0, (n, 2))
+        b = a + rng.normal(0.0, 30.0, (n, 2)) * rng.uniform(0, 1, (n, 1)) ** 3
+        b[:40, 0] = a[:40, 0]                   # vertical
+        b[40:80, 1] = a[40:80, 1]               # horizontal
+        b[80:100] = a[80:100] + 1e-13           # degenerate
+        b[100:110] = a[100:110]
+        reach = rng.uniform(1.5, 6.0, n)
+        x0 = np.clip(np.floor(np.minimum(a[:, 0], b[:, 0]) - reach), 0, 99)
+        x1 = np.clip(np.ceil(np.maximum(a[:, 0], b[:, 0]) + reach), 0, 99)
+        y0 = np.clip(np.floor(np.minimum(a[:, 1], b[:, 1]) - reach), 0, 79)
+        y1 = np.clip(np.ceil(np.maximum(a[:, 1], b[:, 1]) + reach), 0, 79)
+        box = tuple(v.astype(np.int64) for v in (x0, x1, y0, y1))
+        # put a box pixel exactly on the distance bound of half the boxes
+        owner, px, py = reference_ragged_pixel_grid(*box)
+        pick = np.unique(owner, return_index=True)[1][::2]
+        d, _ = simulator._signed_distance(px[pick], py[pick], a[owner[pick]],
+                                          b[owner[pick]])
+        on_bound = owner[pick][np.abs(d) > 0.5]
+        reach[on_bound] = np.abs(d[np.abs(d) > 0.5])
+
+        band = simulator._band_pixels(a, b, reach, *box)
+        keys = np.stack(band, axis=1)
+        assert len(np.unique(keys, axis=0)) == len(keys)
+        # (box, row, column) order
+        order = np.lexsort((keys[:, 1], keys[:, 2], keys[:, 0]))
+        assert np.array_equal(order, np.arange(len(keys)))
+        grid = {tuple(k) for k in np.stack(
+            reference_ragged_pixel_grid(*box), axis=1)}
+        assert {tuple(k) for k in keys} <= grid
+        near = np.stack(near_pixels(a, b, reach, *box), axis=1)
+        missing = {tuple(k) for k in near} - {tuple(k) for k in keys}
+        assert not missing
+        assert len(keys) < 0.5 * len(grid)
 
 
 class TestImuGeneration:

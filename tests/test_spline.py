@@ -96,6 +96,21 @@ class TestEvaluation:
         with pytest.raises(ValueError):
             sp.velocity(sp.t_max)
 
+    def test_span_start_at_epoch_timestamps(self):
+        # seconds since 1970: t - t0 carries about 2.4e-7 s of rounding
+        rng = np.random.default_rng(1)
+        for t in rng.uniform(1.7e9, 1.7e9 + 100.0, 200):
+            sp = VelocitySpline(t - 0.3, 0.1, np.zeros((8, 3)))
+            j, w = sp.weights(t)
+            assert j == 0
+            assert np.allclose(w, basis(0.0), rtol=0, atol=1e-4)
+            j, w = sp.weights(sp.t_min)
+            assert j == 0
+            with pytest.raises(ValueError):
+                sp.velocity(t - 0.01)
+            with pytest.raises(ValueError):
+                sp.velocity(sp.t_max + 0.01)
+
 
 class TestJacobian:
     def test_matches_finite_differences(self):
