@@ -40,6 +40,7 @@ def _apply_configs(cfg, tokens):
 
 def cmd_simulate(args):
     cfg = _apply_configs(PipelineConfig(), args.config)
+    validate_config(cfg)
     cfg.sim.seed = args.seed
     export_dataset(args.out, args.preset, cfg.sim, cfg.imu, cfg.gravity_vec(),
                    seed=args.seed, speed=args.speed, omega=args.omega,

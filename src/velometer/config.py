@@ -131,6 +131,14 @@ def validate_config(cfg: PipelineConfig):
          f"must not exceed depth.max_disparity={cfg.depth.max_disparity}"),
         ("spline.knot_dt", cfg.spline.knot_dt, cfg.spline.knot_dt > 0,
          "must be positive"),
+        ("sim.px_step", cfg.sim.px_step, cfg.sim.px_step > 0,
+         "must be positive"),
+        ("sim.contrast_threshold", cfg.sim.contrast_threshold,
+         cfg.sim.contrast_threshold > 0, "must be positive"),
+        ("sim.jitter_std", cfg.sim.jitter_std, cfg.sim.jitter_std >= 0,
+         "must not be negative"),
+        ("sim.spurious_rate", cfg.sim.spurious_rate,
+         cfg.sim.spurious_rate >= 0, "must not be negative"),
     )
     for key, value, ok, rule in checks:
         if not ok:

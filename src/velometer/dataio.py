@@ -184,12 +184,21 @@ def read_calibration(path):
                      baseline=values["baseline"])
 
 
-def sha256_file(path):
+def hash_and_count_lines(path):
+    """SHA-256 hex digest and line count of a file from one binary pass: the
+    number of newlines, plus 1 for a last line without one."""
     h = hashlib.sha256()
+    count, last = 0, b"\n"
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
-    return h.hexdigest()
+            count += chunk.count(b"\n")
+            last = chunk[-1:]
+    return h.hexdigest(), count + (last != b"\n")
+
+
+def sha256_file(path):
+    return hash_and_count_lines(path)[0]
 
 
 def write_manifest(path, entries, file_paths):
@@ -197,10 +206,9 @@ def write_manifest(path, entries, file_paths):
     lines = [f"{k} = {v}" for k, v in entries]
     for fp in file_paths:
         name = os.path.basename(fp)
-        with open(fp) as fh:
-            count = sum(1 for _ in fh)
+        digest, count = hash_and_count_lines(fp)
         lines.append(f"file.{name}.lines = {count}")
-        lines.append(f"file.{name}.sha256 = {sha256_file(fp)}")
+        lines.append(f"file.{name}.sha256 = {digest}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -11,13 +11,16 @@ Gaussian timestamp jitter and uniform spurious events can be added on top.
 
 Time is cut into coarse steps in which endpoints move about `px_step / 2`
 pixels or less. A pixel can only be crossed during a step if it starts
-within the step's endpoint motion + 1.5 px of the projected line and near
-the segment (edge parameter in (-0.02, 1.02)). Per (step, edge) pair and
-per row of its bounding box, those pixels form one x-interval, where the
-distance slab and the edge-parameter slab intersect; only that interval,
-widened by 1 px against rounding, is enumerated, in (step, edge, row,
-column) order. The exact tests then run on these pixels, so the candidates,
-and with them the events, are those of enumerating every box pixel.
+within the step's endpoint motion + 1.5 px of the projected line, lies near
+the segment at both step ends (edge parameter in (-0.02, 1.02)), and has
+signed distances of opposite sign to the lines at the start and the end of
+the step. Per (step, edge) pair and per row of its bounding box, each of
+these conditions is an x-interval: two slabs at the start, one at the end,
+and the span between the two lines' crossings of the row. Only the
+intersection, the strip the edge sweeps, widened by 1 px against rounding,
+is enumerated, in (step, edge, row, column) order. The exact tests then run
+on these pixels, so the candidates, and with them the events, are those of
+enumerating every box pixel.
 
 Trajectories are closed-form (straight line or circular arc with the body
 z-axis tracking the tangent), so velocity, acceleration, angular rate and
@@ -384,37 +387,59 @@ def _ragged_ranges(lo, hi):
 _SLAB_EPS = 1e-6
 
 
-def _band_pixels(a, b, reach, x0, x1, y0, y1):
-    """Pixels of each box [x0, x1] x [y0, y1] that can pass `near` for the
-    segment a-b (rows of (N, 2) arrays): per box row the integer x-range
-    where |n.(p - a)| <= reach and -0.02 < s < 1.02 (n the unit normal, s
-    the edge parameter), widened by 1 px on both sides and clipped to the
-    box. A degenerate segment, or a slab whose coefficient along x is near
-    zero, keeps the whole row. Returns (owner, px, py) in (box, row,
-    column) order.
-    """
-    row, py = _ragged_ranges(y0, y1)
+def _row_tangent(a, b, row):
+    """Unit tangent (tx, ty) and length of each segment a-b, per box row."""
     u = b - a
     ln = np.hypot(u[:, 0], u[:, 1])
-    # `_signed_distance` does not normalize a segment shorter than 1e-12 px,
-    # so `near` then passes its whole box
-    degenerate = (ln < 1e-12)[row]
     with np.errstate(divide="ignore", invalid="ignore"):
         tx, ty = (u / ln[:, None])[row].T
-    ln, reach = ln[row], reach[row]
+    return tx, ty, ln[row]
+
+
+def _band_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
+    """Pixels of each box [x0, x1] x [y0, y1] that can pass `near` and `hit`
+    for the segment a-b moving to a1-b1 within one step (rows of (N, 2)
+    arrays): per box row the integer x-range where |n.(p - a)| <= reach,
+    -0.02 < s < 1.02 and -0.02 < s1 < 1.02 (n the unit normal, s and s1 the
+    edge parameters at both step ends), and that lies between the roots of
+    the signed distances d and d1 along the row, widened by 1 px on both
+    sides and clipped to the box. A condition whose coefficient along x is
+    near zero, or that involves a degenerate segment, does not cut the row;
+    nor does the root condition when the two distances' slopes along x have
+    opposite signs, since d * d1 < 0 then holds outside the roots. Returns
+    (owner, px, py) in (box, row, column) order.
+    """
+    row, py = _ragged_ranges(y0, y1)
+    tx, ty, ln = _row_tangent(a, b, row)
+    tx1, ty1, ln1 = _row_tangent(a1, b1, row)
+    reach = reach[row]
+    # `_signed_distance` does not normalize a segment shorter than 1e-12 px,
+    # so `near` (or `hit`) then passes its whole box
+    ok, ok1 = ln >= 1e-12, ln1 >= 1e-12
+    ax = a[row, 0]
     dy = py - a[row, 1]
+    dy1 = py - a1[row, 1]
+    shift = a1[row, 0] - ax
+    roots = (ok & ok1 & (np.abs(ty) >= _SLAB_EPS) & (np.abs(ty1) >= _SLAB_EPS)
+             & (ty * ty1 > 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0, r1 = tx * dy / ty, shift + tx1 * dy1 / ty1
+    c1 = tx1 * shift - ty1 * dy1
     lo = np.full(len(row), -np.inf)
     hi = np.full(len(row), np.inf)
-    # bounds on x - a_x: normal (-ty, tx) within reach, then the tangent
-    # (tx, ty) between -0.02 and 1.02 segment lengths
-    for coef, c_lo, c_hi in ((-ty, -reach - tx * dy, reach - tx * dy),
-                             (tx, -0.02 * ln - ty * dy, 1.02 * ln - ty * dy)):
-        cut = (np.abs(coef) >= _SLAB_EPS) & ~degenerate
+    # bounds on x - a_x: normal (-ty, tx) within reach, the tangent (tx, ty)
+    # between -0.02 and 1.02 segment lengths at both step ends, and the
+    # interval between the roots of d and d1
+    for coef, c_lo, c_hi, cut in (
+            (-ty, -reach - tx * dy, reach - tx * dy, ok),
+            (tx, -0.02 * ln - ty * dy, 1.02 * ln - ty * dy, ok),
+            (tx1, c1 - 0.02 * ln1, c1 + 1.02 * ln1, ok1),
+            (1.0, r0, r1, roots)):
+        cut = cut & (np.abs(coef) >= _SLAB_EPS)
         coef = np.where(cut, coef, 1.0)
         q_lo, q_hi = c_lo / coef, c_hi / coef
         lo = np.where(cut, np.maximum(lo, np.minimum(q_lo, q_hi)), lo)
         hi = np.where(cut, np.minimum(hi, np.maximum(q_lo, q_hi)), hi)
-    ax = a[row, 0]
     xs = np.maximum(np.ceil(ax + lo) - 1, x0[row]).astype(np.int64)
     xe = np.minimum(np.floor(ax + hi) + 1, x1[row]).astype(np.int64)
     span, px = _ragged_ranges(xs, xe)
@@ -479,7 +504,8 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
         reach = np.maximum(
             np.linalg.norm(a[sk + 1, se] - a[sk, se], axis=-1),
             np.linalg.norm(b[sk + 1, se] - b[sk, se], axis=-1)) + 1.5
-        owner, px, py = _band_pixels(a[sk, se], b[sk, se], reach,
+        owner, px, py = _band_pixels(a[sk, se], b[sk, se],
+                                     a[sk + 1, se], b[sk + 1, se], reach,
                                      x0[sk, se], x1[sk, se],
                                      y0[sk, se], y1[sk, se])
         if len(owner) == 0:
@@ -513,10 +539,11 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
     eid = np.concatenate(cand_edge)
     sign_lo = np.concatenate(cand_sign)
 
+    e0 = scene.edges[eid, 0]
+    e1 = scene.edges[eid, 1]
+
     def dist_at(tq):
         rs, ps = _camera_positions(traj, tq, offset_x)
-        e0 = scene.edges[eid, 0]
-        e1 = scene.edges[eid, 1]
         rel0 = e0 - ps
         rel1 = e1 - ps
         c0 = np.einsum("kji,kj->ki", rs, rel0)

@@ -51,6 +51,14 @@ class TestSimulateCli:
             h2 = dataio.sha256_file(outs[1] / fname)
             assert h1 == h2, fname
 
+    def test_out_of_range_config_exits_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--preset", "const-vel", "--duration", "3",
+                   "--config", "sim.px_step=0", "--out", str(out)])
+        assert rc == 2
+        assert "sim.px_step" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
 
 class TestEstimateCli:
     def test_estimate_and_evaluate(self, dataset, tmp_path):

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -206,6 +208,10 @@ class TestConfigOverrides:
         ("depth.min_disparity", "49"),
         ("depth.min_disparity", "0"),
         ("spline.knot_dt", "0"),
+        ("sim.px_step", "0"),
+        ("sim.contrast_threshold", "0"),
+        ("sim.jitter_std", "-1e-4"),
+        ("sim.spurious_rate", "-1"),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         cfg = PipelineConfig()
@@ -225,3 +231,18 @@ class TestManifest:
         assert back["seed"] == "7"
         assert back["file.a.csv.lines"] == "2"
         assert back["file.a.csv.sha256"] == dataio.sha256_file(f1)
+
+    @pytest.mark.parametrize("rows", ["empty", "no-trailing-newline", "csv"])
+    def test_line_count_matches_text_mode(self, tmp_path, rows):
+        path = tmp_path / "f.csv"
+        if rows == "empty":
+            path.write_bytes(b"")
+        elif rows == "no-trailing-newline":
+            path.write_bytes(b"1,2\n3,4\n5,6")
+        else:
+            dataio.write_events_csv(path, sample_events(32775))
+        with open(path) as fh:
+            want = sum(1 for _ in fh)
+        digest, count = dataio.hash_and_count_lines(path)
+        assert count == want
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()

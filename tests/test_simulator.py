@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,8 @@ from velometer.events import ImuData
 from velometer.geometry import BodyKinematics, motion_flow
 from velometer.imu import preintegrate
 from velometer.rotations import quat_to_matrix, rotation_angle
-from velometer.simulator import (Scene, StraightTrajectory, default_rig,
+from velometer.simulator import (CircularTrajectory, Scene,
+                                 StraightTrajectory, default_rig,
                                  exact_observations, generate_events,
                                  generate_imu, generate_stereo_events,
                                  ground_truth, make_scene, make_trajectory,
@@ -192,16 +195,18 @@ def reference_ragged_pixel_grid(x0, x1, y0, y1):
     return owner, px, py
 
 
-def whole_boxes(a, b, reach, x0, x1, y0, y1):
+def whole_boxes(a, b, a1, b1, reach, x0, x1, y0, y1):
     return reference_ragged_pixel_grid(x0, x1, y0, y1)
 
 
-def near_pixels(a, b, reach, x0, x1, y0, y1):
-    """(box, px, py) of every box pixel passing the `near` test."""
+def crossing_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
+    """(box, px, py) of every box pixel passing the `near` and `hit` tests."""
     owner, px, py = reference_ragged_pixel_grid(x0, x1, y0, y1)
     d, s = simulator._signed_distance(px, py, a[owner], b[owner])
-    near = (np.abs(d) <= reach[owner]) & (s > -0.02) & (s < 1.02)
-    return owner[near], px[near], py[near]
+    d1, s1 = simulator._signed_distance(px, py, a1[owner], b1[owner])
+    keep = ((np.abs(d) <= reach[owner]) & (s > -0.02) & (s < 1.02)
+            & (d * d1 < 0) & (s1 > -0.02) & (s1 < 1.02))
+    return owner[keep], px[keep], py[keep]
 
 
 class TestBandEnumeration:
@@ -264,30 +269,80 @@ class TestBandEnumeration:
         scene = make_scene("const-vel", traj, cfg, np.random.default_rng(4))
         self.assert_same_events(scene, traj, cfg, camera="right")
 
-    def test_band_holds_every_near_pixel(self):
+    def test_slope_sign_change_within_a_step(self):
+        # the camera rolls about its optical axis, so each edge's projection
+        # turns through image-horizontal and -vertical; in those steps the
+        # distance slopes along x at both step ends have opposite signs
+        edges = [[[0.3, 0.15, 2.0], [0.8, 0.2, 2.0]],
+                 [[-0.6, -0.3, 2.5], [-0.2, -0.5, 2.5]],
+                 [[0.1, -0.5, 1.5], [0.15, -0.1, 1.5]]]
+        scene = Scene(edges, [1.0, -1.0, 1.0])
+        traj = CircularTrajectory(np.zeros(3), np.zeros(3),
+                                  np.array([0.0, 0.0, 6.0]), np.eye(3), 0.6)
+        self.assert_same_events(scene, traj, small_cfg())
+
+    def test_band_holds_every_crossing_pixel(self):
         rng = np.random.default_rng(8)
-        n = 400
+        n = 600
         a = rng.uniform(-40.0, 140.0, (n, 2))
         b = a + rng.normal(0.0, 30.0, (n, 2)) * rng.uniform(0, 1, (n, 1)) ** 3
         b[:40, 0] = a[:40, 0]                   # vertical
         b[40:80, 1] = a[40:80, 1]               # horizontal
         b[80:100] = a[80:100] + 1e-13           # degenerate
         b[100:110] = a[100:110]
-        reach = rng.uniform(1.5, 6.0, n)
-        x0 = np.clip(np.floor(np.minimum(a[:, 0], b[:, 0]) - reach), 0, 99)
-        x1 = np.clip(np.ceil(np.maximum(a[:, 0], b[:, 0]) + reach), 0, 99)
-        y0 = np.clip(np.floor(np.minimum(a[:, 1], b[:, 1]) - reach), 0, 79)
-        y1 = np.clip(np.ceil(np.maximum(a[:, 1], b[:, 1]) + reach), 0, 79)
+        # the step end: each endpoint moves by up to a few pixels
+        a1 = a + rng.normal(0.0, 2.0, (n, 2))
+        b1 = b + rng.normal(0.0, 2.0, (n, 2))
+        b1[110:150, 0] = a1[110:150, 0]         # vertical at the step end
+        b1[150:190, 1] = a1[150:190, 1]         # horizontal at the step end
+        b1[190:210] = a1[190:210] + 1e-13       # degenerate at the step end
+        b1[210:220] = a1[210:220]
+        # the slope of the line flips within the step
+        b1[220:320] = a1[220:320] + (b - a)[220:320] * [1.0, -1.0]
+        b1[320:340] = a1[320:340] + (b - a)[320:340] * [-1.0, 1.0]
+        reach = np.maximum(np.linalg.norm(a1 - a, axis=1),
+                           np.linalg.norm(b1 - b, axis=1)) + 1.5
+        lo = np.minimum(np.minimum(a, b), np.minimum(a1, b1)) - 1
+        hi = np.maximum(np.maximum(a, b), np.maximum(a1, b1)) + 1
+        x0 = np.clip(np.floor(lo[:, 0]), 0, 99)
+        x1 = np.clip(np.ceil(hi[:, 0]), 0, 99)
+        y0 = np.clip(np.floor(lo[:, 1]), 0, 79)
+        y1 = np.clip(np.ceil(hi[:, 1]), 0, 79)
         box = tuple(v.astype(np.int64) for v in (x0, x1, y0, y1))
-        # put a box pixel exactly on the distance bound of half the boxes
         owner, px, py = reference_ragged_pixel_grid(*box)
-        pick = np.unique(owner, return_index=True)[1][::2]
-        d, _ = simulator._signed_distance(px[pick], py[pick], a[owner[pick]],
-                                          b[owner[pick]])
-        on_bound = owner[pick][np.abs(d) > 0.5]
-        reach[on_bound] = np.abs(d[np.abs(d) > 0.5])
+        first = np.unique(owner, return_index=True)[1]
+        # put a box pixel exactly on a root of the step-end distance, where
+        # rounding decides the sign of d1 ...
+        pick = first[1:200:3]
+        i = owner[pick]
+        on_line = np.stack([px[pick], py[pick]], axis=1).astype(float)
+        lam = rng.uniform(-0.2, 1.2, len(i))[:, None]
+        u1 = b1[i] - a1[i]
+        a1[i] = on_line - lam * u1
+        b1[i] = a1[i] + u1
+        # ... or of the start distance
+        pick = first[2:200:3]
+        i = owner[pick]
+        on_line = np.stack([px[pick], py[pick]], axis=1).astype(float)
+        lam = rng.uniform(-0.2, 1.2, len(i))[:, None]
+        move = on_line - lam * (b[i] - a[i]) - a[i]
+        for pts in (a, b, a1, b1):
+            pts[i] += move
+        # put a crossing pixel exactly on the distance bound: the segment
+        # moves across it to the mirrored distance
+        pick = first[200::2]
+        i = owner[pick]
+        d, _ = simulator._signed_distance(px[pick], py[pick], a[i], b[i])
+        far = np.abs(d) > 0.5
+        i, d = i[far], d[far]
+        u = b[i] - a[i]
+        normal = np.stack([-u[:, 1], u[:, 0]], axis=1) / np.linalg.norm(
+            u, axis=1)[:, None]
+        a1[i] = a[i] + 2 * d[:, None] * normal
+        b1[i] = b[i] + 2 * d[:, None] * normal
+        reach[i] = np.abs(d)
 
-        band = simulator._band_pixels(a, b, reach, *box)
+        band = simulator._band_pixels(a, b, a1, b1, reach, *box)
         keys = np.stack(band, axis=1)
         assert len(np.unique(keys, axis=0)) == len(keys)
         # (box, row, column) order
@@ -296,10 +351,32 @@ class TestBandEnumeration:
         grid = {tuple(k) for k in np.stack(
             reference_ragged_pixel_grid(*box), axis=1)}
         assert {tuple(k) for k in keys} <= grid
-        near = np.stack(near_pixels(a, b, reach, *box), axis=1)
-        missing = {tuple(k) for k in near} - {tuple(k) for k in keys}
+        crossing = np.stack(crossing_pixels(a, b, a1, b1, reach, *box), axis=1)
+        assert len(crossing) > 0
+        missing = {tuple(k) for k in crossing} - {tuple(k) for k in keys}
         assert not missing
         assert len(keys) < 0.5 * len(grid)
+
+
+class TestEventDigests:
+    """The event streams of two short preset scenes, pinned byte for byte,
+    so that a speed-up of the crossing search cannot change an event."""
+
+    @pytest.mark.parametrize("preset, digest", [
+        ("const-vel",
+         "9c8395235b9ab33d9f25ed10b180192340a40ad0575167240b66f30862a34549"),
+        ("boxes",
+         "0fde4336906e85796fd7c95a109ea904ca845b3d005a148013be537c932af034"),
+    ])
+    def test_stereo_events_pinned(self, preset, digest):
+        cfg = SimConfig()
+        rng_scene, rng_events = np.random.default_rng(0).spawn(2)
+        traj = make_trajectory(preset, duration=0.1)
+        scene = make_scene(preset, traj, cfg, rng_scene)
+        left, right = generate_stereo_events(scene, traj, default_rig(cfg),
+                                             cfg, rng_events)
+        got = hashlib.sha256(left.tobytes() + right.tobytes()).hexdigest()
+        assert got == digest
 
 
 class TestImuGeneration:
