@@ -71,9 +71,11 @@ class VelocityPipeline:
             hi = int(np.searchsorted(right_t, batch.t_end, side="right"))
             if hi > right_cursor:
                 chunk = events_right[right_cursor:hi]
+                # start where the last right update ended, so the window has a
+                # positive duration even when every event sits at batch.t_end
+                t0 = min(float(chunk["t"][0]), self.right_surfaces.pos.t_ref)
                 self.right_surfaces.update(EventBatch(
-                    chunk, float(chunk["t"][0]),
-                    max(float(chunk["t"][-1]), batch.t_end)))
+                    chunk, t0, max(float(chunk["t"][-1]), batch.t_end)))
                 right_cursor = hi
             self.left_surfaces.update(batch)
             if batch_idx < cfg.flow.warmup_batches:

@@ -26,7 +26,7 @@ from .geometry import StereoRig
 from .normal_flow import FlowBatch
 from .time_surface import TimeSurface
 
-_CHUNK = 32     # reference pixels per block-matching pass
+_CHUNK = 16     # reference pixels per block-matching pass
 
 
 @dataclass
@@ -51,15 +51,10 @@ def match_block(left: TimeSurface, right: TimeSurface, px, window, rig: StereoRi
 
     Returns a DepthEstimate, or None when no acceptable correlation peak
     exists. The pixel must be far enough from the borders for the block to
-    fit; violating that is a caller error.
+    fit; violating that is a caller error (ValueError, from match_blocks).
     """
     cfg = cfg or DepthConfig()
     x, y = int(px[0]), int(px[1])
-    half = cfg.block // 2
-    w, h = left.width, left.height
-    if not (half <= x < w - half and half <= y < h - half):
-        raise ValueError(f"pixel ({x}, {y}) too close to the border for a "
-                         f"{cfg.block}x{cfg.block} block")
     disp, score, ok = match_blocks(left, right, np.array([x]), np.array([y]),
                                    window, cfg)
     if not ok[0]:
@@ -69,70 +64,80 @@ def match_block(left: TimeSurface, right: TimeSurface, px, window, rig: StereoRi
                          disparity=d, score=float(score[0]))
 
 
-def _blocks(strip, block):
-    """(K, B, B + D - 1) row strips -> contiguous (K, D, B*B) blocks.
-
-    Window i of a strip starts i columns right of its first column, so the
-    windows are reversed to put the rightmost block first.
-    """
-    win = sliding_window_view(strip, block, axis=2)[:, :, ::-1]  # (K, B, D, B)
-    k, _, d, _ = win.shape
-    return win.transpose(0, 2, 1, 3).reshape(k, d, block * block)
-
-
 def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
                  cfg: DepthConfig):
     """Vectorized block matching of left pixels (xs, ys) against x - d in
     the right surface.
 
-    The right blocks of all D disparities of a pixel lie in one row strip,
-    columns x - max_disparity - half through x - min_disparity + half. The
-    right surface and its mask are padded on the left by max_disparity +
-    half columns of 0.0 / False, so each strip is a plain (B, B + D - 1)
-    slice starting at padded column x; its B-wide sliding windows, reversed,
-    are the blocks at ascending disparity. Disparities whose block leaves
-    the surface are infeasible and score -inf. Pixels are processed in
-    chunks of _CHUNK so that the (chunk, D, B*B) arrays stay small.
+    Every pixel's block must fit inside the surface (half <= x < width - half
+    and half <= y < height - half); otherwise ValueError.
+
+    Blocks are read from strided window views, never from gathered index
+    tensors. The left block of (x, y) is window [y - half, x - half] of the
+    (B, B) sliding-window view of the left surface. The right blocks of all
+    D disparities of a pixel lie in one row strip, columns x - max_disparity
+    - half through x - min_disparity + half. The right surface and its mask
+    are padded on the left by max_disparity + half columns of 0.0 / False,
+    so that strip is window [y - half, x] of the (B, B + D - 1) sliding-window
+    view of the padded surface; its B-wide sliding windows, reversed, are the
+    blocks at ascending disparity, and they stay views. One fancy index on
+    the two leading window axes copies a chunk of _CHUNK pixels; the joint
+    mask and the masked difference are written into two (chunk, D, B, B)
+    buffers allocated once per call. Disparities whose block leaves the
+    surface are infeasible and score -inf.
 
     Returns (disparity, score, ok) arrays, one entry per reference pixel;
     `ok` is False where no acceptable, unambiguous peak exists.
     """
     half = cfg.block // 2
+    w, h = left.width, left.height
+    inside = (xs >= half) & (xs < w - half) & (ys >= half) & (ys < h - half)
+    if not np.all(inside):
+        i = int(np.argmin(inside))
+        raise ValueError(f"pixel ({xs[i]}, {ys[i]}) too close to the border "
+                         f"for a {cfg.block}x{cfg.block} block")
     lv, lm = _normalize(left, window)
     rv, rm = _normalize(right, window)
     k = len(xs)
     disps = np.arange(cfg.min_disparity, cfg.max_disparity + 1)
     d = len(disps)
-    off = np.arange(-half, half + 1)
-    block_px = cfg.block * cfg.block
-    strip_w = cfg.block + d - 1
+    blk = cfg.block
+    block_px = blk * blk
     pad = ((0, 0), (cfg.max_disparity + half, 0))
-    rv = np.pad(rv, pad)
-    rm = np.pad(rm, pad)
+    block = (blk, blk)
+    strip = (blk, blk + d - 1)
+    lwin = sliding_window_view(lv, block)                   # (., ., B, B)
+    lmwin = sliding_window_view(lm, block)
+    rwin = sliding_window_view(np.pad(rv, pad), strip)      # (., ., B, B+D-1)
+    rmwin = sliding_window_view(np.pad(rm, pad), strip)
 
+    both_buf = np.empty((_CHUNK, d, blk, blk), dtype=bool)
+    diff_buf = np.empty((_CHUNK, d, blk, blk))
     scores = np.empty((k, d))
     for c0 in range(0, k, _CHUNK):
         cx = xs[c0:c0 + _CHUNK]
         cy = ys[c0:c0 + _CHUNK]
         kc = len(cx)
-        prow = cy[:, None, None] + off[None, :, None]      # (K, B, 1)
-        pcol = cx[:, None, None] + off[None, None, :]      # (K, 1, B)
-        lpatch = lv[prow, pcol].reshape(kc, block_px)      # (K, P)
-        lmask = lm[prow, pcol].reshape(kc, block_px)
-
-        # target patches for every disparity, from one padded strip per pixel
-        scol = cx[:, None, None] + np.arange(strip_w)[None, None, :]
-        rpatch = _blocks(rv[prow, scol], cfg.block)        # (K, D, P)
-        rmask = _blocks(rm[prow, scol], cfg.block)
+        top = cy - half
+        lpatch = lwin[top, cx - half][:, None]              # (K, 1, B, B)
+        lmask = lmwin[top, cx - half][:, None]
+        # (K, B, B+D-1) strips -> (K, D, B, B) views, rightmost block first
+        rpatch = sliding_window_view(rwin[top, cx], blk, axis=2)[:, :, ::-1]
+        rpatch = rpatch.transpose(0, 2, 1, 3)
+        rmask = sliding_window_view(rmwin[top, cx], blk, axis=2)[:, :, ::-1]
+        rmask = rmask.transpose(0, 2, 1, 3)
         rx = cx[:, None] - disps[None, :]
         feasible = (rx - half >= 0) & (rx + half <= right.width - 1)
 
-        both = lmask[:, None, :] & rmask                  # (K, D, P)
-        n = both.sum(axis=2)
+        both = np.logical_and(lmask, rmask, out=both_buf[:kc])
+        diff = np.subtract(lpatch, rpatch, out=diff_buf[:kc])
+        np.multiply(diff, both, out=diff)
+        both = both.reshape(kc, d, block_px)
+        diff = diff.reshape(kc, d, block_px)
+        n = np.count_nonzero(both, axis=2)
         enough = (n >= cfg.min_valid_frac * block_px) & feasible & (n >= 4)
 
         nf = np.maximum(n, 1).astype(float)
-        diff = np.where(both, lpatch[:, None, :] - rpatch, 0.0)
         rmse = np.sqrt(np.einsum("kdp,kdp->kd", diff, diff) / nf)
         scores[c0:c0 + _CHUNK] = np.where(enough, np.exp(-rmse / cfg.value_scale),
                                           -np.inf)

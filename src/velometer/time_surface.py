@@ -31,13 +31,18 @@ class TimeSurface:
         return (self.stamps >= t0) & (self.stamps <= t1)
 
 
-def _latest_per_pixel(events, width):
-    """Indices of the last (most recent) event per distinct pixel."""
+def _latest_per_pixel(events, width, height):
+    """Indices of the last (most recent) event per distinct pixel, in
+    ascending pixel-key (y * width + x) order.
+
+    A scatter-max of the event indices into a per-pixel array that starts
+    at -1 leaves each touched pixel holding the index of its last event,
+    without sorting the batch.
+    """
     keys = events["y"].astype(np.int64) * width + events["x"]
-    # reversed stream: first occurrence per key == latest event overall
-    rev = keys[::-1]
-    _, first_rev = np.unique(rev, return_index=True)
-    return len(events) - 1 - first_rev
+    last = np.full(width * height, -1, dtype=np.int64)
+    np.maximum.at(last, keys, np.arange(len(keys)))
+    return last[last >= 0]
 
 
 def update_time_surface(ts: TimeSurface, batch: EventBatch) -> TimeSurface:
@@ -53,7 +58,7 @@ def update_time_surface(ts: TimeSurface, batch: EventBatch) -> TimeSurface:
     if np.any(ev["x"] < 0) or np.any(ev["x"] >= ts.width) \
             or np.any(ev["y"] < 0) or np.any(ev["y"] >= ts.height):
         raise ValueError("event outside image bounds")
-    idx = _latest_per_pixel(ev, ts.width)
+    idx = _latest_per_pixel(ev, ts.width, ts.height)
     ts.stamps[ev["y"][idx], ev["x"][idx]] = ev["t"][idx]
     ts.t_ref = batch.t_end
     return ts

@@ -6,10 +6,11 @@ import pytest
 from velometer import dataio
 from velometer.cli import main
 from velometer.config import PipelineConfig
-from velometer.pipeline import static_initial_orientation
-from velometer.rotations import quat_to_matrix
-from velometer.events import ImuData
-from velometer.simulator import export_dataset, make_trajectory
+from velometer.pipeline import (EstimationFailure, VelocityPipeline,
+                                static_initial_orientation)
+from velometer.rotations import quat_identity, quat_to_matrix
+from velometer.events import ImuData, make_events
+from velometer.simulator import default_rig, export_dataset, make_trajectory
 
 
 @pytest.fixture(scope="module")
@@ -208,3 +209,23 @@ class TestStaticOrientation:
         r0 = quat_to_matrix(q0)
         # gravity direction in body must match; yaw is unobservable
         assert np.allclose(r0 @ accel[0], -gravity, atol=1e-6)
+
+
+class TestRightCameraChunks:
+    def test_right_events_only_at_batch_end(self):
+        # the one right event sits exactly at the end of the first left
+        # batch, so the right chunk's events span zero time
+        cfg = PipelineConfig()
+        cfg.flow.batch_size = 10
+        t = np.arange(40) * 0.01
+        left = make_events(t, 100 + np.arange(40) % 5, np.full(40, 80),
+                           np.ones(40, dtype=np.int8))
+        right = make_events(t[9:10], [90], [80], [1])
+        imu_t = np.arange(0.0, 0.5, 0.005)
+        imu = ImuData(imu_t, np.tile([0.0, 0.0, 9.81], (len(imu_t), 1)),
+                      np.zeros((len(imu_t), 3)))
+        pipe = VelocityPipeline(default_rig(cfg.sim), cfg)
+        with pytest.raises(EstimationFailure):
+            pipe.run(left, right, imu, q0=quat_identity())
+        assert pipe.right_surfaces.pos.stamps[80, 90] == t[9]
+        assert pipe.right_surfaces.pos.t_ref == t[9]

@@ -7,7 +7,8 @@ from velometer.normal_flow import FlowBatch, process_batch
 from velometer.simulator import (StraightTrajectory, default_rig,
                                  generate_stereo_events, tilted_edge_scene,
                                  true_depth_at)
-from velometer.stereo import _normalize, associate, match_block, match_blocks
+from velometer.stereo import (_CHUNK, _normalize, associate, match_block,
+                              match_blocks)
 from velometer.time_surface import SurfacePair, TimeSurface
 
 
@@ -76,6 +77,17 @@ class TestMatchBlock:
         rig = rig_for(left)
         with pytest.raises(ValueError):
             match_block(left, right, (3, 60), (0.0, 1.0), rig)
+
+    @pytest.mark.parametrize("x, y", [(7, 60), (192, 60), (100, 7), (100, 112)])
+    def test_match_blocks_border_precondition(self, x, y):
+        # one pixel a column or row past where a 17x17 block fits, after
+        # pixels that fit, so a wrapped-around read cannot go unnoticed
+        left = textured_surface()
+        right = shifted_copy(left, 5)
+        xs = np.array([100, 8, 191, x])
+        ys = np.array([60, 8, 111, y])
+        with pytest.raises(ValueError, match=f"pixel \\({x}, {y}\\)"):
+            match_blocks(left, right, xs, ys, (0.0, 1.0), DepthConfig())
 
     def test_no_events_on_right(self):
         left = textured_surface()
@@ -227,6 +239,44 @@ class TestStripGather:
         empty = np.empty(0, dtype=np.int64)
         self.assert_same(left, shifted_copy(left, 5), empty, empty,
                          DepthConfig())
+
+    @pytest.mark.parametrize("k", [_CHUNK - 1, _CHUNK, _CHUNK + 1,
+                                   3 * _CHUNK + 5])
+    def test_chunk_boundaries(self, k):
+        base = textured_surface(seed=10)
+        left = with_holes(base, 0.2, seed=6)
+        right = with_holes(shifted_copy(base, 13), 0.2, seed=7)
+        rng = np.random.default_rng(k)
+        xs = rng.integers(8, 192, k)
+        ys = rng.integers(8, 112, k)
+        _, _, ok = self.assert_same(left, right, xs, ys, DepthConfig())
+        assert ok.any()
+
+    @pytest.mark.parametrize("block", [5, 9])
+    def test_small_blocks(self, block):
+        base = textured_surface(seed=11)
+        left = with_holes(base, 0.2, seed=8)
+        right = with_holes(shifted_copy(base, 4), 0.2, seed=9)
+        cfg = DepthConfig(block=block, max_disparity=7)
+        half = block // 2
+        xs = np.arange(half, left.width - half, 3)
+        ys = np.resize(np.arange(half, left.height - half, 5), len(xs))
+        disp, _, ok = self.assert_same(left, right, xs, ys, cfg)
+        assert np.sum(np.abs(disp[ok] - 4.0) < 0.5) >= 0.5 * len(xs)
+
+    def test_surface_one_block_larger_than_window(self):
+        # one block wider than the right strip and two blocks tall, so the
+        # window views have few positions and every pixel is near a border
+        cfg = DepthConfig(block=5, max_disparity=6)
+        strip_w = cfg.block + cfg.max_disparity - cfg.min_disparity
+        w, h = strip_w + cfg.block, 2 * cfg.block
+        base = textured_surface(width=w, height=h, seed=12)
+        left = with_holes(base, 0.1, seed=10)
+        right = with_holes(shifted_copy(base, 3), 0.1, seed=11)
+        half = cfg.block // 2
+        ys, xs = np.mgrid[half:h - half, half:w - half]
+        _, _, ok = self.assert_same(left, right, xs.ravel(), ys.ravel(), cfg)
+        assert ok.any()
 
 
 class TestAssociate:

@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from velometer.events import EventBatch, SequencingError, make_events
-from velometer.time_surface import NEVER, SurfacePair, TimeSurface, update_time_surface
+from velometer.time_surface import (NEVER, SurfacePair, TimeSurface,
+                                   _latest_per_pixel, update_time_surface)
 
 
 def batch_from(t, x, y, p, t_start=None, t_end=None):
@@ -70,6 +71,33 @@ def test_updates_never_decrease_stamps(pixels):
             [1] * len(chunk), t_start=times[0], t_end=times[-1] + 1e-6))
         assert np.all(ts.stamps >= before)
         t = times[-1] + 1e-6
+
+
+def reference_latest_per_pixel(events, width):
+    """Sort-based latest event per pixel: np.unique on the reversed keys."""
+    keys = events["y"].astype(np.int64) * width + events["x"]
+    _, first_rev = np.unique(keys[::-1], return_index=True)
+    return len(events) - 1 - first_rev
+
+
+@settings(max_examples=200, deadline=None)
+@given(width=st.integers(1, 12), height=st.integers(1, 12),
+       picks=st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3),
+                                st.booleans()), min_size=1, max_size=80),
+       ticks=st.lists(st.integers(0, 3), min_size=80, max_size=80))
+@example(width=7, height=5, picks=[(3, 3, True)], ticks=[0] * 80)
+@example(width=1, height=1, picks=[(0, 0, False)] * 3, ticks=[0] * 80)
+def test_latest_per_pixel_matches_unique(width, height, picks, ticks):
+    # a few pixels near the origin and the last pixel (width * height - 1),
+    # so pixels repeat heavily; few distinct ticks, so stamps repeat too
+    x = [width - 1 if last else min(px, width - 1) for px, _, last in picks]
+    y = [height - 1 if last else min(py, height - 1) for _, py, last in picks]
+    t = np.cumsum(ticks[:len(picks)]) * 1e-3
+    ev = make_events(t, x, y, np.ones(len(picks), dtype=np.int8))
+    got = _latest_per_pixel(ev, width, height)
+    want = reference_latest_per_pixel(ev, width)
+    assert got.dtype == want.dtype
+    assert np.array_equal(got, want)
 
 
 def test_polarity_pair_routes_events():
