@@ -1,24 +1,34 @@
 """Sliding-window MAP estimation of the velocity spline and IMU biases.
 
-Two residual families are stacked into one damped Gauss-Newton problem:
+Damped Gauss-Newton on the normal equations H dx = -g of two whitened
+residual families. H = J^T J and g = J^T r are accumulated block by block;
+the stacked Jacobian J is never formed:
 
   * normal-flow rows: measured flow speed minus the speed predicted from the
     spline velocity, the depth and the bias-corrected gyro rate, whitened by
     a fixed flow standard deviation and per-observation quality weights,
-    optionally robustified with a Huber loss;
+    optionally robustified with a Huber loss (as IRLS weights). Depth and
+    gyro are fixed, so each row is linear in the four active control points
+    and its segment's gyro bias. The window's rows are stacked once per
+    optimize with that 15-column Jacobian; a trial point only re-evaluates
+    the residuals and Huber weights and adds one 15x15 block per segment;
   * pre-integration rows: measured velocity increment minus the increment
     predicted from the spline at both interval ends and the gravity
-    direction, whitened by the propagated measurement covariance.
+    direction, whitened by the propagated measurement covariance. The
+    window's pre-integrations are evaluated together, as arrays with a
+    leading interval axis, and each adds one 30x30 block (both control-point
+    quadruples and its bias row), scattered by flat-index bincount.
 
 States are the spline control points plus one [accel | gyro] bias row per
 spline segment; a weak random-walk tie couples neighboring biases and a
-wide prior keeps unobserved biases bounded. The window's pre-integrations
-are evaluated together, as arrays with a leading interval axis.
+wide prior keeps unobserved biases bounded. Both priors, and the optional
+control-point anchor, go straight onto H's diagonal and bias band.
 Orientation is not estimated: it comes from gyro integration and only
 feeds the gravity direction and the rotational flow component.
 """
 
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
 
@@ -41,6 +51,60 @@ def huber_weights(r, delta):
     w = np.where(a <= delta, 1.0, delta / np.maximum(a, 1e-300))
     rho = np.where(a <= delta, r * r, 2.0 * delta * a - delta * delta)
     return w, rho
+
+
+@dataclass
+class BlockIndex:
+    """Where dense (B, c, c) blocks and (B, c) gradient pieces over the
+    state index sets `states` (B, c) land in H and g."""
+
+    states: np.ndarray
+    flat: np.ndarray        # (B * c * c,) flat indices into H (size, size)
+
+    @classmethod
+    def of(cls, states, size):
+        return cls(states, (states[:, :, None] * size
+                            + states[:, None, :]).ravel())
+
+    def add(self, h, g, blocks, vecs):
+        """h += the blocks, g += the pieces; repeated indices sum."""
+        size = len(g)
+        h += np.bincount(self.flat, blocks.ravel(),
+                         size * size).reshape(size, size)
+        g += np.bincount(self.states.ravel(), vecs.ravel(), size)
+
+
+@dataclass
+class WindowFlows:
+    """The window's flow rows, linear in the states they touch.
+
+    Depth and gyro are fixed, so a whitened flow residual is linear in
+    z = [c_j .. c_j+3 | gyro bias of segment j], the 15 states it touches:
+    r = c + J z. Rows are sorted by segment; each segment is one group.
+    """
+
+    c: np.ndarray           # (K,)
+    jac: np.ndarray         # (K, 15)
+    starts: np.ndarray      # (S + 1,) first row of each group, then K
+    blocks: BlockIndex      # states (S, 15): the indices of z per group
+
+
+@dataclass
+class ImuConstants:
+    """State-independent terms of N stacked pre-integrations."""
+
+    pre: Preintegration     # stacked
+    j0: np.ndarray          # (N,) segment at t0
+    w0: np.ndarray          # (N, 4) weights at t0
+    j1: np.ndarray
+    w1: np.ndarray
+    seg: np.ndarray         # (N,) bias segment
+    l_inv: np.ndarray       # (N, 3, 3) inverse Cholesky factor of the floored cov
+    g_hat: np.ndarray       # (N, 3) -gravity in the body frame at t0
+    jac_cp0: np.ndarray     # (N, 3, 12) whitened d r / d c_j0..c_j0+3
+    jac_ba: np.ndarray      # (N, 3, 3) whitened d r / d accel bias
+    jac_bw0: np.ndarray     # (N, 3, 3) d r / d gyro bias, less the rotation term
+    blocks: BlockIndex      # states (N, 30): c_j0.., c_j1.., bias row seg
 
 
 @dataclass
@@ -133,52 +197,78 @@ class Estimator:
     # residual builders
     # ------------------------------------------------------------------
 
-    def _flow_constants(self, batch: FlowBatch):
-        """State-independent terms of a flow batch: (gyro, n^T A, n^T B)."""
-        a_rows, b_rows = flow_rows(self.rig.left, batch.x, batch.y,
-                                   batch.direction)
-        return self.imu.interp_gyro(batch.t), a_rows, b_rows
+    def _stack_flows(self, batches):
+        """The flow rows of `batches` as WindowFlows."""
+        sp = self.spline
+        size = 3 * sp.num_controls + 6 * sp.num_segments
+        batches = sorted((b for b in batches if len(b)), key=lambda b: b.t)
+        if not batches:
+            return WindowFlows(np.empty(0), np.empty((0, 15)), np.zeros(1, int),
+                               BlockIndex.of(np.empty((0, 15), int), size))
+        counts = np.array([len(b) for b in batches])
+        j, w = sp.weights(np.array([b.t for b in batches]))
+        gyro = np.stack([self.imu.interp_gyro(b.t) for b in batches])
+
+        def rows(field):
+            return np.concatenate([getattr(b, field) for b in batches])
+
+        magnitude, depth = rows("magnitude"), rows("depth")
+        a_rows, b_rows = flow_rows(self.rig.left, rows("x"), rows("y"),
+                                   rows("direction"))
+        cfg = self.cfg.estimator
+        sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * magnitude)
+        scale = rows("weight") / sigma
+        w = np.repeat(w, counts, axis=0)
+        a_scaled = -(a_rows / depth[:, None]) * scale[:, None]
+        jac = np.concatenate([
+            (a_scaled[:, None, :] * w[:, :, None]).reshape(-1, 12),
+            b_rows * scale[:, None]], axis=1)
+        gyro = np.repeat(gyro, counts, axis=0)
+        c = (magnitude - np.einsum("kc,kc->k", b_rows, gyro)) * scale
+        segments, first = np.unique(j, return_index=True)
+        starts = np.append(np.cumsum(counts) - counts, len(c))[
+            np.append(first, len(batches))]
+        seg = segments[:, None]
+        states = np.concatenate([
+            3 * seg + np.arange(12),
+            3 * sp.num_controls + 6 * seg + np.arange(3, 6)], axis=1)
+        return WindowFlows(c, jac, starts, BlockIndex.of(states, size))
 
     def flow_residual_block(self, batch: FlowBatch, control_points=None,
-                            biases=None, constants=None):
+                            biases=None):
         """Whitened flow residuals and Jacobians for one depth-matched batch.
 
-        `constants` is _flow_constants(batch), computed here when not given.
         Returns (r (K,), jac_cp (K, 12), jac_bw (K, 3), segment index).
         """
         sp = self.spline
         cp = sp.control_points if control_points is None else control_points
         bs = sp.biases if biases is None else biases
-        gyro, a_rows, b_rows = (self._flow_constants(batch) if constants is None
-                                else constants)
-        j, w = sp.weights(batch.t)
-        v = w @ cp[j:j + 4]
-        omega = gyro - bs[j, 3:]
-        cfg = self.cfg.estimator
-        sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * batch.magnitude)
-        scale = batch.weight / sigma
-        pred = a_rows @ v / batch.depth + b_rows @ omega
-        r = (batch.magnitude - pred) * scale
-        a_scaled = -(a_rows / batch.depth[:, None]) * scale[:, None]
-        jac_cp = (a_scaled[:, None, :] * w[None, :, None]).reshape(len(batch), 12)
-        jac_bw = b_rows * scale[:, None]
-        return r, jac_cp, jac_bw, j
+        flows = self._stack_flows([batch])
+        j, _ = sp.segment_of(batch.t)
+        z = np.concatenate([cp[j:j + 4].ravel(), bs[j, 3:]])
+        return flows.c + flows.jac @ z, flows.jac[:, :12], flows.jac[:, 12:], j
 
     def _imu_constants(self, preints):
-        """State-independent terms of pre-integrations: (stacked, segment and
-        weights at t0, at t1, bias segment, inverse Cholesky factor of the
-        floored covariance, -gravity in the body frame at t0)."""
+        """State-independent terms of pre-integrations, as ImuConstants."""
         pre = Preintegration.stack(preints)
         if np.any(pre.dt < self.cfg.estimator.min_imu_dt):
             raise ValueError(f"interval of {pre.dt.min()}s too short")
         sp = self.spline
-        j0, w0 = zip(*map(sp.weights, pre.t0))
-        j1, w1 = zip(*map(sp.weights, pre.t1))
-        seg = [sp.segment_of(t)[0] for t in 0.5 * (pre.t0 + pre.t1)]
+        j0, w0 = sp.weights(pre.t0)
+        j1, w1 = sp.weights(pre.t1)
+        seg, _ = sp.segment_of(0.5 * (pre.t0 + pre.t1))
         l_mat = np.linalg.cholesky(pre.cov + (DV_STD_FLOOR ** 2) * np.eye(3))
-        g_hat = -self.orientation.gravity_in_body(pre.t0)
-        return (pre, np.array(j0), np.array(w0), np.array(j1), np.array(w1),
-                np.array(seg), np.linalg.inv(l_mat), g_hat)
+        l_inv = np.linalg.inv(l_mat)
+        states = np.concatenate([3 * j0[:, None] + np.arange(12),
+                                 3 * j1[:, None] + np.arange(12),
+                                 3 * sp.num_controls + 6 * seg[:, None]
+                                 + np.arange(6)], axis=1)
+        return ImuConstants(
+            pre, j0, w0, j1, w1, seg, l_inv,
+            g_hat=-self.orientation.gravity_in_body(pre.t0),
+            jac_cp0=(l_inv[:, :, None, :] * w0[:, None, :, None]).reshape(-1, 3, 12),
+            jac_ba=l_inv @ pre.jac_dv_ba, jac_bw0=l_inv @ pre.jac_dv_bw,
+            blocks=BlockIndex.of(states, 3 * sp.num_controls + 6 * sp.num_segments))
 
     def imu_residual(self, preints, control_points=None, biases=None,
                      constants=None):
@@ -191,24 +281,20 @@ class Estimator:
         sp = self.spline
         cp = sp.control_points if control_points is None else control_points
         bs = sp.biases if biases is None else biases
-        pre, j0, w0, j1, w1, seg, l_inv, g_hat = (
-            self._imu_constants(preints) if constants is None else constants)
-        v0 = np.einsum("nk,nkc->nc", w0, cp[j0[:, None] + np.arange(4)])
-        v1 = np.einsum("nk,nkc->nc", w1, cp[j1[:, None] + np.arange(4)])
-        dv, dq, phi = pre.corrected(bs[seg])
+        k = self._imu_constants(preints) if constants is None else constants
+        pre = k.pre
+        v0 = np.einsum("nk,nkc->nc", k.w0, cp[k.j0[:, None] + np.arange(4)])
+        v1 = np.einsum("nk,nkc->nc", k.w1, cp[k.j1[:, None] + np.arange(4)])
+        dv, dq, phi = pre.corrected(bs[k.seg])
         rot = quat_to_matrix(dq)
         e = dv - (np.einsum("nij,nj->ni", rot, v1)
-                  + g_hat * pre.dt[:, None] - v0)
-        r = np.einsum("nij,nj->ni", l_inv, e)
-        n = len(r)
-        jac_cp0 = (l_inv[:, :, None, :] * w0[:, None, :, None]).reshape(n, 3, 12)
-        lr = -l_inv @ rot
-        jac_cp1 = (lr[:, :, None, :] * w1[:, None, :, None]).reshape(n, 3, 12)
-        jac_ba = l_inv @ pre.jac_dv_ba
-        jac_bw = l_inv @ (pre.jac_dv_bw
-                          + rot @ hat(v1) @ right_jacobian_so3(phi) @ pre.jac_dq_bw)
-        jac_bias = np.concatenate([jac_ba, jac_bw], axis=-1)
-        return r, jac_cp0, j0, jac_cp1, j1, jac_bias, seg
+                  + k.g_hat * pre.dt[:, None] - v0)
+        r = np.einsum("nij,nj->ni", k.l_inv, e)
+        lr = -k.l_inv @ rot
+        jac_cp1 = (lr[:, :, None, :] * k.w1[:, None, :, None]).reshape(-1, 3, 12)
+        jac_bw = k.jac_bw0 - lr @ hat(v1) @ right_jacobian_so3(phi) @ pre.jac_dq_bw
+        jac_bias = np.concatenate([k.jac_ba, jac_bw], axis=-1)
+        return r, k.jac_cp0, k.j0, jac_cp1, k.j1, jac_bias, k.seg
 
     # ------------------------------------------------------------------
     # optimization
@@ -223,96 +309,105 @@ class Estimator:
         n = self.spline.num_controls
         return x[:3 * n].reshape(n, 3), x[3 * n:].reshape(-1, 6)
 
-    def _assemble(self, x, anchor=None, flow_constants=None,
-                  imu_constants=None):
-        """Stacked whitened residual, Jacobian and robust cost at state x.
+    def _normal_equations(self, x, anchor=None, flows=None,
+                          imu_constants=None):
+        """Gauss-Newton normal equations (H, g) and robust cost at state x.
 
+        H = J^T J and g = J^T r of the whitened stacked residual, summed one
+        block at a time: a 15x15 block per flow segment group, a 30x30 block
+        per pre-integration, and the bias and anchor priors straight on the
+        band and the diagonal. Huber weights enter as IRLS weights.
         `anchor` optionally ties every control point to a reference value
         with a wide prior, giving otherwise-unconstrained directions a
         diagonal and bounding excursions of barely-observed tail states.
-        `flow_constants` holds _flow_constants() of each window batch and
-        `imu_constants` is _imu_constants(self.preints).
+        `flows` is _stack_flows(self.flow_batches) and `imu_constants` is
+        _imu_constants(self.preints); both are computed here when not given.
         """
         est_cfg = self.cfg.estimator
         sp = self.spline
         n = sp.num_controls
         m = sp.num_segments
-        ncols = 3 * n + 6 * m
+        size = 3 * n + 6 * m
         cp, biases = self._unpack(x)
-
-        rows_r = []
-        rows_j = []
+        h = np.zeros((size, size))
+        g = np.zeros(size)
         cost = 0.0
+        # strided views of the flat H: its diagonal, and the band six entries
+        # off the bias diagonal (one bias component in consecutive segments)
+        flat_h = h.reshape(-1)
+        diag = flat_h[::size + 1]
+        corner = 3 * n * (size + 1)         # H[3n, 3n], the first bias entry
+        upper = flat_h[corner + 6::size + 1][:6 * (m - 1)]
+        lower = flat_h[corner + 6 * size::size + 1][:6 * (m - 1)]
 
         if anchor is not None and est_cfg.anchor_sigma > 0:
             inv = 1.0 / est_cfg.anchor_sigma
             r = (cp - anchor).ravel() * inv
-            jmat = np.zeros((3 * n, ncols))
-            jmat[:, :3 * n] = np.eye(3 * n) * inv
+            diag[:3 * n] += inv * inv
+            g[:3 * n] += inv * r
             cost += float(r @ r)
-            rows_r.append(r)
-            rows_j.append(jmat)
 
-        if flow_constants is None:
-            flow_constants = [self._flow_constants(b) for b in self.flow_batches]
-        for batch, consts in zip(self.flow_batches, flow_constants):
-            r, jac_cp, jac_bw, j = self.flow_residual_block(batch, cp, biases,
-                                                            consts)
-            jmat = np.zeros((len(batch), ncols))
-            jmat[:, 3 * j:3 * j + 12] = jac_cp
-            col = 3 * n + 6 * j
-            jmat[:, col + 3:col + 6] = jac_bw
+        flows = self._stack_flows(self.flow_batches) if flows is None else flows
+        if len(flows.c):
+            starts = flows.starts
+            z = np.repeat(x[flows.blocks.states], np.diff(starts), axis=0)
+            r = flows.c + np.einsum("kc,kc->k", flows.jac, z)
+            jac = flows.jac
             if est_cfg.robust:
                 w, rho = huber_weights(r, est_cfg.huber_delta)
                 cost += float(rho.sum())
                 sw = np.sqrt(w)
                 r = r * sw
-                jmat = jmat * sw[:, None]
+                jac = jac * sw[:, None]
             else:
                 cost += float(r @ r)
-            rows_r.append(r)
-            rows_j.append(jmat)
+            blocks = np.stack([jac[a:b].T @ jac[a:b]
+                               for a, b in zip(starts[:-1], starts[1:])])
+            flows.blocks.add(h, g, blocks,
+                             np.add.reduceat(jac * r[:, None], starts[:-1]))
 
         if self.preints:
-            r, jc0, j0, jc1, j1, jb, seg = self.imu_residual(
+            if imu_constants is None:
+                imu_constants = self._imu_constants(self.preints)
+            r, jc0, _, jc1, _, jb, _ = self.imu_residual(
                 self.preints, cp, biases, imu_constants)
-            # row 3i + c belongs to interval i; scatter its column blocks
-            rows = np.arange(r.size)[:, None]
-            j0, j1, seg = (np.repeat(a, 3)[:, None] for a in (j0, j1, seg))
-            jmat = np.zeros((r.size, ncols))
-            jmat[rows, 3 * j0 + np.arange(12)] = jc0.reshape(-1, 12)
-            jmat[rows, 3 * j1 + np.arange(12)] += jc1.reshape(-1, 12)
-            jmat[rows, 3 * n + 6 * seg + np.arange(6)] = jb.reshape(-1, 6)
+            jac = np.concatenate([jc0, jc1, jb], axis=2)       # (N, 3, 30)
+            # a contiguous transpose: batched matmul is slow on strided input
+            jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
+            imu_constants.blocks.add(h, g, jac_t @ jac,
+                                     np.einsum("nij,ni->nj", jac, r))
             r = r.ravel()
             cost += float(r @ r)
-            rows_r.append(r)
-            rows_j.append(jmat)
 
+        diag_bias = diag[3 * n:]
+        g_bias = g[3 * n:].reshape(m, 6)
         imu_cfg = self.cfg.imu
         if m > 1:
-            # random walk: rows 6k..6k+5 whiten biases[k + 1] - biases[k]
+            # random walk: whitened biases[k + 1] - biases[k]
             n_seg_samples = max(self.cfg.spline.knot_dt * imu_cfg.rate_hz, 1.0)
             sig_a = imu_cfg.acc_bias_std * np.sqrt(n_seg_samples)
             sig_w = imu_cfg.gyro_bias_std * np.sqrt(n_seg_samples)
             inv = np.repeat([1.0 / sig_a, 1.0 / sig_w], 3)
-            r = ((biases[1:] - biases[:-1]) * inv).ravel()
-            jmat = np.zeros((6 * (m - 1), ncols))
-            jmat[:, 3 * n:] = np.kron(np.eye(m - 1, m, 1) - np.eye(m - 1, m),
-                                      np.diag(inv))
+            tie = np.tile(inv * inv, m - 1)
+            diag_bias[:-6] += tie
+            diag_bias[6:] += tie
+            upper -= tie
+            lower -= tie
+            r = (biases[1:] - biases[:-1]) * inv
+            g_bias[:-1] -= inv * r
+            g_bias[1:] += inv * r
+            r = r.ravel()
             cost += float(r @ r)
-            rows_r.append(r)
-            rows_j.append(jmat)
 
         inv_prior = np.repeat([1.0 / est_cfg.bias_prior_acc,
                                1.0 / est_cfg.bias_prior_gyro], 3)
-        r = (biases * inv_prior).ravel()
-        jmat = np.zeros((6 * m, ncols))
-        jmat[:, 3 * n:] = np.diag(np.tile(inv_prior, m))
+        diag_bias += np.tile(inv_prior * inv_prior, m)
+        r = biases * inv_prior
+        g_bias += inv_prior * r
+        r = r.ravel()
         cost += float(r @ r)
-        rows_r.append(r)
-        rows_j.append(jmat)
 
-        return np.concatenate(rows_r), np.vstack(rows_j), cost
+        return h, g, cost
 
     def optimize(self, max_iters=None, lambda0=None) -> OptimizeReport:
         """Damped Gauss-Newton on the current window; state kept on failure."""
@@ -323,21 +418,21 @@ class Estimator:
         x = self._pack()
         anchor = self.spline.control_points.copy()
         n_cp = 3 * self.spline.num_controls
-        consts = ([self._flow_constants(b) for b in self.flow_batches],
+        consts = (self._stack_flows(self.flow_batches),
                   self._imu_constants(self.preints) if self.preints else None)
-        r, jmat, cost = self._assemble(x, anchor, *consts)
+        h, g, cost = self._normal_equations(x, anchor, *consts)
         cost0 = cost
         iters = 0
         converged = False
         while iters < max_iters:
             iters += 1
-            g = jmat.T @ r
-            h = jmat.T @ jmat
             d = np.diag(h).copy() + 1e-9
             accepted = False
             while lam <= est_cfg.lm_lambda_max:
+                damped = h.copy()
+                damped.flat[::len(d) + 1] += lam * d
                 try:
-                    step = np.linalg.solve(h + lam * np.diag(d), -g)
+                    step = np.linalg.solve(damped, -g)
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue
@@ -352,10 +447,11 @@ class Estimator:
                     lam *= 10.0
                     continue
                 x_new = x + step
-                r_new, j_new, cost_new = self._assemble(x_new, anchor, *consts)
+                h_new, g_new, cost_new = self._normal_equations(x_new, anchor,
+                                                                *consts)
                 if cost_new < cost:
                     rel_drop = (cost - cost_new) / max(cost, 1e-300)
-                    x, r, jmat, cost = x_new, r_new, j_new, cost_new
+                    x, h, g, cost = x_new, h_new, g_new, cost_new
                     lam = max(lam / 10.0, 1e-12)
                     accepted = True
                     if rel_drop < est_cfg.cost_tol:
@@ -397,34 +493,41 @@ class Estimator:
         return result
 
     def _extend_preints(self, t_to):
-        knots = self.spline.knots()
         t_from = self.last_preint_end
-        if t_to <= t_from + self.cfg.estimator.min_imu_dt:
+        min_dt = self.cfg.estimator.min_imu_dt
+        if t_to <= t_from + min_dt:
             return
-        for a, b in split_intervals(t_from, t_to, self.cfg.imu.preint_dt, knots):
-            if b - a < self.cfg.estimator.min_imu_dt:
-                continue
-            t_mid = 0.5 * (a + b)
-            seg, _ = self.spline.segment_of(t_mid)
-            pre = preintegrate(self.imu, a, b, self.spline.biases[seg],
-                               self.cfg.imu)
-            self.preints.append(pre)
+        spans = [(a, b) for a, b in split_intervals(
+            t_from, t_to, self.cfg.imu.preint_dt, self.spline.knots())
+            if b - a >= min_dt]
+        if not spans:
+            return
+        t0, t1 = np.array(spans).T
+        segs, _ = self.spline.segment_of(0.5 * (t0 + t1))
+        for a, b, seg in zip(t0, t1, segs):
+            self.preints.append(preintegrate(self.imu, a, b,
+                                             self.spline.biases[seg],
+                                             self.cfg.imu))
             self.last_preint_end = b
             self.report.imu_intervals += 1
 
     def _emit_velocity(self, t_to):
         hz = self.cfg.estimator.output_hz
         t_to = t_to - self.cfg.estimator.output_lag
+        sp = self.spline
         # start near the span, not at t = 0: real timestamps are large
         self._next_emit_idx = max(self._next_emit_idx,
-                                  int(np.floor(self.spline.t_min * hz)))
+                                  int(np.floor(sp.t_min * hz)))
+        ts = []
         while True:
             t = self._next_emit_idx / hz
-            if t > t_to or t >= self.spline.t_max:
+            if t > t_to or t >= sp.t_max:
                 break
-            if t >= self.spline.t_min:
-                self.velocity_samples.append((t, self.spline.velocity(t)))
+            if t >= sp.t_min:
+                ts.append(t)
             self._next_emit_idx += 1
+        if ts:
+            self.velocity_samples.extend(zip(ts, sp.velocity(np.array(ts))))
 
     def finalize(self):
         """Emit the remaining lagged samples after the last batch."""
@@ -471,10 +574,12 @@ class Estimator:
             before = self.spline.num_controls
             self.spline.drop_oldest(horizon)
             if self.spline.num_controls < before:
-                t_min = self.spline.t_min
-                self.preints = [p for p in self.preints if p.t0 >= t_min - 1e-9]
-                self.flow_batches = [b for b in self.flow_batches
-                                     if b.t >= t_min - 1e-9]
+                # the spline's own rule decides what is still in the window
+                covers = self.spline.covers
+                self.preints = list(compress(
+                    self.preints, covers([p.t0 for p in self.preints])))
+                self.flow_batches = list(compress(
+                    self.flow_batches, covers([b.t for b in self.flow_batches])))
         return report
 
     def velocity_track(self):

@@ -10,17 +10,24 @@ import numpy as np
 
 
 def basis(u):
-    """Uniform cubic blending weights for the four active control points."""
-    if not (0.0 <= u < 1.0 + 1e-12):
+    """Uniform cubic blending weights for the four active control points.
+
+    For an array of parameters the weights stack along a new last axis.
+    Only elementwise products and sums are used, so every element equals
+    the scalar call bit for bit.
+    """
+    u = np.asarray(u, dtype=float)
+    if not np.all((0.0 <= u) & (u < 1.0 + 1e-12)):
         raise ValueError(f"segment parameter u={u} outside [0, 1)")
+    v = 1.0 - u
     u2 = u * u
     u3 = u2 * u
-    return np.array([
-        (1.0 - u) ** 3,
+    return np.stack([
+        v * v * v,
         3.0 * u3 - 6.0 * u2 + 4.0,
         -3.0 * u3 + 3.0 * u2 + 3.0 * u + 1.0,
         u3,
-    ]) / 6.0
+    ], axis=-1) / 6.0
 
 
 class VelocitySpline:
@@ -54,32 +61,57 @@ class VelocitySpline:
     def t_max(self):
         return self.t0 + self.num_controls * self.knot_dt
 
-    def segment_of(self, t):
-        """(segment index, local parameter u) for a covered time t."""
+    def _locate(self, t):
+        """(segment index, u, covered) for an array of times, never raising."""
         s = (t - self.t0) / self.knot_dt - 3.0
-        j = int(np.floor(s))
+        j = np.floor(s)
         u = s - j
         # the rounding of t - t0 in units of u, never below 1e-9 (2.4e-6 at
         # 1.7e9 s, seconds since 1970, with 0.1 s knots)
-        tol = max(1e-9, np.spacing(abs(t)) / self.knot_dt)
-        if j == self.num_segments and u < tol:
-            # exactly at (or within rounding of) the span end: not covered
-            raise ValueError(f"time {t} at/after span end {self.t_max}")
-        if j == -1 and u > 1.0 - tol:
-            j, u = 0, 0.0
-        if not (0 <= j < self.num_segments):
-            raise ValueError(f"time {t} outside spline span "
+        tol = np.maximum(1e-9, np.spacing(np.abs(t)) / self.knot_dt)
+        # within rounding before the span start: snap onto it. Within
+        # rounding of the span end stays outside (j == num_segments).
+        snap = (j == -1) & (u > 1.0 - tol)
+        j = np.where(snap, 0.0, j)
+        u = np.where(snap, 0.0, u)
+        covered = (j >= 0) & (j < self.num_segments)
+        return (j.astype(np.int64), np.minimum(np.maximum(u, 0.0), 1.0 - 1e-15),
+                covered)
+
+    def covers(self, t):
+        """Whether segment_of accepts t; an array of flags for an array of times.
+
+        This is the one rule for what lies inside the window.
+        """
+        return self._locate(np.asarray(t, dtype=float))[2]
+
+    def segment_of(self, t):
+        """(segment index, local parameter u) for a covered time t.
+
+        For an array of times both come back as arrays, each element equal
+        to the scalar call; a ValueError is raised if any time is not covered.
+        """
+        t = np.asarray(t, dtype=float)
+        j, u, covered = self._locate(t)
+        if not np.all(covered):
+            bad = t[~covered] if t.ndim else t
+            raise ValueError(f"time {np.ravel(bad)[0]} outside spline span "
                              f"[{self.t_min}, {self.t_max})")
-        return j, min(max(u, 0.0), 1.0 - 1e-15)
+        if t.ndim == 0:
+            return int(j), float(u)
+        return j, u
 
     def weights(self, t):
-        """(segment index, 4 blending weights) at time t."""
+        """(segment index, 4 blending weights) at time t; for an array of
+        times, (indices (N,), weights (N, 4))."""
         j, u = self.segment_of(t)
         return j, basis(u)
 
     def velocity(self, t):
+        """Velocity at time t, or one row per time of an array t."""
         j, w = self.weights(t)
-        return w @ self.control_points[j:j + 4]
+        return np.einsum("...k,...kc->...c", w,
+                         self.control_points[np.add.outer(j, np.arange(4))])
 
     def velocity_jacobian(self, t):
         """(segment index, 3x12 Jacobian w.r.t. the four active control points).

@@ -6,13 +6,15 @@ import pytest
 from velometer.config import PipelineConfig
 from velometer.estimator import DV_STD_FLOOR, Estimator, huber_weights
 from velometer.events import ImuData, SequencingError
+from velometer.geometry import flow_rows
 from velometer.imu import preintegrate
 from velometer.normal_flow import FlowBatch
 from velometer.rotations import (hat, matrix_to_quat, quat_from_rotvec,
                                  quat_mul, quat_normalize, quat_to_matrix,
                                  right_jacobian_so3)
-from velometer.simulator import (default_rig, exact_observations, make_scene,
-                                 make_trajectory, ground_truth)
+from velometer.simulator import (default_rig, exact_observations,
+                                 generate_imu, make_scene, make_trajectory,
+                                 ground_truth)
 from velometer.spline import VelocitySpline
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -81,6 +83,109 @@ def reference_imu_residual(est, pre):
                       + rot @ hat(v1) @ right_jacobian_so3(phi) @ pre.jac_dq_bw)
     return (l_inv @ e, jac_cp0, j0, jac_cp1, j1,
             np.concatenate([jac_ba, jac_bw], axis=1), seg_b)
+
+
+def reference_flow_rows(est, batch, cp, biases):
+    """One batch's whitened flow residual and Jacobians, from the predicted
+    flow as the per-batch form computed it.
+
+    Returns (r (K,), jac_cp (K, 12), jac_bw (K, 3), segment index).
+    """
+    a_rows, b_rows = flow_rows(est.rig.left, batch.x, batch.y, batch.direction)
+    j, w = est.spline.weights(batch.t)
+    v = w @ cp[j:j + 4]
+    omega = est.imu.interp_gyro(batch.t) - biases[j, 3:]
+    cfg = est.cfg.estimator
+    sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * batch.magnitude)
+    scale = batch.weight / sigma
+    pred = a_rows @ v / batch.depth + b_rows @ omega
+    r = (batch.magnitude - pred) * scale
+    a_scaled = -(a_rows / batch.depth[:, None]) * scale[:, None]
+    jac_cp = (a_scaled[:, None, :] * w[None, :, None]).reshape(len(batch), 12)
+    return r, jac_cp, b_rows * scale[:, None], j
+
+
+def reference_rows(est, x, anchor=None, imu_constants=None):
+    """The dense whitened residual r, Jacobian J (rows x (3n + 6m)) and
+    robust cost at state x, one row block per residual family; Huber
+    weights enter as square roots on the flow rows."""
+    est_cfg = est.cfg.estimator
+    sp = est.spline
+    n = sp.num_controls
+    m = sp.num_segments
+    ncols = 3 * n + 6 * m
+    cp, biases = est._unpack(x)
+    rows_r, rows_j = [], []
+    cost = 0.0
+    if anchor is not None and est_cfg.anchor_sigma > 0:
+        inv = 1.0 / est_cfg.anchor_sigma
+        r = (cp - anchor).ravel() * inv
+        jmat = np.zeros((3 * n, ncols))
+        jmat[:, :3 * n] = np.eye(3 * n) * inv
+        cost += float(r @ r)
+        rows_r.append(r)
+        rows_j.append(jmat)
+    for batch in est.flow_batches:
+        if not len(batch):
+            continue
+        r, jac_cp, jac_bw, j = reference_flow_rows(est, batch, cp, biases)
+        jmat = np.zeros((len(batch), ncols))
+        jmat[:, 3 * j:3 * j + 12] = jac_cp
+        col = 3 * n + 6 * j
+        jmat[:, col + 3:col + 6] = jac_bw
+        if est_cfg.robust:
+            w, rho = huber_weights(r, est_cfg.huber_delta)
+            cost += float(rho.sum())
+            sw = np.sqrt(w)
+            r = r * sw
+            jmat = jmat * sw[:, None]
+        else:
+            cost += float(r @ r)
+        rows_r.append(r)
+        rows_j.append(jmat)
+    if est.preints:
+        r, jc0, j0, jc1, j1, jb, seg = est.imu_residual(est.preints, cp, biases,
+                                                        imu_constants)
+        rows = np.arange(r.size)[:, None]
+        j0, j1, seg = (np.repeat(a, 3)[:, None] for a in (j0, j1, seg))
+        jmat = np.zeros((r.size, ncols))
+        jmat[rows, 3 * j0 + np.arange(12)] = jc0.reshape(-1, 12)
+        jmat[rows, 3 * j1 + np.arange(12)] += jc1.reshape(-1, 12)
+        jmat[rows, 3 * n + 6 * seg + np.arange(6)] = jb.reshape(-1, 6)
+        r = r.ravel()
+        cost += float(r @ r)
+        rows_r.append(r)
+        rows_j.append(jmat)
+    imu_cfg = est.cfg.imu
+    if m > 1:
+        n_seg_samples = max(est.cfg.spline.knot_dt * imu_cfg.rate_hz, 1.0)
+        inv = np.repeat([1.0 / (imu_cfg.acc_bias_std * np.sqrt(n_seg_samples)),
+                         1.0 / (imu_cfg.gyro_bias_std * np.sqrt(n_seg_samples))],
+                        3)
+        r = ((biases[1:] - biases[:-1]) * inv).ravel()
+        jmat = np.zeros((6 * (m - 1), ncols))
+        jmat[:, 3 * n:] = np.kron(np.eye(m - 1, m, 1) - np.eye(m - 1, m),
+                                  np.diag(inv))
+        cost += float(r @ r)
+        rows_r.append(r)
+        rows_j.append(jmat)
+    inv_prior = np.repeat([1.0 / est_cfg.bias_prior_acc,
+                           1.0 / est_cfg.bias_prior_gyro], 3)
+    r = (biases * inv_prior).ravel()
+    jmat = np.zeros((6 * m, ncols))
+    jmat[:, 3 * n:] = np.diag(np.tile(inv_prior, m))
+    cost += float(r @ r)
+    rows_r.append(r)
+    rows_j.append(jmat)
+    return np.concatenate(rows_r), np.vstack(rows_j), cost
+
+
+def reference_normal_equations(est, x, anchor=None, flows=None,
+                               imu_constants=None):
+    """(J^T J, J^T r, cost) from the dense rows; a drop-in for
+    Estimator._normal_equations that ignores the stacked flows."""
+    r, jmat, cost = reference_rows(est, x, anchor, imu_constants)
+    return jmat.T @ jmat, jmat.T @ r, cost
 
 
 def fit_spline_to_truth(est, traj):
@@ -229,8 +334,8 @@ class TestImuResidual:
                                        atol=1e-12 * np.abs(want).max())
 
     def test_assembled_rows_match_per_interval_loop(self):
-        # no flows and no anchor: the IMU rows come first, then the
-        # bias random-walk tie, then the bias zero prior
+        # no flows and no anchor: the IMU rows, the bias random-walk tie
+        # and the bias zero prior
         est = self._window()
         est.flow_batches = []
         sp, cfg = est.spline, est.cfg
@@ -263,13 +368,108 @@ class TestImuResidual:
             rows_r.append(sp.biases[k] * inv_prior)
             rows_j.append(jmat)
         want_r, want_j = np.concatenate(rows_r), np.vstack(rows_j)
+        want_h, want_g = want_j.T @ want_j, want_j.T @ want_r
 
-        r, jmat, cost = est._assemble(est._pack())
-        np.testing.assert_allclose(r, want_r, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want_r).max())
-        np.testing.assert_allclose(jmat, want_j, rtol=1e-12,
-                                   atol=1e-12 * np.abs(want_j).max())
+        h, g, cost = est._normal_equations(est._pack())
+        np.testing.assert_allclose(h, want_h, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_h).max())
+        np.testing.assert_allclose(g, want_g, rtol=1e-12,
+                                   atol=1e-12 * np.abs(want_g).max())
         assert abs(cost - want_r @ want_r) < 1e-12 * cost
+
+
+class TestNormalEquations:
+    """H and g against J^T J and J^T r of the dense rows; the cost against
+    the dense cost."""
+
+    def _window(self, duration=1.0, **cfg_kw):
+        """Perturbed window: three batches in the segment [0.1, 0.2) and one
+        in each of three later segments; pre-integrations that end at knots
+        (j1 == j0 + 1), lie inside one segment (j1 == j0), and one that
+        crosses the knot at 0.4 s."""
+        cfg, rig, traj, scene = make_setup(duration=duration, **cfg_kw)
+        est = estimator_with_truth(cfg, rig, traj, duration)
+        fit_spline_to_truth(est, traj)
+        for t in (0.12, 0.15, 0.18, 0.35, 0.55, 0.75):
+            est.flow_batches.append(exact_observations(scene, traj, rig, t,
+                                                       count=30))
+        est._extend_preints(duration - 0.05)
+        est.preints.append(preintegrate(est.imu, 0.38, 0.42,
+                                        est.spline.biases[3], cfg.imu))
+        rng = np.random.default_rng(4)
+        est.spline.control_points += rng.normal(
+            0, 0.6, est.spline.control_points.shape)
+        random_biases(est, rng, 1e-2, 1e-3)
+        return est
+
+    @staticmethod
+    def _check(est, anchor=None):
+        x = est._pack()
+        h, g, cost = est._normal_equations(x, anchor)
+        want_h, want_g, want_cost = reference_normal_equations(est, x, anchor)
+        for got, want in ((h, want_h), (g, want_g)):
+            np.testing.assert_allclose(got, want, rtol=0,
+                                       atol=1e-12 * np.abs(want).max())
+        assert abs(cost - want_cost) <= 1e-12 * want_cost
+
+    @staticmethod
+    def _flow_weights(est):
+        r = np.concatenate([reference_flow_rows(est, b, est.spline.control_points,
+                                                est.spline.biases)[0]
+                            for b in est.flow_batches])
+        return huber_weights(r, est.cfg.estimator.huber_delta)[0]
+
+    def test_robust(self):
+        est = self._window()
+        assert est.cfg.estimator.robust
+        w = self._flow_weights(est)
+        assert np.any(w < 1.0) and np.any(w == 1.0)
+        _, _, j0, _, j1, _, _ = est.imu_residual(est.preints)
+        assert np.any(j0 == j1) and np.any(j0 != j1)
+        self._check(est)
+
+    def test_not_robust(self):
+        est = self._window()
+        est.cfg.estimator.robust = False
+        self._check(est)
+
+    def test_anchor(self):
+        est = self._window()
+        est.cfg.estimator.anchor_sigma = 2.0
+        anchor = est.spline.control_points + np.random.default_rng(5).normal(
+            0, 1.0, est.spline.control_points.shape)
+        self._check(est, anchor)
+
+    def test_one_segment(self):
+        # m = 1: no random-walk rows
+        cfg, rig, traj, scene = make_setup(duration=1.0)
+        est = estimator_with_truth(cfg, rig, traj, 0.0)
+        assert est.spline.num_segments == 1
+        for t in (0.03, 0.07):
+            est.flow_batches.append(exact_observations(scene, traj, rig, t,
+                                                       count=20))
+        est._extend_preints(0.095)
+        rng = np.random.default_rng(6)
+        est.spline.control_points += rng.normal(0, 0.6, (4, 3))
+        random_biases(est, rng, 1e-2, 1e-3)
+        assert est.preints
+        self._check(est)
+
+    def test_no_flows(self):
+        est = self._window()
+        est.flow_batches = []
+        self._check(est)
+
+    def test_no_residuals_but_priors(self):
+        est = self._window()
+        est.flow_batches, est.preints = [], []
+        self._check(est)
+
+    def test_empty_batch(self):
+        est = self._window()
+        est.flow_batches.insert(2, FlowBatch.empty(0.16))
+        est.flow_batches.append(FlowBatch.empty(0.85))
+        self._check(est)
 
 
 class TestOptimize:
@@ -317,10 +517,10 @@ class TestOptimize:
     def test_cost_invariant_to_residual_order(self):
         est, _ = self._tracking_estimator(perturb=0.3)
         x = est._pack()
-        _, _, cost1 = est._assemble(x)
+        _, _, cost1 = est._normal_equations(x)
         est.flow_batches = est.flow_batches[::-1]
         est.preints = est.preints[::-1]
-        _, _, cost2 = est._assemble(x)
+        _, _, cost2 = est._normal_equations(x)
         assert abs(cost1 - cost2) < 1e-12 * max(1.0, cost1)
 
     def test_gauge_locality_without_imu(self):
@@ -420,6 +620,52 @@ class TestStep:
         obs = exact_observations(scene, traj, rig, 0.3, count=40)
         est.step(obs, 0.3)
         assert est.status == "tracking"
+
+
+class TestWindowBoundary:
+    def test_batch_just_before_a_knot_leaves_the_window(self):
+        # a batch stamped 0.5 ns before the knot at 0.5 s: once that knot is
+        # the window start the batch lies outside the spline span, by more
+        # than segment_of snaps, and must leave the window with it
+        cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
+                                           duration=2.0)
+        est = Estimator(rig, cfg)
+        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        for t in (0.1, 0.3, 0.5 - 5e-10, 0.7, 0.9, 1.1, 1.3, 1.55, 1.65):
+            est.step(exact_observations(scene, traj, rig, t, count=40), t)
+        assert est.status == "tracking"
+        sp = est.spline
+        assert sp.t_min > 0.5 - 1e-9
+        assert all(sp.covers(b.t) for b in est.flow_batches)
+        assert all(sp.covers(p.t0) for p in est.preints)
+
+
+class TestDenseEquivalence:
+    def test_step_matches_dense_reference(self, monkeypatch):
+        # a 3 s corridor with noisy IMU on exact flows, once with the block
+        # normal equations and once with the dense J^T J reference
+        cfg, rig, traj, scene = make_setup(duration=3.0)
+        imu, _, _ = generate_imu(traj, cfg.imu, GRAVITY,
+                                 np.random.default_rng(7))
+        times = np.arange(1, 15) * 0.2
+        obs = [exact_observations(scene, traj, rig, t) for t in times]
+
+        def run():
+            est = Estimator(rig, cfg)
+            est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+            est.feed_imu(imu)
+            for t, batch in zip(times, obs):
+                est.step(batch, t)
+            est.finalize()
+            return est.velocity_track()
+
+        ts, vs = run()
+        monkeypatch.setattr(Estimator, "_normal_equations",
+                            reference_normal_equations)
+        ts_ref, vs_ref = run()
+        assert len(ts) > 100 and np.array_equal(ts, ts_ref)
+        assert np.abs(vs - vs_ref).max() <= 1e-6
 
 
 class TestEmitVelocity:

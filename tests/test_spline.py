@@ -219,3 +219,75 @@ class TestWindow:
             v = sp.velocity(t)
             assert np.all(v >= cp.min(axis=0) - 1e-12)
             assert np.all(v <= cp.max(axis=0) + 1e-12)
+
+
+def reference_segment_of(sp, t):
+    """segment_of one time at a time, in Python floats."""
+    s = (t - sp.t0) / sp.knot_dt - 3.0
+    j = int(np.floor(s))
+    u = s - j
+    tol = max(1e-9, np.spacing(abs(t)) / sp.knot_dt)
+    if j == sp.num_segments and u < tol:
+        raise ValueError(f"time {t} at/after span end {sp.t_max}")
+    if j == -1 and u > 1.0 - tol:
+        j, u = 0, 0.0
+    if not (0 <= j < sp.num_segments):
+        raise ValueError(f"time {t} outside spline span")
+    return j, min(max(u, 0.0), 1.0 - 1e-15)
+
+
+# offsets in units of u from a knot: inside a segment, on the knot, and
+# around the 1e-9 snap tolerance and the 1.7e9 s rounding
+KNOT_OFFSETS = st.one_of(
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.sampled_from([0.0, 1e-12, -1e-12, 5e-10, -5e-10, 1e-9, -1e-9,
+                     2e-9, -2e-9, 1e-6, -1e-6, 3e-6, -3e-6]))
+
+
+class TestArrayLookup:
+    @settings(max_examples=300, deadline=None)
+    @given(t0=st.sampled_from([0.0, -0.2, 0.37, 1.7e9 - 0.3, 1.7e9 + 12.345]),
+           dt=st.sampled_from([0.1, 0.05, 0.3]),
+           n=st.integers(4, 10),
+           points=st.lists(st.tuples(st.integers(-2, 8), KNOT_OFFSETS),
+                           min_size=1, max_size=12))
+    def test_matches_scalar(self, t0, dt, n, points):
+        sp = VelocitySpline(t0, dt, np.random.default_rng(n).normal(size=(n, 3)))
+        ts = np.array([sp.t_min + dt * (k + f) for k, f in points])
+        ts = np.append(ts, [sp.t_min, sp.t_max, np.nextafter(sp.t_max, 0.0)])
+        scalar = []
+        for t in ts:
+            try:
+                scalar.append(reference_segment_of(sp, float(t)))
+            except ValueError:
+                scalar.append(None)
+        covered = [s is not None for s in scalar]
+        assert sp.covers(ts).tolist() == covered
+        for t, want in zip(ts, scalar):
+            if want is None:
+                with pytest.raises(ValueError):
+                    sp.segment_of(t)
+            else:
+                j, u = sp.segment_of(t)
+                assert (j, np.float64(u).tobytes()) == (want[0],
+                                                       np.float64(want[1]).tobytes())
+        if all(covered):
+            js, us = sp.segment_of(ts)
+            assert js.tolist() == [s[0] for s in scalar]
+            assert us.tobytes() == np.array([s[1] for s in scalar]).tobytes()
+            jw, ws = sp.weights(ts)
+            assert np.array_equal(jw, js) and ws.shape == (len(ts), 4)
+            vs = sp.velocity(ts)
+            assert vs.shape == (len(ts), 3)
+            for t, w, v in zip(ts, ws, vs):
+                assert w.tobytes() == sp.weights(t)[1].tobytes()
+                assert v.tobytes() == sp.velocity(t).tobytes()
+        else:
+            with pytest.raises(ValueError):
+                sp.segment_of(ts)
+            with pytest.raises(ValueError):
+                sp.weights(ts)
+            with pytest.raises(ValueError):
+                sp.velocity(ts)
+        inside = ts[np.array(covered)]
+        assert len(sp.segment_of(inside)[0]) == len(inside)
