@@ -129,6 +129,12 @@ def validate_config(cfg: PipelineConfig):
         ("depth.min_disparity", cfg.depth.min_disparity,
          cfg.depth.min_disparity <= cfg.depth.max_disparity,
          f"must not exceed depth.max_disparity={cfg.depth.max_disparity}"),
+        ("depth.value_scale", cfg.depth.value_scale,
+         cfg.depth.value_scale > 0, "must be positive"),
+        ("depth.min_valid_frac", cfg.depth.min_valid_frac,
+         0 < cfg.depth.min_valid_frac <= 1, "must be in (0, 1]"),
+        ("depth.score_min", cfg.depth.score_min,
+         0 <= cfg.depth.score_min <= 1, "must be in [0, 1]"),
         ("spline.knot_dt", cfg.spline.knot_dt, cfg.spline.knot_dt > 0,
          "must be positive"),
         ("sim.px_step", cfg.sim.px_step, cfg.sim.px_step > 0,

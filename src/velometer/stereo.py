@@ -14,12 +14,23 @@ timestamp ramp and hence disparity-ambiguous along single straight edges.
 The best integer disparity must clear an absolute score threshold and a
 ratio margin over the second-best peak, and is refined by a parabolic fit
 over the score triplet.
+
+The masked SSD is never formed as a difference volume. Invalid pixels carry
+the value 0, so with l, lm the left block's values and mask and r_d, rm_d
+those of the right block at disparity d,
+
+    SSD_d = sum rm_d l^2 - 2 sum l r_d + sum lm r_d^2,    n_d = sum lm rm_d,
+
+and each sum is a correlation of one left-block channel with one channel of
+the row strip that holds all D right blocks (Lewis, "Fast Normalized
+Cross-Correlation", 1995). One small matrix product per pixel gives it for
+every d at once, as the D diagonals of a Gram matrix.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
 from .config import DepthConfig
 from .geometry import StereoRig
@@ -79,12 +90,20 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
     - half through x - min_disparity + half. The right surface and its mask
     are padded on the left by max_disparity + half columns of 0.0 / False,
     so that strip is window [y - half, x] of the (B, B + D - 1) sliding-window
-    view of the padded surface; its B-wide sliding windows, reversed, are the
-    blocks at ascending disparity, and they stay views. One fancy index on
-    the two leading window axes copies a chunk of _CHUNK pixels; the joint
-    mask and the masked difference are written into two (chunk, D, B, B)
-    buffers allocated once per call. Disparities whose block leaves the
-    surface are infeasible and score -inf.
+    view of the padded surface. One fancy index on the two leading window
+    axes copies a chunk of _CHUNK pixels; the masks stay boolean images and
+    only their copies become floats.
+
+    Both blocks are first shifted by the mean of the left block's valid
+    values, which leaves every SSD unchanged but keeps the expansion's
+    terms small. Each term of the expansion is then the Gram matrix
+    block^T @ strip, (B, B + D - 1) per pixel, written into one buffer
+    allocated once per call; its diagonal at offset o sums the products
+    with the right block at strip offset o, which is disparity index
+    D - 1 - o. A strided view reads the diagonals, so the (D, B, B) volume
+    is never formed. An SSD at the rounding level of its terms is snapped
+    to 0, so an exact match scores exactly 1. Disparities whose block leaves
+    the surface are infeasible and score -inf.
 
     Returns (disparity, score, ok) arrays, one entry per reference pixel;
     `ok` is False where no acceptable, unambiguous peak exists.
@@ -111,34 +130,43 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
     rwin = sliding_window_view(np.pad(rv, pad), strip)      # (., ., B, B+D-1)
     rmwin = sliding_window_view(np.pad(rm, pad), strip)
 
-    both_buf = np.empty((_CHUNK, d, blk, blk), dtype=bool)
-    diff_buf = np.empty((_CHUNK, d, blk, blk))
+    # per pixel, the Gram matrices of (l^2, rm), (l, r), (lm, r^2), (lm, rm)
+    # and their D diagonals as a view: diag[t, k, o, c] = gram[t, k, c, o + c]
+    gram_buf = np.empty((4, _CHUNK) + strip)
+    st, sk, sr, sc = gram_buf.strides
+    diag_view = as_strided(gram_buf, (4, _CHUNK, d, blk), (st, sk, sc, sr + sc))
     scores = np.empty((k, d))
     for c0 in range(0, k, _CHUNK):
         cx = xs[c0:c0 + _CHUNK]
         cy = ys[c0:c0 + _CHUNK]
         kc = len(cx)
         top = cy - half
-        lpatch = lwin[top, cx - half][:, None]              # (K, 1, B, B)
-        lmask = lmwin[top, cx - half][:, None]
-        # (K, B, B+D-1) strips -> (K, D, B, B) views, rightmost block first
-        rpatch = sliding_window_view(rwin[top, cx], blk, axis=2)[:, :, ::-1]
-        rpatch = rpatch.transpose(0, 2, 1, 3)
-        rmask = sliding_window_view(rmwin[top, cx], blk, axis=2)[:, :, ::-1]
-        rmask = rmask.transpose(0, 2, 1, 3)
+        lpatch = lwin[top, cx - half]                       # (K, B, B)
+        lmask = lmwin[top, cx - half].astype(float)
+        rpatch = rwin[top, cx]                              # (K, B, B+D-1)
+        rmask = rmwin[top, cx].astype(float)
+        # shift the valid values of both by the left block's mean
+        mu = (lpatch.sum(axis=(1, 2))
+              / np.maximum(lmask.sum(axis=(1, 2)), 1.0))[:, None, None]
+        lpatch -= mu * lmask
+        rpatch -= mu * rmask
+        lpatch = lpatch.swapaxes(1, 2)                      # l^T
+        lmask = lmask.swapaxes(1, 2)
+        np.matmul(lpatch * lpatch, rmask, out=gram_buf[0, :kc])
+        np.matmul(lpatch, rpatch, out=gram_buf[1, :kc])
+        np.matmul(lmask, rpatch * rpatch, out=gram_buf[2, :kc])
+        np.matmul(lmask, rmask, out=gram_buf[3, :kc])
+        # diagonal o is the block at strip offset o, i.e. disparity index
+        # D - 1 - o: reverse to ascending disparity
+        lsq, cross, rsq, n = diag_view[:, :kc].sum(axis=3)[:, :, ::-1]
+        ssd = lsq - 2.0 * cross + rsq
+        # exact matches cancel only to rounding, maybe below 0: snap to 0
+        ssd[ssd <= 64 * np.finfo(float).eps * (lsq + rsq)] = 0.0
         rx = cx[:, None] - disps[None, :]
         feasible = (rx - half >= 0) & (rx + half <= right.width - 1)
-
-        both = np.logical_and(lmask, rmask, out=both_buf[:kc])
-        diff = np.subtract(lpatch, rpatch, out=diff_buf[:kc])
-        np.multiply(diff, both, out=diff)
-        both = both.reshape(kc, d, block_px)
-        diff = diff.reshape(kc, d, block_px)
-        n = np.count_nonzero(both, axis=2)
         enough = (n >= cfg.min_valid_frac * block_px) & feasible & (n >= 4)
 
-        nf = np.maximum(n, 1).astype(float)
-        rmse = np.sqrt(np.einsum("kdp,kdp->kd", diff, diff) / nf)
+        rmse = np.sqrt(ssd / np.maximum(n, 1.0))
         scores[c0:c0 + _CHUNK] = np.where(enough, np.exp(-rmse / cfg.value_scale),
                                           -np.inf)
 

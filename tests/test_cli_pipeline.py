@@ -130,17 +130,19 @@ class TestEstimateCli:
 
     def test_config_checked_before_inputs_are_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
-        rc = main(["estimate",
-                   "--events-left", missing,
-                   "--events-right", missing,
-                   "--imu", missing,
-                   "--calib", missing,
-                   "--config", "flow.batch_size=0",
-                   "--out", str(tmp_path / "v.csv")])
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert "flow.batch_size" in err
-        assert "missing.csv" not in err
+        # depth.value_scale=0 would make every match score NaN and drop it
+        for key in ("flow.batch_size", "depth.value_scale"):
+            rc = main(["estimate",
+                       "--events-left", missing,
+                       "--events-right", missing,
+                       "--imu", missing,
+                       "--calib", missing,
+                       "--config", f"{key}=0",
+                       "--out", str(tmp_path / "v.csv")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert key in err
+            assert "missing.csv" not in err
 
     def test_config_override_changes_behavior(self, dataset, tmp_path):
         vel = tmp_path / "v.csv"

@@ -207,6 +207,12 @@ class TestConfigOverrides:
         ("depth.block", "16"),
         ("depth.min_disparity", "49"),
         ("depth.min_disparity", "0"),
+        ("depth.value_scale", "0"),
+        ("depth.value_scale", "-0.15"),
+        ("depth.min_valid_frac", "0"),
+        ("depth.min_valid_frac", "1.5"),
+        ("depth.score_min", "-0.1"),
+        ("depth.score_min", "1.5"),
         ("spline.knot_dt", "0"),
         ("sim.px_step", "0"),
         ("sim.contrast_threshold", "0"),

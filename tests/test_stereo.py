@@ -110,6 +110,18 @@ class TestMatchBlock:
         assert a is not None and b is not None
         assert abs(a.disparity - b.disparity) < 1e-9
 
+    def test_exact_copy_matches_exactly(self):
+        # the Gram expansion of the SSD cancels to rounding on an exact
+        # copy; the score must still be 1 and the disparity unrefined
+        left = textured_surface()
+        right = shifted_copy(left, 10)
+        ys, xs = np.mgrid[8:112:6, 8:192:6]
+        disp, score, ok = match_blocks(left, right, xs.ravel(), ys.ravel(),
+                                       (0.0, 1.0), DepthConfig())
+        assert ok.sum() >= 0.9 * len(ok)
+        assert np.all(disp[ok] == 10.0)
+        assert np.all(score[ok] == 1.0)
+
     def test_score_min_monotonicity(self):
         left = textured_surface(seed=4)
         right = shifted_copy(left, 8)
@@ -191,15 +203,25 @@ def with_holes(ts, frac, seed):
 
 
 class TestStripGather:
-    """match_blocks must equal the per-disparity gather bit for bit."""
+    """match_blocks must agree with the per-disparity gather.
+
+    The Gram scores sum in another order than the difference volume, so
+    disparity and score may differ by rounding. The valid-pixel counts are
+    sums of 0/1 products, exact in float64, so `ok` and the pixels without
+    any scorable disparity (best score -inf, returned as 0) must be equal.
+    """
 
     def assert_same(self, left, right, xs, ys, cfg, window=(0.0, 1.0)):
         xs, ys = np.asarray(xs), np.asarray(ys)
-        got = match_blocks(left, right, xs, ys, window, cfg)
-        want = reference_match_blocks(left, right, xs, ys, window, cfg)
-        for g, w in zip(got, want):
-            assert g.shape == w.shape == (len(xs),)
-            assert np.array_equal(g, w)
+        disp, score, ok = got = match_blocks(left, right, xs, ys, window, cfg)
+        want_disp, want_score, want_ok = reference_match_blocks(
+            left, right, xs, ys, window, cfg)
+        for g in got:
+            assert g.shape == (len(xs),)
+        assert np.array_equal(ok, want_ok)
+        assert np.array_equal(score == 0.0, want_score == 0.0)
+        assert np.allclose(disp, want_disp, rtol=0.0, atol=1e-9)
+        assert np.allclose(score, want_score, rtol=0.0, atol=1e-9)
         return got
 
     def test_holes_in_both_masks(self):
@@ -264,6 +286,18 @@ class TestStripGather:
         disp, _, ok = self.assert_same(left, right, xs, ys, cfg)
         assert np.sum(np.abs(disp[ok] - 4.0) < 0.5) >= 0.5 * len(xs)
 
+    def test_simulated_tilted_edges(self, tilted_edge_pair):
+        # real time-surface holes: each camera stamps only where an edge
+        # passed during the batch
+        flows, left, right, window, _ = tilted_edge_pair
+        cfg = DepthConfig()
+        half = cfg.block // 2
+        inside = ((flows.x >= half) & (flows.x < left.width - half)
+                  & (flows.y >= half) & (flows.y < left.height - half))
+        _, _, ok = self.assert_same(left, right, flows.x[inside],
+                                    flows.y[inside], cfg, window)
+        assert 0 < ok.sum() < inside.sum()
+
     def test_surface_one_block_larger_than_window(self):
         # one block wider than the right strip and two blocks tall, so the
         # window views have few positions and every pixel is near a border
@@ -314,31 +348,39 @@ class TestAssociate:
         assert o_noisy.weight[0] < o_clean.weight[0]
 
 
+@pytest.fixture(scope="module")
+def tilted_edge_pair():
+    """Flows of one batch of three tilted edges at 2 m, with both cameras'
+    combined time surfaces and the batch window."""
+    cfg = SimConfig(jitter_std=0.0, spurious_rate=0.0)
+    rig = default_rig(cfg)
+    traj = StraightTrajectory(np.zeros(3), np.array([0.6, 0.0, 0.0]),
+                              np.eye(3), 1.0)
+    scene = tilted_edge_scene(depth=2.0, tilt_deg=25.0, length=2.5,
+                              contrast=0.5, n_edges=3, spacing=0.8)
+    ev_l, ev_r = generate_stereo_events(scene, traj, rig, cfg,
+                                        np.random.default_rng(0))
+    assert len(ev_l) > 5000 and len(ev_r) > 5000
+    fcfg = FlowConfig(batch_size=min(len(ev_l), 20000) - 1)
+    left_pair = SurfacePair.create(cfg.width, cfg.height)
+    right_pair = SurfacePair.create(cfg.width, cfg.height)
+    batch = batch_by_count(ev_l, fcfg.batch_size)[0]
+    left_pair.update(batch)
+    hi = int(np.searchsorted(ev_r["t"], batch.t_end, side="right"))
+    chunk = ev_r[:hi]
+    right_batch = EventBatch(chunk, float(chunk["t"][0]),
+                             max(float(chunk["t"][-1]), batch.t_end))
+    right_pair.update(right_batch)
+    flows = process_batch(batch, left_pair, fcfg)
+    return (flows, left_pair.combined(), right_pair.combined(),
+            (batch.t_start, batch.t_end), rig)
+
+
 class TestSimulatedDepth:
-    def test_edge_depth_within_five_percent(self):
-        cfg = SimConfig(jitter_std=0.0, spurious_rate=0.0)
-        rig = default_rig(cfg)
-        traj = StraightTrajectory(np.zeros(3), np.array([0.6, 0.0, 0.0]),
-                                  np.eye(3), 1.0)
-        scene = tilted_edge_scene(depth=2.0, tilt_deg=25.0, length=2.5,
-                                  contrast=0.5, n_edges=3, spacing=0.8)
-        ev_l, ev_r = generate_stereo_events(scene, traj, rig, cfg,
-                                            np.random.default_rng(0))
-        assert len(ev_l) > 5000 and len(ev_r) > 5000
-        fcfg = FlowConfig(batch_size=min(len(ev_l), 20000) - 1)
-        left_pair = SurfacePair.create(cfg.width, cfg.height)
-        right_pair = SurfacePair.create(cfg.width, cfg.height)
-        batch = batch_by_count(ev_l, fcfg.batch_size)[0]
-        left_pair.update(batch)
-        hi = int(np.searchsorted(ev_r["t"], batch.t_end, side="right"))
-        chunk = ev_r[:hi]
-        right_batch = EventBatch(chunk, float(chunk["t"][0]),
-                                 max(float(chunk["t"][-1]), batch.t_end))
-        right_pair.update(right_batch)
-        flows = process_batch(batch, left_pair, fcfg)
+    def test_edge_depth_within_five_percent(self, tilted_edge_pair):
+        flows, left, right, window, rig = tilted_edge_pair
         assert len(flows) > 30
-        obs = associate(flows, left_pair.combined(), right_pair.combined(),
-                        (batch.t_start, batch.t_end), rig)
+        obs = associate(flows, left, right, window, rig)
         assert len(obs) >= 0.3 * len(flows)
         good = np.sum(np.abs(obs.depth - 2.0) / 2.0 < 0.05)
         assert good >= 0.8 * len(obs)
