@@ -135,6 +135,16 @@ def validate_config(cfg: PipelineConfig):
          0 < cfg.depth.min_valid_frac <= 1, "must be in (0, 1]"),
         ("depth.score_min", cfg.depth.score_min,
          0 <= cfg.depth.score_min <= 1, "must be in [0, 1]"),
+        ("imu.rate_hz", cfg.imu.rate_hz, cfg.imu.rate_hz > 0,
+         "must be positive"),
+        ("imu.preint_dt", cfg.imu.preint_dt, cfg.imu.preint_dt > 0,
+         "must be positive"),
+        ("imu.max_gap_factor", cfg.imu.max_gap_factor,
+         cfg.imu.max_gap_factor > 0, "must be positive"),
+        ("imu.acc_noise", cfg.imu.acc_noise, cfg.imu.acc_noise >= 0,
+         "must not be negative"),
+        ("imu.gyro_noise", cfg.imu.gyro_noise, cfg.imu.gyro_noise >= 0,
+         "must not be negative"),
         ("spline.knot_dt", cfg.spline.knot_dt, cfg.spline.knot_dt > 0,
          "must be positive"),
         ("sim.px_step", cfg.sim.px_step, cfg.sim.px_step > 0,

@@ -207,7 +207,7 @@ class Estimator:
                                BlockIndex.of(np.empty((0, 15), int), size))
         counts = np.array([len(b) for b in batches])
         j, w = sp.weights(np.array([b.t for b in batches]))
-        gyro = np.stack([self.imu.interp_gyro(b.t) for b in batches])
+        gyro = self.imu.interp_gyro([b.t for b in batches])
 
         def rows(field):
             return np.concatenate([getattr(b, field) for b in batches])
@@ -504,12 +504,12 @@ class Estimator:
             return
         t0, t1 = np.array(spans).T
         segs, _ = self.spline.segment_of(0.5 * (t0 + t1))
-        for a, b, seg in zip(t0, t1, segs):
-            self.preints.append(preintegrate(self.imu, a, b,
-                                             self.spline.biases[seg],
-                                             self.cfg.imu))
-            self.last_preint_end = b
-            self.report.imu_intervals += 1
+        # one call for all new intervals; if it raises, nothing is appended
+        pre = preintegrate(self.imu, t0, t1, self.spline.biases[segs],
+                           self.cfg.imu)
+        self.preints.extend(pre[i] for i in range(len(spans)))
+        self.last_preint_end = t1[-1]
+        self.report.imu_intervals += len(spans)
 
     def _emit_velocity(self, t_to):
         hz = self.cfg.estimator.output_hz

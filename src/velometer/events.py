@@ -98,13 +98,29 @@ class ImuData:
             i1 += 1
         return ImuData(self.t[i0:i1], self.accel[i0:i1], self.gyro[i0:i1])
 
+    def _interp(self, values, t):
+        """Linear interpolation of the columns of `values` at time t, or one
+        row per time of an array t; each row equals the scalar call.
+
+        Only the samples from the last one at or before min(t) to the one
+        after the last at or before max(t) are read, so the cost does not
+        grow with the stream; np.interp brackets each time by the same two
+        samples in that span as in the whole stream.
+        """
+        t = np.asarray(t, dtype=float)
+        outside = (t < self.t[0]) | (t > self.t[-1])
+        if np.any(outside):
+            raise ValueError(f"time {np.ravel(t)[np.argmax(outside)]} "
+                             "outside IMU coverage")
+        lo = max(np.searchsorted(self.t, t.min(), side="right") - 1, 0)
+        hi = np.searchsorted(self.t, t.max(), side="right") + 1
+        ts = self.t[lo:hi]
+        return np.stack([np.interp(t, ts, values[lo:hi, k]) for k in range(3)],
+                        axis=-1)
+
     def interp_gyro(self, t):
-        """Linear interpolation of the raw gyro at time t."""
-        if t < self.t[0] or t > self.t[-1]:
-            raise ValueError(f"time {t} outside IMU coverage")
-        return np.array([np.interp(t, self.t, self.gyro[:, k]) for k in range(3)])
+        """Linear interpolation of the raw gyro at time t (or times)."""
+        return self._interp(self.gyro, t)
 
     def interp_accel(self, t):
-        if t < self.t[0] or t > self.t[-1]:
-            raise ValueError(f"time {t} outside IMU coverage")
-        return np.array([np.interp(t, self.t, self.accel[:, k]) for k in range(3)])
+        return self._interp(self.accel, t)

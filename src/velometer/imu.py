@@ -14,6 +14,14 @@ standard deviations of the accelerometer and the gyro (the gyro enters
 through the rotation error). Bias random walk is handled by the estimator
 (biases are explicit states), not here. A bias is one row [accel | gyro] of
 six numbers.
+
+`preintegrate` takes N intervals at once. Their samples are gathered into
+one (N, M) stack: inner samples by searchsorted, interpolated ends by one
+np.interp per axis, and short rows padded by repeating their last sample.
+A single loop over the sample index then advances the rotation, the
+rotation-vector Jacobian and the covariance of all N intervals together;
+padded and zero-length steps leave their interval unchanged. Everything
+that does not recurse is computed over the whole (N, M) stack.
 """
 
 from dataclasses import dataclass, fields
@@ -33,7 +41,8 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class Preintegration:
-    """One interval; `stack` gives every field a leading interval axis."""
+    """One interval, or N stacked with a leading interval axis on every
+    field (from `preintegrate` of arrays, or `stack`); `pre[i]` is one."""
 
     t0: float
     t1: float
@@ -49,6 +58,11 @@ class Preintegration:
     def stack(cls, preints):
         return cls(**{f.name: np.array([getattr(p, f.name) for p in preints])
                       for f in fields(cls)})
+
+    def __getitem__(self, i):
+        """Interval i of a stacked Preintegration, in the one-interval form."""
+        return Preintegration(**{f.name: getattr(self, f.name)[i]
+                                 for f in fields(self)})
 
     @property
     def dt(self):
@@ -66,90 +80,134 @@ class Preintegration:
         return dv, dq, phi
 
 
-def _with_boundary_samples(imu: ImuData, t0, t1, max_gap):
-    """Samples covering [t0, t1], with interpolated endpoints when needed."""
-    if t0 < imu.t[0] - 1e-9 or t1 > imu.t[-1] + 1e-9:
-        raise IntegrationError(f"IMU data does not cover [{t0}, {t1}]")
-    inner = imu.slice(t0, t1)
-    ts = list(inner.t)
-    acc = list(inner.accel)
-    gyr = list(inner.gyro)
-    if not ts or ts[0] > t0 + 1e-12:
-        ts.insert(0, t0)
-        acc.insert(0, imu.interp_accel(max(t0, imu.t[0])))
-        gyr.insert(0, imu.interp_gyro(max(t0, imu.t[0])))
-    if ts[-1] < t1 - 1e-12:
-        ts.append(t1)
-        acc.append(imu.interp_accel(min(t1, imu.t[-1])))
-        gyr.append(imu.interp_gyro(min(t1, imu.t[-1])))
-    ts = np.asarray(ts)
-    gaps = np.diff(ts)
-    if len(gaps) == 0:
+def _gather(imu: ImuData, t0, t1, max_gap):
+    """Samples of N intervals [t0, t1] at once: times (N, M), accel and gyro
+    (N, M, 3).
+
+    Row n holds the samples inside [t0[n], t1[n]] (ImuData.slice), plus an
+    interpolated sample at an end that no sample lies within 1e-12 s of.
+    A row with fewer than M samples repeats its last one, so its padded
+    steps have dt == 0.
+    """
+    ts = imu.t
+    uncovered = (t0 < ts[0] - 1e-9) | (t1 > ts[-1] + 1e-9)
+    if np.any(uncovered):
+        i = np.argmax(uncovered)
+        raise IntegrationError(f"IMU data does not cover [{t0[i]}, {t1[i]}]")
+    last = len(ts) - 1
+    i0 = np.searchsorted(ts, t0, side="left")
+    i1 = np.searchsorted(ts, t1, side="left")
+    # a sample exactly at t1 belongs to the interval, as in ImuData.slice
+    i1 += (i1 <= last) & (ts[np.minimum(i1, last)] == t1)
+    inner = i1 - i0
+    head = (inner == 0) | (ts[np.minimum(i0, last)] > t0 + 1e-12)
+    tail = np.where(inner > 0, ts[np.maximum(i1 - 1, 0)], t0) < t1 - 1e-12
+    count = head + inner + tail
+    if np.any(count < 2):
         raise IntegrationError("need at least two samples to integrate")
-    if gaps.max() > max_gap:
+
+    # sample k of row n, as a row of [the samples lo..hi-1 that the rows
+    # read | t0 ends | t1 ends]; nothing outside that span is copied
+    lo, hi = i0.min(), i1.max()
+    n, span = len(t0), hi - lo
+    k = np.minimum(np.arange(count.max()), count[:, None] - 1)
+    src = np.where(k < head[:, None], span + np.arange(n)[:, None],
+                   np.where(k < (head + inner)[:, None],
+                            (i0 - head - lo)[:, None] + k,
+                            span + n + np.arange(n)[:, None]))
+    # an end within the coverage slack outside the stream takes its edge reading
+    ends = np.clip(np.concatenate([t0, t1]), ts[0], ts[-1])
+    times = np.concatenate([ts[lo:hi], t0, t1])[src]
+    gaps = np.diff(times, axis=1).max(axis=1)
+    if np.any(gaps > max_gap):
         raise IntegrationError(f"sample gap {gaps.max():.4f}s exceeds {max_gap:.4f}s")
-    return ts, np.asarray(acc), np.asarray(gyr)
+    return (times,
+            np.concatenate([imu.accel[lo:hi], imu.interp_accel(ends)])[src],
+            np.concatenate([imu.gyro[lo:hi], imu.interp_gyro(ends)])[src])
 
 
-def preintegrate(imu: ImuData, t0: float, t1: float, bias,
+def preintegrate(imu: ImuData, t0, t1, bias,
                  cfg: ImuConfig = None) -> Preintegration:
-    """Midpoint integration of the IMU over [t0, t1] at a bias row."""
-    cfg = cfg or ImuConfig()
-    if t1 <= t0:
-        raise IntegrationError("interval must have positive duration")
-    max_gap = cfg.max_gap_factor / cfg.rate_hz
-    ts, acc, gyr = _with_boundary_samples(imu, t0, t1, max_gap)
-    bias = np.array(bias, dtype=float)
+    """Midpoint integration of the IMU over the intervals [t0, t1].
 
-    # per-step terms that do not depend on the running rotation
-    dts = np.diff(ts)
-    w_step = (0.5 * (gyr[:-1] + gyr[1:]) - bias[3:]) * dts[:, None]
+    t0, t1 (N,) and bias rows (N, 6) give a stacked Preintegration; scalar
+    ends and one bias row give the one-interval form. All N intervals
+    advance together, one sample step per pass; a step with dt <= 0 (a
+    repeated timestamp, or padding after a row's last sample) leaves its
+    interval unchanged.
+    """
+    cfg = cfg or ImuConfig()
+    scalar = np.ndim(t0) == 0
+    t0 = np.atleast_1d(np.asarray(t0, dtype=float))
+    t1 = np.atleast_1d(np.asarray(t1, dtype=float))
+    if np.any(t1 <= t0):
+        raise IntegrationError("interval must have positive duration")
+    bias = np.array(bias, dtype=float).reshape(len(t0), 6)
+    ts, acc, gyr = _gather(imu, t0, t1, cfg.max_gap_factor / cfg.rate_hz)
+    n, m = ts.shape
+
+    # per-step terms that do not depend on the running rotation, (N, M - 1)
+    dts = np.diff(ts, axis=1)
+    live = dts > 0
+    dt = dts[..., None, None]
+    w_step = (0.5 * (gyr[:, :-1] + gyr[:, 1:]) - bias[:, None, 3:]) * dts[..., None]
     q_steps = quat_from_rotvec(w_step)
-    step_rots_t = np.swapaxes(quat_to_matrix(q_steps), 1, 2)
-    jrs = right_jacobian_so3(w_step)
-    acc = acc - bias[:3]
+    step_rots_t = np.swapaxes(quat_to_matrix(q_steps), -1, -2)
+    g_w = right_jacobian_so3(w_step) * dt
+    acc = acc - bias[:, None, :3]
     acc_hats = hat(acc)
 
-    q = quat_identity()
-    dv = np.zeros(3)
-    j_dv_ba = np.zeros((3, 3))
-    j_dv_bw = np.zeros((3, 3))
-    j_phi_bw = np.zeros((3, 3))
-    cov6 = np.zeros((6, 6))          # error state [rotation, delta_v]
-    var_a = cfg.acc_noise ** 2
-    var_w = cfg.gyro_noise ** 2
-    r1 = quat_to_matrix(q)
+    # the two recursions: the rotation at each sample, and the rotation
+    # vector's gyro-bias Jacobian
+    qs = np.empty((n, m, 4))
+    qs[:, 0] = quat_identity()
+    j_phi_bw = np.zeros((n, m, 3, 3))
+    for k in range(m - 1):
+        on = live[:, k]
+        qs[:, k + 1] = np.where(on[:, None],
+                                quat_normalize(quat_mul(qs[:, k], q_steps[:, k])),
+                                qs[:, k])
+        j_phi_bw[:, k + 1] = np.where(
+            on[:, None, None], step_rots_t[:, k] @ j_phi_bw[:, k] - g_w[:, k],
+            j_phi_bw[:, k])
+    # contiguous, so that its products round as the one-interval ones do
+    rots = np.ascontiguousarray(quat_to_matrix(qs))
+    r0, r1 = rots[:, :-1], rots[:, 1:]
+    ra0 = r0 @ acc_hats[:, :-1]
+    ra1 = r1 @ acc_hats[:, 1:]
 
-    for k, dt in enumerate(dts):
-        if dt <= 0:
-            continue
-        q = quat_normalize(quat_mul(q, q_steps[k]))
-        r0, r1 = r1, quat_to_matrix(q)
+    def total(steps):
+        """Sum over the steps of each interval in step order, as the
+        recursion adds them (cumsum; a pairwise sum rounds differently).
+        Every step term carries a factor dt, so a dt == 0 step adds zero."""
+        return np.cumsum(steps, axis=1)[:, -1]
 
-        dv += 0.5 * (r0 @ acc[k] + r1 @ acc[k + 1]) * dt
+    dv = total(0.5 * (np.matvec(r0, acc[:, :-1]) + np.matvec(r1, acc[:, 1:]))
+               * dts[..., None])
+    g_a = 0.5 * (r0 + r1) * dt
+    # bias Jacobians (first order, midpoint-consistent)
+    j_dv_ba = -total(g_a)
+    j_dv_bw = total(-0.5 * (ra0 @ j_phi_bw[:, :-1] + ra1 @ j_phi_bw[:, 1:]) * dt)
 
-        # bias Jacobians (first order, midpoint-consistent)
-        j_phi_bw_next = step_rots_t[k] @ j_phi_bw - jrs[k] * dt
-        j_dv_ba += -0.5 * (r0 + r1) * dt
-        j_dv_bw += -0.5 * (r0 @ acc_hats[k] @ j_phi_bw
-                           + r1 @ acc_hats[k + 1] @ j_phi_bw_next) * dt
+    # covariance: d(phi)' = A d(phi) + noise, d(dv)' += coupling * d(phi)
+    f = np.zeros(dts.shape + (6, 6))
+    f[..., :3, :3] = step_rots_t
+    f[..., 3:, :3] = -0.5 * (ra0 + ra1 @ step_rots_t) * dt
+    f[..., 3:, 3:] = np.eye(3)
+    q_noise = np.zeros_like(f)
+    q_noise[..., :3, :3] = cfg.gyro_noise ** 2 * (g_w @ np.swapaxes(g_w, -1, -2))
+    q_noise[..., 3:, 3:] = cfg.acc_noise ** 2 * (g_a @ np.swapaxes(g_a, -1, -2))
+    f_t = np.swapaxes(f, -1, -2)
+    cov6 = np.zeros((n, 6, 6))          # error state [rotation, delta_v]
+    for k in range(m - 1):
+        cov6 = np.where(live[:, k, None, None],
+                        f[:, k] @ cov6 @ f_t[:, k] + q_noise[:, k], cov6)
 
-        # covariance: d(phi)' = A d(phi) + noise, d(dv)' += coupling * d(phi)
-        f = np.eye(6)
-        f[:3, :3] = step_rots_t[k]
-        f[3:, :3] = -0.5 * (r0 @ acc_hats[k] + r1 @ acc_hats[k + 1] @ step_rots_t[k]) * dt
-        g_w = jrs[k] * dt
-        g_a = 0.5 * (r0 + r1) * dt
-        q_noise = np.zeros((6, 6))
-        q_noise[:3, :3] = var_w * (g_w @ g_w.T)
-        q_noise[3:, 3:] = var_a * (g_a @ g_a.T)
-        cov6 = f @ cov6 @ f.T + q_noise
-        j_phi_bw = j_phi_bw_next
-
-    return Preintegration(t0=float(t0), t1=float(t1), delta_v=dv,
-                          delta_q=q, cov=cov6[3:, 3:].copy(), bias_ref=bias,
-                          jac_dv_ba=j_dv_ba, jac_dv_bw=j_dv_bw,
-                          jac_dq_bw=j_phi_bw)
+    pre = Preintegration(t0=t0, t1=t1, delta_v=dv, delta_q=qs[:, -1],
+                         cov=cov6[:, 3:, 3:].copy(), bias_ref=bias,
+                         jac_dv_ba=j_dv_ba, jac_dv_bw=j_dv_bw,
+                         jac_dq_bw=j_phi_bw[:, -1])
+    return pre[0] if scalar else pre
 
 
 def predicted_velocity_increment(pre: Preintegration, v_start, v_end, g_body_start):

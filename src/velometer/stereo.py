@@ -49,10 +49,12 @@ class DepthEstimate:
     score: float        # match confidence in [0, 1]
 
 
-def _normalize(surface: TimeSurface, window):
+def _normalize(surface: TimeSurface, window, rows=slice(None)):
+    """Window-normalized stamps of the rows `rows`, 0 where invalid, and
+    their valid mask."""
     t0, t1 = window
-    valid = surface.valid_mask(t0, t1)
-    vals = np.where(valid, (surface.stamps - t0) / (t1 - t0), 0.0)
+    valid = surface.valid_mask(t0, t1, rows)
+    vals = np.where(valid, (surface.stamps[rows] - t0) / (t1 - t0), 0.0)
     return vals, valid
 
 
@@ -83,14 +85,17 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
     Every pixel's block must fit inside the surface (half <= x < width - half
     and half <= y < height - half); otherwise ValueError.
 
-    Blocks are read from strided window views, never from gathered index
-    tensors. The left block of (x, y) is window [y - half, x - half] of the
-    (B, B) sliding-window view of the left surface. The right blocks of all
-    D disparities of a pixel lie in one row strip, columns x - max_disparity
-    - half through x - min_disparity + half. The right surface and its mask
-    are padded on the left by max_disparity + half columns of 0.0 / False,
-    so that strip is window [y - half, x] of the (B, B + D - 1) sliding-window
-    view of the padded surface. One fancy index on the two leading window
+    Only the band of rows the blocks read, min(ys) - half through
+    max(ys) + half, is normalized and padded; row y is row y - min(ys) +
+    half of the band. Blocks are read from strided window views, never
+    from gathered index tensors. The left block of (x, y) is window
+    [y - half, x - half] (in band rows) of the (B, B) sliding-window view
+    of the left band. The right blocks of all D disparities of a pixel lie
+    in one row strip, columns x - max_disparity - half through
+    x - min_disparity + half. The right band and its mask are padded on the
+    left by max_disparity + half columns of 0.0 / False, so that strip is
+    window [y - half, x] of the (B, B + D - 1) sliding-window view of the
+    padded band. One fancy index on the two leading window
     axes copies a chunk of _CHUNK pixels; the masks stay boolean images and
     only their copies become floats.
 
@@ -115,9 +120,13 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
         i = int(np.argmin(inside))
         raise ValueError(f"pixel ({xs[i]}, {ys[i]}) too close to the border "
                          f"for a {cfg.block}x{cfg.block} block")
-    lv, lm = _normalize(left, window)
-    rv, rm = _normalize(right, window)
     k = len(xs)
+    if k == 0:
+        return np.empty(0), np.empty(0), np.zeros(0, dtype=bool)
+    # only the row band the blocks read is normalized and padded
+    band = slice(int(ys.min()) - half, int(ys.max()) + half + 1)
+    lv, lm = _normalize(left, window, band)
+    rv, rm = _normalize(right, window, band)
     disps = np.arange(cfg.min_disparity, cfg.max_disparity + 1)
     d = len(disps)
     blk = cfg.block
@@ -140,7 +149,7 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
         cx = xs[c0:c0 + _CHUNK]
         cy = ys[c0:c0 + _CHUNK]
         kc = len(cx)
-        top = cy - half
+        top = cy - half - band.start
         lpatch = lwin[top, cx - half]                       # (K, B, B)
         lmask = lmwin[top, cx - half].astype(float)
         rpatch = rwin[top, cx]                              # (K, B, B+D-1)

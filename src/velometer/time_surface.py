@@ -26,9 +26,10 @@ class TimeSurface:
         ts.stamps = self.stamps.copy()
         return ts
 
-    def valid_mask(self, t0, t1):
-        """Pixels whose latest stamp falls within [t0, t1]."""
-        return (self.stamps >= t0) & (self.stamps <= t1)
+    def valid_mask(self, t0, t1, rows=slice(None)):
+        """Pixels (of the rows `rows`) whose latest stamp falls within [t0, t1]."""
+        stamps = self.stamps[rows]
+        return (stamps >= t0) & (stamps <= t1)
 
 
 def _latest_per_pixel(events, width, height):

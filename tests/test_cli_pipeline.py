@@ -130,8 +130,9 @@ class TestEstimateCli:
 
     def test_config_checked_before_inputs_are_read(self, tmp_path, capsys):
         missing = str(tmp_path / "missing.csv")
-        # depth.value_scale=0 would make every match score NaN and drop it
-        for key in ("flow.batch_size", "depth.value_scale"):
+        # depth.value_scale=0 would make every match score NaN and drop it;
+        # imu.preint_dt=0 would make split_intervals loop forever
+        for key in ("flow.batch_size", "depth.value_scale", "imu.preint_dt"):
             rc = main(["estimate",
                        "--events-left", missing,
                        "--events-right", missing,

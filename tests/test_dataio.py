@@ -213,6 +213,13 @@ class TestConfigOverrides:
         ("depth.min_valid_frac", "1.5"),
         ("depth.score_min", "-0.1"),
         ("depth.score_min", "1.5"),
+        ("imu.rate_hz", "0"),
+        ("imu.rate_hz", "-200"),
+        ("imu.preint_dt", "0"),
+        ("imu.preint_dt", "-0.03"),
+        ("imu.max_gap_factor", "0"),
+        ("imu.acc_noise", "-1e-3"),
+        ("imu.gyro_noise", "-1e-4"),
         ("spline.knot_dt", "0"),
         ("sim.px_step", "0"),
         ("sim.contrast_threshold", "0"),

@@ -7,7 +7,8 @@ from velometer.config import PipelineConfig
 from velometer.estimator import DV_STD_FLOOR, Estimator, huber_weights
 from velometer.events import ImuData, SequencingError
 from velometer.geometry import flow_rows
-from velometer.imu import preintegrate
+import velometer.estimator
+from velometer.imu import IntegrationError, preintegrate
 from velometer.normal_flow import FlowBatch
 from velometer.rotations import (hat, matrix_to_quat, quat_from_rotvec,
                                  quat_mul, quat_normalize, quat_to_matrix,
@@ -620,6 +621,57 @@ class TestStep:
         obs = exact_observations(scene, traj, rig, 0.3, count=40)
         est.step(obs, 0.3)
         assert est.status == "tracking"
+
+
+class TestExtendPreints:
+    def test_one_call_for_all_new_intervals(self, monkeypatch):
+        # the intervals of one extension are integrated by one call of the
+        # name the estimator module holds, and each kept row equals its
+        # own one-interval call
+        cfg, rig, traj, _ = make_setup(duration=0.8)
+        est = estimator_with_truth(cfg, rig, traj, 0.8)
+        random_biases(est, np.random.default_rng(8), 1e-2, 1e-3)
+        calls = []
+
+        def counting(imu, t0, t1, bias, cfg=None):
+            calls.append(len(t0))
+            return preintegrate(imu, t0, t1, bias, cfg)
+
+        monkeypatch.setattr(velometer.estimator, "preintegrate", counting)
+        est._extend_preints(0.7)
+        assert calls == [len(est.preints)] and len(est.preints) > 7
+        assert est.report.imu_intervals == len(est.preints)
+        assert est.last_preint_end == est.preints[-1].t1 == 0.7
+        for pre in est.preints:
+            seg, _ = est.spline.segment_of(0.5 * (pre.t0 + pre.t1))
+            one = preintegrate(est.imu, pre.t0, pre.t1, est.spline.biases[seg],
+                               cfg.imu)
+            np.testing.assert_array_equal(pre.bias_ref, one.bias_ref)
+            for name in ("delta_v", "delta_q", "cov", "jac_dv_ba",
+                         "jac_dv_bw", "jac_dq_bw"):
+                want = getattr(one, name)
+                np.testing.assert_allclose(getattr(pre, name), want, rtol=1e-12,
+                                           atol=1e-12 * np.abs(want).max())
+
+    @pytest.mark.parametrize("fault", ["gap", "uncovered"])
+    def test_failing_extension_appends_nothing(self, fault):
+        # a sample gap at 0.50-0.53 s, or IMU data that ends at 0.6 s: the
+        # intervals before the bad one must not enter the window either
+        cfg, rig, traj, _ = make_setup(duration=0.8)
+        est = estimator_with_truth(cfg, rig, traj, 0.8)
+        full = est.imu
+        keep = ((full.t < 0.5) | (full.t > 0.53) if fault == "gap"
+                else full.t <= 0.6)
+        est.imu = ImuData(full.t[keep], full.accel[keep], full.gyro[keep])
+        with pytest.raises(IntegrationError):
+            est._extend_preints(0.7)
+        assert est.preints == []
+        assert est.last_preint_end == 0.0
+        assert est.report.imu_intervals == 0
+        # with the data repaired the same span integrates from its start
+        est.imu = full
+        est._extend_preints(0.7)
+        assert est.preints[0].t0 == 0.0 and est.last_preint_end == 0.7
 
 
 class TestWindowBoundary:

@@ -1,5 +1,10 @@
+import tracemalloc
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velometer.config import ImuConfig
 from velometer.events import ImuData
@@ -7,8 +12,9 @@ from velometer.imu import (IntegrationError, OrientationTrack,
                            Preintegration, predicted_velocity_increment,
                            preintegrate, propagate_velocity_world,
                            split_intervals)
-from velometer.rotations import (exp_so3, quat_from_rotvec, quat_identity,
-                                 quat_mul, quat_normalize, quat_to_matrix,
+from velometer.rotations import (exp_so3, hat, quat_from_rotvec,
+                                 quat_identity, quat_mul, quat_normalize,
+                                 quat_to_matrix, right_jacobian_so3,
                                  rotation_angle)
 from velometer.simulator import generate_imu, make_trajectory
 
@@ -135,6 +141,284 @@ class TestPreintegrate:
                 r_pred = quat_to_matrix(dq_pred)
                 r_true = quat_to_matrix(pre_b.delta_q)
                 assert rotation_angle(r_pred.T @ r_true) < 1e-7
+
+
+def reference_boundary_samples(imu, t0, t1, max_gap):
+    """Samples covering [t0, t1] of one interval, with interpolated
+    endpoints when needed, as the one-interval loop gathered them."""
+    if t0 < imu.t[0] - 1e-9 or t1 > imu.t[-1] + 1e-9:
+        raise IntegrationError(f"IMU data does not cover [{t0}, {t1}]")
+    inner = imu.slice(t0, t1)
+    ts = list(inner.t)
+    acc = list(inner.accel)
+    gyr = list(inner.gyro)
+    if not ts or ts[0] > t0 + 1e-12:
+        ts.insert(0, t0)
+        acc.insert(0, imu.interp_accel(max(t0, imu.t[0])))
+        gyr.insert(0, imu.interp_gyro(max(t0, imu.t[0])))
+    if ts[-1] < t1 - 1e-12:
+        ts.append(t1)
+        acc.append(imu.interp_accel(min(t1, imu.t[-1])))
+        gyr.append(imu.interp_gyro(min(t1, imu.t[-1])))
+    ts = np.asarray(ts)
+    gaps = np.diff(ts)
+    if len(gaps) == 0:
+        raise IntegrationError("need at least two samples to integrate")
+    if gaps.max() > max_gap:
+        raise IntegrationError(f"sample gap {gaps.max():.4f}s exceeds {max_gap:.4f}s")
+    return ts, np.asarray(acc), np.asarray(gyr)
+
+
+def reference_preintegrate(imu, t0, t1, bias, cfg=None):
+    """One interval, integrated by a Python loop over its samples: the
+    arithmetic the batched preintegrate replaces."""
+    cfg = cfg or ImuConfig()
+    if t1 <= t0:
+        raise IntegrationError("interval must have positive duration")
+    max_gap = cfg.max_gap_factor / cfg.rate_hz
+    ts, acc, gyr = reference_boundary_samples(imu, t0, t1, max_gap)
+    bias = np.array(bias, dtype=float)
+
+    dts = np.diff(ts)
+    w_step = (0.5 * (gyr[:-1] + gyr[1:]) - bias[3:]) * dts[:, None]
+    q_steps = quat_from_rotvec(w_step)
+    step_rots_t = np.swapaxes(quat_to_matrix(q_steps), 1, 2)
+    jrs = right_jacobian_so3(w_step)
+    acc = acc - bias[:3]
+    acc_hats = hat(acc)
+
+    q = quat_identity()
+    dv = np.zeros(3)
+    j_dv_ba = np.zeros((3, 3))
+    j_dv_bw = np.zeros((3, 3))
+    j_phi_bw = np.zeros((3, 3))
+    cov6 = np.zeros((6, 6))
+    var_a = cfg.acc_noise ** 2
+    var_w = cfg.gyro_noise ** 2
+    r1 = quat_to_matrix(q)
+
+    for k, dt in enumerate(dts):
+        if dt <= 0:
+            continue
+        q = quat_normalize(quat_mul(q, q_steps[k]))
+        r0, r1 = r1, quat_to_matrix(q)
+        dv += 0.5 * (r0 @ acc[k] + r1 @ acc[k + 1]) * dt
+        j_phi_bw_next = step_rots_t[k] @ j_phi_bw - jrs[k] * dt
+        j_dv_ba += -0.5 * (r0 + r1) * dt
+        j_dv_bw += -0.5 * (r0 @ acc_hats[k] @ j_phi_bw
+                           + r1 @ acc_hats[k + 1] @ j_phi_bw_next) * dt
+        f = np.eye(6)
+        f[:3, :3] = step_rots_t[k]
+        f[3:, :3] = -0.5 * (r0 @ acc_hats[k] + r1 @ acc_hats[k + 1] @ step_rots_t[k]) * dt
+        g_w = jrs[k] * dt
+        g_a = 0.5 * (r0 + r1) * dt
+        q_noise = np.zeros((6, 6))
+        q_noise[:3, :3] = var_w * (g_w @ g_w.T)
+        q_noise[3:, 3:] = var_a * (g_a @ g_a.T)
+        cov6 = f @ cov6 @ f.T + q_noise
+        j_phi_bw = j_phi_bw_next
+
+    return Preintegration(t0=float(t0), t1=float(t1), delta_v=dv,
+                          delta_q=q, cov=cov6[3:, 3:].copy(), bias_ref=bias,
+                          jac_dv_ba=j_dv_ba, jac_dv_bw=j_dv_bw,
+                          jac_dq_bw=j_phi_bw)
+
+
+def noisy_imu(duration=1.0, t_offset=0.0, seed=2):
+    """Noisy 200 Hz spin IMU, timestamps shifted by t_offset."""
+    traj = make_trajectory("spin", duration=duration)
+    imu, _, _ = generate_imu(traj, ImuConfig(), GRAVITY,
+                             np.random.default_rng(seed))
+    return ImuData(imu.t + t_offset, imu.accel, imu.gyro)
+
+
+def random_bias_rows(n, seed):
+    rng = np.random.default_rng(seed)
+    return np.concatenate([rng.normal(0, 0.05, (n, 3)),
+                           rng.normal(0, 0.005, (n, 3))], axis=1)
+
+
+def assert_matches_reference(imu, t0, t1, bias, cfg=None):
+    """The stacked preintegrate of all intervals against the one-interval
+    loop of each: every field to rtol 1e-12, atol 1e-12 * max|field|."""
+    got = preintegrate(imu, t0, t1, bias, cfg)
+    want = Preintegration.stack([reference_preintegrate(imu, a, b, row, cfg)
+                                 for a, b, row in zip(t0, t1, bias)])
+    for f in fields(Preintegration):
+        g, w = getattr(got, f.name), getattr(want, f.name)
+        assert g.shape == w.shape, f.name
+        np.testing.assert_allclose(g, w, rtol=1e-12,
+                                   atol=1e-12 * np.abs(w).max(),
+                                   err_msg=f.name)
+    return got
+
+
+# offsets from a sample time: on it, within the 1e-12 s that counts as on
+# it (either side), and between samples (5 ms apart)
+OFFSETS = [0.0, -5e-13, 5e-13, 3e-4, 1.7e-3, 2.5e-3]
+
+
+class TestBatchedMatchesReference:
+    def test_ends_on_and_between_samples(self):
+        imu = noisy_imu()
+        # on samples (multiples of 5 ms), between them, one end of each
+        t0 = np.array([0.1, 0.2013, 0.3, 0.4077, 0.5])
+        t1 = np.array([0.13, 0.2291, 0.3333, 0.435, 0.535])
+        assert_matches_reference(imu, t0, t1, random_bias_rows(5, 1))
+
+    def test_ends_within_rounding_of_samples(self):
+        # just before / after the samples at 0.1, 0.13, 0.2 and 0.235 s
+        imu = noisy_imu()
+        t0 = np.array([0.1 - 5e-13, 0.2 + 5e-13])
+        t1 = np.array([0.13 + 5e-13, 0.235 - 5e-13])
+        assert_matches_reference(imu, t0, t1, random_bias_rows(2, 9))
+
+    def test_no_inner_sample(self):
+        imu = noisy_imu()
+        # both ends strictly between the samples at 0.250 and 0.255 s
+        t0 = np.array([0.2501, 0.6012, 0.1])
+        t1 = np.array([0.2549, 0.6039, 0.13])
+        assert_matches_reference(imu, t0, t1, random_bias_rows(3, 2))
+
+    def test_different_sample_counts(self):
+        imu = noisy_imu()
+        t0 = np.array([0.1, 0.2, 0.30003, 0.6, 0.9])
+        t1 = np.array([0.1021, 0.23, 0.4, 0.6049, 0.99])
+        pre = assert_matches_reference(imu, t0, t1, random_bias_rows(5, 3))
+        assert len(pre.t0) == 5
+
+    def test_repeated_timestamps(self):
+        # every fourth sample appears twice, with a different reading, so
+        # some steps have dt == 0; interval ends fall on repeated samples
+        imu = noisy_imu()
+        rep = np.repeat(np.arange(len(imu)), np.where(np.arange(len(imu)) % 4, 1, 2))
+        rng = np.random.default_rng(4)
+        dup = ImuData(imu.t[rep], imu.accel[rep] + rng.normal(0, 0.1, (len(rep), 3)),
+                      imu.gyro[rep] + rng.normal(0, 0.01, (len(rep), 3)))
+        assert np.any(np.diff(dup.t) == 0)
+        t0 = np.array([0.1, 0.12, 0.2013, 0.4, 0.02])
+        t1 = np.array([0.12, 0.16, 0.24, 0.4107, 0.06])
+        assert_matches_reference(dup, t0, t1, random_bias_rows(5, 5))
+
+    def test_unix_epoch_times(self):
+        t_offset = 1.7e9
+        imu = noisy_imu(t_offset=t_offset)
+        t0 = t_offset + np.array([0.1, 0.2013, 0.3, 0.6012])
+        t1 = t_offset + np.array([0.13, 0.2291, 0.33, 0.6039])
+        assert_matches_reference(imu, t0, t1, random_bias_rows(4, 6))
+
+    def test_one_interval(self):
+        imu = noisy_imu()
+        bias = random_bias_rows(1, 7)
+        pre = assert_matches_reference(imu, np.array([0.2013]),
+                                       np.array([0.2291]), bias)
+        one = preintegrate(imu, 0.2013, 0.2291, bias[0])
+        assert isinstance(one.t0, float) and one.delta_v.shape == (3,)
+        for f in fields(Preintegration):
+            np.testing.assert_array_equal(getattr(one, f.name),
+                                          getattr(pre, f.name)[0])
+
+    def test_noise_free_config(self):
+        imu = noisy_imu()
+        cfg = ImuConfig(acc_noise=0.0, gyro_noise=0.0)
+        pre = assert_matches_reference(imu, np.array([0.1, 0.2]),
+                                       np.array([0.13, 0.23]),
+                                       random_bias_rows(2, 8), cfg)
+        assert not np.any(pre.cov)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 180), st.sampled_from(OFFSETS),
+                              st.integers(1, 40), st.sampled_from(OFFSETS)),
+                    min_size=1, max_size=12),
+           st.sampled_from([0.0, 1.7e9]))
+    def test_random_batches(self, spans, t_offset):
+        # intervals start on a sample, within 1e-12 s of one (on either
+        # side) or between samples, and end likewise 1 to 40 samples later
+        imu = noisy_imu(duration=1.5, t_offset=t_offset)
+        t0 = np.array([imu.t[i] + a for i, a, _, _ in spans])
+        t1 = np.array([imu.t[i + n] + b for i, _, n, b in spans])
+        assert_matches_reference(imu, t0, t1, random_bias_rows(len(spans), len(spans)))
+
+
+def test_batch_copies_only_the_samples_it_reads():
+    # ten minutes of 200 Hz data (0.96 MB per axis): integrating a 0.2 s
+    # step, end interpolation included, must not copy the whole stream
+    rng = np.random.default_rng(10)
+    n = 600 * 200 + 1
+    imu = ImuData(np.arange(n) / 200.0, rng.normal(0, 1, (n, 3)),
+                  rng.normal(0, 0.1, (n, 3)))
+    t0 = 300.0 + np.arange(8) * 0.025
+    preintegrate(imu, t0, t0 + 0.025, np.zeros((8, 6)))
+    tracemalloc.start()
+    preintegrate(imu, t0, t0 + 0.025, np.zeros((8, 6)))
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert peak < 200_000
+
+
+class TestBatchedErrors:
+    def test_uncovered_interval(self):
+        imu = noisy_imu(duration=0.5)
+        with pytest.raises(IntegrationError, match="does not cover"):
+            preintegrate(imu, np.array([0.1, 0.45]), np.array([0.13, 0.55]),
+                         np.zeros((2, 6)))
+
+    def test_gap_in_one_interval(self):
+        imu = noisy_imu(duration=0.5)
+        keep = (imu.t < 0.3) | (imu.t > 0.32)
+        gapped = ImuData(imu.t[keep], imu.accel[keep], imu.gyro[keep])
+        with pytest.raises(IntegrationError, match="gap"):
+            preintegrate(gapped, np.array([0.1, 0.2, 0.29]),
+                         np.array([0.13, 0.23, 0.33]), np.zeros((3, 6)))
+
+    def test_non_positive_duration(self):
+        imu = noisy_imu(duration=0.5)
+        with pytest.raises(IntegrationError, match="positive duration"):
+            preintegrate(imu, np.array([0.1, 0.2]), np.array([0.13, 0.2]),
+                         np.zeros((2, 6)))
+
+
+class TestArrayInterpolation:
+    def test_scalar_bits_unchanged(self):
+        imu = noisy_imu(duration=0.5)
+        for t in (0.0, 0.1234, 0.25, imu.t[-1]):
+            for got, values in ((imu.interp_gyro(t), imu.gyro),
+                                (imu.interp_accel(t), imu.accel)):
+                want = np.array([np.interp(t, imu.t, values[:, k])
+                                 for k in range(3)])
+                assert got.shape == (3,)
+                assert got.tobytes() == want.tobytes()
+
+    def test_array_equals_scalar_calls(self):
+        imu = noisy_imu(duration=0.5, t_offset=1.7e9)
+        ts = np.concatenate([imu.t[:7], 1.7e9 + np.linspace(0.0, 0.5, 23)])
+        np.testing.assert_array_equal(
+            imu.interp_gyro(ts), np.stack([imu.interp_gyro(t) for t in ts]))
+        np.testing.assert_array_equal(
+            imu.interp_accel(ts), np.stack([imu.interp_accel(t) for t in ts]))
+
+    def test_repeated_timestamps_read_as_the_whole_stream(self):
+        # times on repeated samples, between them, and at both stream ends,
+        # queried alone and in groups, against np.interp over every sample
+        imu = noisy_imu(duration=0.5)
+        rep = np.repeat(np.arange(len(imu)), np.where(np.arange(len(imu)) % 3, 1, 3))
+        rng = np.random.default_rng(11)
+        dup = ImuData(imu.t[rep], imu.accel[rep] + rng.normal(0, 0.1, (len(rep), 3)),
+                      imu.gyro[rep])
+        ts = np.concatenate([dup.t[:9], [0.0123, 0.2, 0.2013, 0.45], dup.t[-4:]])
+        want = np.stack([np.interp(ts, dup.t, dup.accel[:, k]) for k in range(3)],
+                        axis=1)
+        for group in (slice(None), slice(0, 5), slice(9, 13), slice(-3, None)):
+            np.testing.assert_array_equal(dup.interp_accel(ts[group]), want[group])
+        for t, row in zip(ts, want):
+            assert dup.interp_accel(t).tobytes() == row.tobytes()
+
+    def test_coverage(self):
+        imu = noisy_imu(duration=0.5)
+        with pytest.raises(ValueError, match="outside IMU coverage"):
+            imu.interp_gyro(np.array([0.1, 0.6]))
+        with pytest.raises(ValueError, match="outside IMU coverage"):
+            imu.interp_accel(-0.1)
 
 
 class TestVelocityIncrement:
