@@ -155,6 +155,8 @@ def validate_config(cfg: PipelineConfig):
          "must not be negative"),
         ("sim.spurious_rate", cfg.sim.spurious_rate,
          cfg.sim.spurious_rate >= 0, "must not be negative"),
+        ("sim.z_near", cfg.sim.z_near, cfg.sim.z_near > 0,
+         "must be positive"),
     )
     for key, value, ok, rule in checks:
         if not ok:

@@ -4,23 +4,29 @@ Scenes are wireframes: 3D line segments, each carrying a signed
 log-intensity step. As the camera moves, the projected segment sweeps the
 image plane; every time it crosses a pixel center, the pixel accumulates the
 edge's full step, firing floor(|step| / C) events for contrast threshold C.
-Crossing instants are found analytically (bisection on the signed distance
-between the pixel and the moving projected line), so event timestamps,
-depths and flows are exact up to the configured refinement tolerance.
-Gaussian timestamp jitter and uniform spurious events can be added on top.
+Crossing instants are found by bisection on the incidence test of
+projective geometry: the pixel's ray r = K^-1 (x, y, 1) lies on the plane
+through the camera center and the segment e0-e1 when the triple product
+(R(t) r) . ((e0 - p(t)) x (e1 - p(t))) vanishes. For endpoints in front of
+the camera its sign is that of the pixel's image distance to the projected
+line, and each trajectory gives it in closed form per candidate, so event
+timestamps, depths and flows are exact up to the configured refinement
+tolerance. Gaussian timestamp jitter and uniform spurious events can be
+added on top.
 
 Time is cut into coarse steps in which endpoints move about `px_step / 2`
 pixels or less. A pixel can only be crossed during a step if it starts
 within the step's endpoint motion + 1.5 px of the projected line, lies near
 the segment at both step ends (edge parameter in (-0.02, 1.02)), and has
 signed distances of opposite sign to the lines at the start and the end of
-the step. Per (step, edge) pair and per row of its bounding box, each of
-these conditions is an x-interval: two slabs at the start, one at the end,
-and the span between the two lines' crossings of the row. Only the
-intersection, the strip the edge sweeps, widened by 1 px against rounding,
-is enumerated, in (step, edge, row, column) order. The exact tests then run
-on these pixels, so the candidates, and with them the events, are those of
-enumerating every box pixel.
+the step. Per (step, edge) pair, only the box rows that the start-of-step
+rectangle (distance within reach, edge parameter in range) reaches are
+kept; per such row, each condition is an x-interval: two slabs at the
+start, one at the end, and the span between the two lines' crossings of
+the row. Only the intersection, the strip the edge sweeps, widened by a
+rounding-sized margin, is enumerated, in (step, edge, row, column) order.
+The exact tests then run on these pixels, so the candidates, and with them
+the events, are those of enumerating every box pixel.
 
 Trajectories are closed-form (straight line or circular arc with the body
 z-axis tracking the tangent), so velocity, acceleration, angular rate and
@@ -81,6 +87,17 @@ class StraightTrajectory:
     def ideal_imu(self, rate, gravity):
         return _ideal_imu(self, rate, gravity)
 
+    def plane_side(self, e0, e1, rays, offset_x=0.0):
+        """Side of each ray's pixel relative to the projected segment e0-e1,
+        as a function of time: (R(t) ray) . ((e0 - p(t)) x (e1 - p(t))) of
+        a camera offset by `offset_x` along the body x-axis. The cross
+        product is linear in t, so the side is alpha + beta * t."""
+        q = rays @ self.r0.T
+        origin = self.p0 + offset_x * self.r0[:, 0]
+        alpha = np.einsum("ki,ki->k", q, np.cross(e0 - origin, e1 - origin))
+        beta = np.einsum("ki,ki->k", q, np.cross(e1 - e0, self.v_world))
+        return lambda t: alpha + beta * t
+
 
 class CircularTrajectory:
     """Circular arc at constant speed; orientation co-rotates with the arc."""
@@ -129,6 +146,30 @@ class CircularTrajectory:
 
     def ideal_imu(self, rate, gravity):
         return _ideal_imu(self, rate, gravity)
+
+    def plane_side(self, e0, e1, rays, offset_x=0.0):
+        """As `StraightTrajectory.plane_side`. With R(t) = S r0 and
+        p(t) = center + S rho, S = S(rate * t), rho the radius vector plus
+        the camera offset, the side is w.(S m) + h.(S n) for m = r0 ray,
+        w = (e0 - center) x (e1 - center), h = e1 - e0 and n = rho x m.
+        Writing S = (I + K^2) - cos(theta) K^2 + sin(theta) K for the
+        axis's cross-product matrix K, it is alpha + beta * cos(theta)
+        + gamma * sin(theta)."""
+        k = self._axis
+        m = rays @ self.r0.T
+        n = np.cross(self.radius_vec + offset_x * self.r0[:, 0], m)
+        w = np.cross(e0 - self.center, e1 - self.center)
+        h = e1 - e0
+        wm = np.einsum("ki,ki->k", w, m) + np.einsum("ki,ki->k", h, n)
+        kk = (w @ k) * (m @ k) + (h @ k) * (n @ k)
+        gamma = (np.einsum("ki,ki->k", w, np.cross(k, m))
+                 + np.einsum("ki,ki->k", h, np.cross(k, n)))
+        alpha, beta = kk, wm - kk
+
+        def side(t):
+            theta = t * self._rate
+            return alpha + beta * np.cos(theta) + gamma * np.sin(theta)
+        return side
 
 
 def _ideal_imu(traj, rate, gravity):
@@ -385,6 +426,11 @@ def _ragged_ranges(lo, hi):
 
 # a slab whose coefficient along x is below this does not cut the row
 _SLAB_EPS = 1e-6
+# Each x-bound of the band is c / coef with |coef| >= _SLAB_EPS, where c sums
+# products of pixel offsets of at most about 1e3 px, so rounding c (about
+# 1e-13 px) moves the bound by at most about 1e-7 px, and the exact tests
+# round alike; the band is widened by this margin on both sides.
+_BAND_MARGIN = 1e-3
 
 
 def _row_tangent(a, b, row):
@@ -402,13 +448,27 @@ def _band_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
     arrays): per box row the integer x-range where |n.(p - a)| <= reach,
     -0.02 < s < 1.02 and -0.02 < s1 < 1.02 (n the unit normal, s and s1 the
     edge parameters at both step ends), and that lies between the roots of
-    the signed distances d and d1 along the row, widened by 1 px on both
-    sides and clipped to the box. A condition whose coefficient along x is
-    near zero, or that involves a degenerate segment, does not cut the row;
-    nor does the root condition when the two distances' slopes along x have
-    opposite signs, since d * d1 < 0 then holds outside the roots. Returns
+    the signed distances d and d1 along the row, widened by `_BAND_MARGIN`
+    on both sides and clipped to the box. Rows outside the y-range of the
+    start-of-step rectangle |d| <= reach, -0.02 <= s <= 1.02 (widened
+    alike) are skipped. A condition whose coefficient along x is near zero,
+    or that involves a degenerate segment, does not cut the row; nor does
+    the root condition when the two distances' slopes along x have opposite
+    signs, since d * d1 < 0 then holds outside the roots. Returns
     (owner, px, py) in (box, row, column) order.
     """
+    # a pixel passing `near` lies at y = a_y + s u_y + d u_x / |u| for
+    # u = b - a, so only the rows of that rectangle's y-range can hold one
+    u = b - a
+    ln = np.hypot(u[:, 0], u[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = reach * np.abs(u[:, 0]) / ln + _BAND_MARGIN
+    ends = (-0.02 * u[:, 1], 1.02 * u[:, 1])
+    rect = ln >= 1e-12
+    y_lo = np.ceil(a[:, 1] + np.minimum(*ends) - half)
+    y_hi = np.floor(a[:, 1] + np.maximum(*ends) + half)
+    y0 = np.where(rect, np.maximum(y0, y_lo), y0).astype(np.int64)
+    y1 = np.where(rect, np.minimum(y1, y_hi), y1).astype(np.int64)
     row, py = _ragged_ranges(y0, y1)
     tx, ty, ln = _row_tangent(a, b, row)
     tx1, ty1, ln1 = _row_tangent(a1, b1, row)
@@ -440,8 +500,8 @@ def _band_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
         q_lo, q_hi = c_lo / coef, c_hi / coef
         lo = np.where(cut, np.maximum(lo, np.minimum(q_lo, q_hi)), lo)
         hi = np.where(cut, np.minimum(hi, np.maximum(q_lo, q_hi)), hi)
-    xs = np.maximum(np.ceil(ax + lo) - 1, x0[row]).astype(np.int64)
-    xe = np.minimum(np.floor(ax + hi) + 1, x1[row]).astype(np.int64)
+    xs = np.maximum(np.ceil(ax + lo - _BAND_MARGIN), x0[row]).astype(np.int64)
+    xe = np.minimum(np.floor(ax + hi + _BAND_MARGIN), x1[row]).astype(np.int64)
     span, px = _ragged_ranges(xs, xe)
     return row[span], px, py[span]
 
@@ -539,25 +599,12 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
     eid = np.concatenate(cand_edge)
     sign_lo = np.concatenate(cand_sign)
 
-    e0 = scene.edges[eid, 0]
-    e1 = scene.edges[eid, 1]
-
-    def dist_at(tq):
-        rs, ps = _camera_positions(traj, tq, offset_x)
-        rel0 = e0 - ps
-        rel1 = e1 - ps
-        c0 = np.einsum("kji,kj->ki", rs, rel0)
-        c1 = np.einsum("kji,kj->ki", rs, rel1)
-        z0 = np.maximum(c0[:, 2], 1e-6)
-        z1 = np.maximum(c1[:, 2], 1e-6)
-        ax = intr.f * c0[:, 0] / z0 + intr.cx
-        ay = intr.f * c0[:, 1] / z0 + intr.cy
-        bx = intr.f * c1[:, 0] / z1 + intr.cx
-        by = intr.f * c1[:, 1] / z1 + intr.cy
-        ux, uy = bx - ax, by - ay
-        ln = np.hypot(ux, uy)
-        ln = np.where(ln < 1e-12, 1.0, ln)
-        return (-uy * (px - ax) + ux * (py - ay)) / ln
+    # both endpoints lie beyond z_near > 0 at both step ends, where the
+    # plane side has the sign of the pixel's image distance to the line
+    rays = np.stack([px - intr.cx, py - intr.cy, np.full_like(px, intr.f)],
+                    axis=1)
+    side_at = traj.plane_side(scene.edges[eid, 0], scene.edges[eid, 1], rays,
+                              offset_x)
 
     # with timestamp jitter applied afterwards, refining crossings far below
     # the jitter scale buys nothing
@@ -566,8 +613,7 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
     t_lo, t_hi = lo.copy(), hi.copy()
     for _ in range(n_iter):
         tm = 0.5 * (t_lo + t_hi)
-        dm = dist_at(tm)
-        same = np.sign(dm) == sign_lo
+        same = np.sign(side_at(tm)) == sign_lo
         t_lo = np.where(same, tm, t_lo)
         t_hi = np.where(same, t_hi, tm)
     t_star = 0.5 * (t_lo + t_hi)

@@ -60,6 +60,14 @@ class TestSimulateCli:
         assert "sim.px_step" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
+    def test_zero_near_plane_exits_before_writing(self, tmp_path, capsys):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--preset", "const-vel", "--duration", "3",
+                   "--config", "sim.z_near=0", "--out", str(out)])
+        assert rc == 2
+        assert "sim.z_near" in capsys.readouterr().err
+        assert not out.exists() or not os.listdir(out)
+
 
 class TestEstimateCli:
     def test_estimate_and_evaluate(self, dataset, tmp_path):

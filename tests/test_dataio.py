@@ -225,6 +225,8 @@ class TestConfigOverrides:
         ("sim.contrast_threshold", "0"),
         ("sim.jitter_std", "-1e-4"),
         ("sim.spurious_rate", "-1"),
+        ("sim.z_near", "0"),
+        ("sim.z_near", "-0.25"),
     ])
     def test_out_of_range_value_rejected(self, key, value):
         cfg = PipelineConfig()

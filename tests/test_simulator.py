@@ -358,6 +358,76 @@ class TestBandEnumeration:
         assert len(keys) < 0.5 * len(grid)
 
 
+class TestBandTightness:
+    def test_band_holds_few_more_than_the_crossing_pixels(self):
+        # the pinned 0.1 s boxes scene of TestEventDigests
+        cfg = SimConfig()
+        rng_scene, rng_events = np.random.default_rng(0).spawn(2)
+        traj = make_trajectory("boxes", duration=0.1)
+        scene = make_scene("boxes", traj, cfg, rng_scene)
+        band_pixels = simulator._band_pixels
+        calls = []
+
+        def recording_band(*args):
+            band = band_pixels(*args)
+            calls.append((args, len(band[0])))
+            return band
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_band_pixels", recording_band)
+            generate_stereo_events(scene, traj, default_rig(cfg), cfg,
+                                   rng_events)
+        band = sum(n for _, n in calls)
+        crossing = sum(len(crossing_pixels(*args)[0]) for args, _ in calls)
+        assert crossing > 1000
+        assert band <= 1.3 * crossing
+
+
+def plane_side_cases():
+    tilted = simulator._look_rotation([0.3, 1.0, -0.2])
+    return [
+        make_trajectory("const-vel", duration=1.0),
+        StraightTrajectory([0.4, -0.3, 0.2], [0.5, -1.2, 0.8], tilted, 1.0),
+        make_trajectory("boxes", duration=2.5),
+        make_trajectory("spin", duration=2.5),
+        CircularTrajectory([0.3, -0.2, 0.5], [1.0, 0.5, -0.2],
+                           [0.5, -1.0, 2.0], tilted, 2.5),
+    ]
+
+
+class TestPlaneSide:
+    """The closed-form side a trajectory gives the crossing bisection has
+    the sign of the pixel's image distance to the projected segment."""
+
+    @pytest.mark.parametrize("traj", plane_side_cases())
+    @pytest.mark.parametrize("camera", ["left", "right"])
+    def test_sign_matches_signed_distance(self, traj, camera):
+        cfg = SimConfig()
+        rig = default_rig(cfg)
+        intr = rig.left if camera == "left" else rig.right
+        offset = 0.0 if camera == "left" else rig.baseline
+        rng = np.random.default_rng(12)
+        n = 300
+        t = rng.uniform(0.0, traj.duration, n)
+        rs, ps = simulator._camera_positions(traj, t, offset)
+        # one segment and one pixel per time, both endpoints in front
+        lo, hi = [-3.0, -2.0, cfg.z_near], [3.0, 2.0, 5.0]
+        cam = rng.uniform(lo, hi, (n, 2, 3))
+        edges = ps[:, None] + np.einsum("kij,kej->kei", rs, cam)
+        px = rng.uniform(0, cfg.width - 1, n).round()
+        py = rng.uniform(0, cfg.height - 1, n).round()
+        a, b, valid = simulator._project_edges(rs, ps, edges, intr, cfg.z_near)
+        k = np.arange(n)
+        assert valid[k, k].all()
+        d, _ = simulator._signed_distance(px, py, a[k, k], b[k, k])
+        rays = np.stack([px - intr.cx, py - intr.cy, np.full(n, intr.f)],
+                        axis=1)
+        side = traj.plane_side(edges[:, 0], edges[:, 1], rays, offset)(t)
+        clear = np.abs(d) > 1e-6
+        assert clear.sum() > 0.9 * n
+        assert np.array_equal(np.sign(side[clear]), np.sign(d[clear]))
+
+
 class TestEventDigests:
     """The event streams of two short preset scenes, pinned byte for byte,
     so that a speed-up of the crossing search cannot change an event."""
