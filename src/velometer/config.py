@@ -121,6 +121,11 @@ def validate_config(cfg: PipelineConfig):
     checks = (
         ("flow.batch_size", cfg.flow.batch_size, cfg.flow.batch_size > 0,
          "must be positive"),
+        ("flow.patch_radius", cfg.flow.patch_radius,
+         cfg.flow.patch_radius >= 1, "must be at least 1"),
+        ("flow.border_margin", cfg.flow.border_margin,
+         cfg.flow.border_margin >= cfg.flow.patch_radius,
+         f"must be at least flow.patch_radius={cfg.flow.patch_radius}"),
         ("depth.block", cfg.depth.block,
          cfg.depth.block > 0 and cfg.depth.block % 2 == 1,
          "must be a positive odd number"),
@@ -147,6 +152,8 @@ def validate_config(cfg: PipelineConfig):
          "must not be negative"),
         ("spline.knot_dt", cfg.spline.knot_dt, cfg.spline.knot_dt > 0,
          "must be positive"),
+        ("estimator.output_hz", cfg.estimator.output_hz,
+         cfg.estimator.output_hz > 0, "must be positive"),
         ("sim.px_step", cfg.sim.px_step, cfg.sim.px_step > 0,
          "must be positive"),
         ("sim.contrast_threshold", cfg.sim.contrast_threshold,

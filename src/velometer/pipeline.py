@@ -64,11 +64,16 @@ class VelocityPipeline:
         batches = batch_by_count(events_left, cfg.flow.batch_size)
         right_cursor = 0
         right_t = events_right["t"] if len(events_right) else np.empty(0)
+        # one search for every batch end: a search on the strided field view
+        # copies the whole column, and a copy kept for the run raises the
+        # peak memory
+        right_ends = np.searchsorted(right_t, [b.t_end for b in batches],
+                                     side="right")
         for batch_idx, batch in enumerate(batches):
             if batch.t_end > imu.t[-1]:
                 break
             # bring the right camera's surfaces up to this batch's window
-            hi = int(np.searchsorted(right_t, batch.t_end, side="right"))
+            hi = int(right_ends[batch_idx])
             if hi > right_cursor:
                 chunk = events_right[right_cursor:hi]
                 # start where the last right update ended, so the window has a

@@ -19,14 +19,17 @@ pixels or less. A pixel can only be crossed during a step if it starts
 within the step's endpoint motion + 1.5 px of the projected line, lies near
 the segment at both step ends (edge parameter in (-0.02, 1.02)), and has
 signed distances of opposite sign to the lines at the start and the end of
-the step. Per (step, edge) pair, only the box rows that the start-of-step
-rectangle (distance within reach, edge parameter in range) reaches are
-kept; per such row, each condition is an x-interval: two slabs at the
-start, one at the end, and the span between the two lines' crossings of
-the row. Only the intersection, the strip the edge sweeps, widened by a
-rounding-sized margin, is enumerated, in (step, edge, row, column) order.
-The exact tests then run on these pixels, so the candidates, and with them
-the events, are those of enumerating every box pixel.
+the step. Endpoints are projected at the step ends one camera axis at a
+time, with the terms summed in a fixed order. Per (step, edge) pair, only
+the box rows that the start-of-step rectangle (distance within reach, edge
+parameter in range) reaches are kept; per such row, each condition is an
+x-interval: two slabs at the start, one at the end, and the span between
+the two lines' crossings of the row. Most rows hold no pixel centre within
+that span, so it is computed first and such rows are dropped before the
+other slabs. Only the intersection, the strip the edge sweeps, widened by
+a rounding-sized margin, is enumerated, in (step, edge, row, column)
+order. The exact tests then run on these pixels, so the candidates, and
+with them the events, are those of enumerating every box pixel.
 
 Trajectories are closed-form (straight line or circular arc with the body
 z-axis tracking the tangent), so velocity, acceleration, angular rate and
@@ -381,21 +384,33 @@ def _camera_positions(traj, ts, offset_x):
 def _project_edges(rs, ps, edges, intr, z_near):
     """Project all edge endpoints at all poses.
 
+    Each camera coordinate i is a contiguous (K, E) plane,
+    rel_x R[:, 0, i] + rel_y R[:, 1, i] + rel_z R[:, 2, i] for
+    rel = endpoint - p, summed in the order einsum("kji,kej->kei") sums.
+    A matmul `rel @ R` is faster but rounds differently in the last bit,
+    which moves crossings and so changes events.
+
     Returns (a, b, valid): a, b are (K, E, 2) pixel positions, valid (K, E)
     requires both endpoints in front of the camera.
     """
-    rel0 = edges[None, :, 0, :] - ps[:, None, :]
-    rel1 = edges[None, :, 1, :] - ps[:, None, :]
-    c0 = np.einsum("kji,kej->kei", rs, rel0)
-    c1 = np.einsum("kji,kej->kei", rs, rel1)
-    valid = (c0[..., 2] > z_near) & (c1[..., 2] > z_near)
-    z0 = np.where(valid, c0[..., 2], 1.0)
-    z1 = np.where(valid, c1[..., 2], 1.0)
-    a = np.stack([intr.f * c0[..., 0] / z0 + intr.cx,
-                  intr.f * c0[..., 1] / z0 + intr.cy], axis=-1)
-    b = np.stack([intr.f * c1[..., 0] / z1 + intr.cx,
-                  intr.f * c1[..., 1] / z1 + intr.cy], axis=-1)
+    (x0, y0, z0), (x1, y1, z1) = (_camera_planes(rs, ps, edges[:, end])
+                                  for end in (0, 1))
+    valid = (z0 > z_near) & (z1 > z_near)
+    z0 = np.where(valid, z0, 1.0)
+    z1 = np.where(valid, z1, 1.0)
+    a = np.stack([intr.f * x0 / z0 + intr.cx,
+                  intr.f * y0 / z0 + intr.cy], axis=-1)
+    b = np.stack([intr.f * x1 / z1 + intr.cx,
+                  intr.f * y1 / z1 + intr.cy], axis=-1)
     return a, b, valid
+
+
+def _camera_planes(rs, ps, points):
+    """Camera coordinates [x, y, z] of the points (E, 3) at the poses (K),
+    R^T (point - p), as three (K, E) planes."""
+    rel = [points[None, :, j] - ps[:, j, None] for j in range(3)]
+    return [rel[0] * rs[:, 0, i, None] + rel[1] * rs[:, 1, i, None]
+            + rel[2] * rs[:, 2, i, None] for i in range(3)]
 
 
 def _estimate_px_speed(traj, edges, intr, cfg, offset_x):
@@ -413,6 +428,14 @@ def _estimate_px_speed(traj, edges, intr, cfg, offset_x):
         if np.any(ok):
             speeds.append(np.max(np.where(ok, d, 0.0)) / dt)
     return max(max(speeds, default=1.0), 1.0)
+
+
+def _step_extent(p, q):
+    """Floor of the least and ceiling of the greatest of the coordinates p,
+    q (K, E) of both endpoints at both ends of each of the K - 1 steps."""
+    lo = np.minimum(np.minimum(p[:-1], q[:-1]), np.minimum(p[1:], q[1:]))
+    hi = np.maximum(np.maximum(p[:-1], q[:-1]), np.maximum(p[1:], q[1:]))
+    return np.floor(lo), np.ceil(hi)
 
 
 def _ragged_ranges(lo, hi):
@@ -433,13 +456,12 @@ _SLAB_EPS = 1e-6
 _BAND_MARGIN = 1e-3
 
 
-def _row_tangent(a, b, row):
-    """Unit tangent (tx, ty) and length of each segment a-b, per box row."""
-    u = b - a
+def _tangent(u):
+    """Unit tangent (tx, ty) and length of each segment offset u (N, 2)."""
     ln = np.hypot(u[:, 0], u[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
-        tx, ty = (u / ln[:, None])[row].T
-    return tx, ty, ln[row]
+        tx, ty = (u / ln[:, None]).T
+    return tx, ty, ln
 
 
 def _band_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
@@ -454,13 +476,18 @@ def _band_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
     alike) are skipped. A condition whose coefficient along x is near zero,
     or that involves a degenerate segment, does not cut the row; nor does
     the root condition when the two distances' slopes along x have opposite
-    signs, since d * d1 < 0 then holds outside the roots. Returns
-    (owner, px, py) in (box, row, column) order.
+    signs, since d * d1 < 0 then holds outside the roots.
+
+    Most rows hold no pixel centre of the swept strip, so every row first
+    gets only the root interval; a row whose widened root interval holds
+    no integer is dropped before the other slabs and the clip, which can
+    only narrow it. Returns (owner, px, py) in (box, row, column) order.
     """
+    u = b - a
+    tx, ty, ln = _tangent(u)
+    tx1, ty1, ln1 = _tangent(b1 - a1)
     # a pixel passing `near` lies at y = a_y + s u_y + d u_x / |u| for
     # u = b - a, so only the rows of that rectangle's y-range can hold one
-    u = b - a
-    ln = np.hypot(u[:, 0], u[:, 1])
     with np.errstate(divide="ignore", invalid="ignore"):
         half = reach * np.abs(u[:, 0]) / ln + _BAND_MARGIN
     ends = (-0.02 * u[:, 1], 1.02 * u[:, 1])
@@ -469,21 +496,30 @@ def _band_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
     y_hi = np.floor(a[:, 1] + np.maximum(*ends) + half)
     y0 = np.where(rect, np.maximum(y0, y_lo), y0).astype(np.int64)
     y1 = np.where(rect, np.minimum(y1, y_hi), y1).astype(np.int64)
-    row, py = _ragged_ranges(y0, y1)
-    tx, ty, ln = _row_tangent(a, b, row)
-    tx1, ty1, ln1 = _row_tangent(a1, b1, row)
-    reach = reach[row]
     # `_signed_distance` does not normalize a segment shorter than 1e-12 px,
     # so `near` (or `hit`) then passes its whole box
     ok, ok1 = ln >= 1e-12, ln1 >= 1e-12
-    ax = a[row, 0]
-    dy = py - a[row, 1]
-    dy1 = py - a1[row, 1]
-    shift = a1[row, 0] - ax
     roots = (ok & ok1 & (np.abs(ty) >= _SLAB_EPS) & (np.abs(ty1) >= _SLAB_EPS)
              & (ty * ty1 > 0))
+
+    row, py = _ragged_ranges(y0, y1)
+    ax = a[:, 0][row]
+    dy = py - a[:, 1][row]
+    dy1 = py - a1[:, 1][row]
+    shift = a1[:, 0][row] - ax
     with np.errstate(divide="ignore", invalid="ignore"):
-        r0, r1 = tx * dy / ty, shift + tx1 * dy1 / ty1
+        r0, r1 = tx[row] * dy / ty[row], shift + tx1[row] * dy1 / ty1[row]
+        # the other slabs and the clip only narrow the root interval, and
+        # rounding is monotone, so a row of a `roots` box whose widened root
+        # interval holds no integer enumerates nothing
+        empty = roots[row] & (
+            np.ceil(ax + np.minimum(r0, r1) - _BAND_MARGIN)
+            > np.floor(ax + np.maximum(r0, r1) + _BAND_MARGIN))
+    keep = np.flatnonzero(~empty)
+    row, py, ax, dy, dy1, shift, r0, r1 = (
+        v[keep] for v in (row, py, ax, dy, dy1, shift, r0, r1))
+    tx, ty, ln, tx1, ty1, ln1, ok, ok1, roots, reach = (
+        v[row] for v in (tx, ty, ln, tx1, ty1, ln1, ok, ok1, roots, reach))
     c1 = tx1 * shift - ty1 * dy1
     lo = np.full(len(row), -np.inf)
     hi = np.full(len(row), np.inf)
@@ -546,14 +582,14 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
         a, b, valid = _project_edges(rs, ps, scene.edges, intr, cfg.z_near)
         step_ok = valid[:-1] & valid[1:]
         # bounding boxes over both endpoints at both step ends
-        xs = np.stack([a[:-1, :, 0], b[:-1, :, 0], a[1:, :, 0], b[1:, :, 0]])
-        ys = np.stack([a[:-1, :, 1], b[:-1, :, 1], a[1:, :, 1], b[1:, :, 1]])
-        x0 = np.clip(np.floor(xs.min(axis=0)) - 1, 0, intr.width - 1).astype(np.int64)
-        x1 = np.clip(np.ceil(xs.max(axis=0)) + 1, 0, intr.width - 1).astype(np.int64)
-        y0 = np.clip(np.floor(ys.min(axis=0)) - 1, 0, intr.height - 1).astype(np.int64)
-        y1 = np.clip(np.ceil(ys.max(axis=0)) + 1, 0, intr.height - 1).astype(np.int64)
-        inside = (np.ceil(xs.max(axis=0)) >= 0) & (np.floor(xs.min(axis=0)) <= intr.width - 1) \
-            & (np.ceil(ys.max(axis=0)) >= 0) & (np.floor(ys.min(axis=0)) <= intr.height - 1)
+        x_lo, x_hi = _step_extent(a[..., 0], b[..., 0])
+        y_lo, y_hi = _step_extent(a[..., 1], b[..., 1])
+        x0 = np.clip(x_lo - 1, 0, intr.width - 1).astype(np.int64)
+        x1 = np.clip(x_hi + 1, 0, intr.width - 1).astype(np.int64)
+        y0 = np.clip(y_lo - 1, 0, intr.height - 1).astype(np.int64)
+        y1 = np.clip(y_hi + 1, 0, intr.height - 1).astype(np.int64)
+        inside = ((x_hi >= 0) & (x_lo <= intr.width - 1)
+                  & (y_hi >= 0) & (y_lo <= intr.height - 1))
         step_ok = step_ok & inside
         sk, se = np.nonzero(step_ok)
         if len(sk) == 0:

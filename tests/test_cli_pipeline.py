@@ -153,6 +153,30 @@ class TestEstimateCli:
             assert key in err
             assert "missing.csv" not in err
 
+    @pytest.mark.parametrize("override, key", [
+        # 0 raised ZeroDivisionError after the whole run; -5 never returned
+        ("estimator.output_hz=0", "estimator.output_hz"),
+        ("estimator.output_hz=-5", "estimator.output_hz"),
+        # failed deep in numpy, or read past the border margin
+        ("flow.patch_radius=-1", "flow.patch_radius"),
+        ("flow.patch_radius=7", "flow.border_margin"),
+        ("flow.border_margin=0", "flow.border_margin"),
+    ])
+    def test_flow_and_output_keys_checked_before_inputs_are_read(
+            self, tmp_path, capsys, override, key):
+        missing = str(tmp_path / "missing.csv")
+        rc = main(["estimate",
+                   "--events-left", missing,
+                   "--events-right", missing,
+                   "--imu", missing,
+                   "--calib", missing,
+                   "--config", override,
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert key in err
+        assert "missing.csv" not in err
+
     def test_config_override_changes_behavior(self, dataset, tmp_path):
         vel = tmp_path / "v.csv"
         rc = main(["estimate",

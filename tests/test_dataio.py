@@ -204,6 +204,12 @@ class TestConfigOverrides:
 
     @pytest.mark.parametrize("key, value", [
         ("flow.batch_size", "0"),
+        ("flow.patch_radius", "0"),
+        ("flow.patch_radius", "-1"),
+        # the 15 x 15 patch reaches past the 5 px border margin
+        ("flow.patch_radius", "7"),
+        ("flow.border_margin", "0"),
+        ("flow.border_margin", "1"),
         ("depth.block", "16"),
         ("depth.min_disparity", "49"),
         ("depth.min_disparity", "0"),
@@ -221,6 +227,8 @@ class TestConfigOverrides:
         ("imu.acc_noise", "-1e-3"),
         ("imu.gyro_noise", "-1e-4"),
         ("spline.knot_dt", "0"),
+        ("estimator.output_hz", "0"),
+        ("estimator.output_hz", "-5"),
         ("sim.px_step", "0"),
         ("sim.contrast_threshold", "0"),
         ("sim.jitter_std", "-1e-4"),

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from velometer import simulator
 from velometer.config import ImuConfig, SimConfig
@@ -381,6 +383,205 @@ class TestBandTightness:
         crossing = sum(len(crossing_pixels(*args)[0]) for args, _ in calls)
         assert crossing > 1000
         assert band <= 1.3 * crossing
+
+
+def reference_band_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
+    """The band enumeration before the root-interval row filter: all four
+    slabs on every row of the start-of-step rectangle's y-range."""
+    def row_tangent(a, b, row):
+        u = b - a
+        ln = np.hypot(u[:, 0], u[:, 1])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            tx, ty = (u / ln[:, None])[row].T
+        return tx, ty, ln[row]
+
+    eps, margin = simulator._SLAB_EPS, simulator._BAND_MARGIN
+    u = b - a
+    ln = np.hypot(u[:, 0], u[:, 1])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        half = reach * np.abs(u[:, 0]) / ln + margin
+    ends = (-0.02 * u[:, 1], 1.02 * u[:, 1])
+    rect = ln >= 1e-12
+    y_lo = np.ceil(a[:, 1] + np.minimum(*ends) - half)
+    y_hi = np.floor(a[:, 1] + np.maximum(*ends) + half)
+    y0 = np.where(rect, np.maximum(y0, y_lo), y0).astype(np.int64)
+    y1 = np.where(rect, np.minimum(y1, y_hi), y1).astype(np.int64)
+    row, py = simulator._ragged_ranges(y0, y1)
+    tx, ty, ln = row_tangent(a, b, row)
+    tx1, ty1, ln1 = row_tangent(a1, b1, row)
+    reach = reach[row]
+    ok, ok1 = ln >= 1e-12, ln1 >= 1e-12
+    ax = a[row, 0]
+    dy = py - a[row, 1]
+    dy1 = py - a1[row, 1]
+    shift = a1[row, 0] - ax
+    roots = (ok & ok1 & (np.abs(ty) >= eps) & (np.abs(ty1) >= eps)
+             & (ty * ty1 > 0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r0, r1 = tx * dy / ty, shift + tx1 * dy1 / ty1
+    c1 = tx1 * shift - ty1 * dy1
+    lo = np.full(len(row), -np.inf)
+    hi = np.full(len(row), np.inf)
+    for coef, c_lo, c_hi, cut in (
+            (-ty, -reach - tx * dy, reach - tx * dy, ok),
+            (tx, -0.02 * ln - ty * dy, 1.02 * ln - ty * dy, ok),
+            (tx1, c1 - 0.02 * ln1, c1 + 1.02 * ln1, ok1),
+            (1.0, r0, r1, roots)):
+        cut = cut & (np.abs(coef) >= eps)
+        coef = np.where(cut, coef, 1.0)
+        q_lo, q_hi = c_lo / coef, c_hi / coef
+        lo = np.where(cut, np.maximum(lo, np.minimum(q_lo, q_hi)), lo)
+        hi = np.where(cut, np.minimum(hi, np.maximum(q_lo, q_hi)), hi)
+    xs = np.maximum(np.ceil(ax + lo - margin), x0[row]).astype(np.int64)
+    xe = np.minimum(np.floor(ax + hi + margin), x1[row]).astype(np.int64)
+    span, px = simulator._ragged_ranges(xs, xe)
+    return row[span], px, py[span]
+
+
+def assert_band_matches_reference(*args):
+    got = simulator._band_pixels(*args)
+    want = reference_band_pixels(*args)
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype
+        assert np.array_equal(g, w)
+    return len(want[0])
+
+
+# the ways a random box is made to sit on an edge case of the band
+BOX_KINDS = ("short", "short_end", "zero", "flat", "flat_end", "flip",
+             "vertical", "on_pixel", "on_pixel_end", "still")
+
+
+def random_boxes(seed, n, kinds):
+    rng = np.random.default_rng(seed)
+    a = rng.uniform(-40.0, 140.0, (n, 2))
+    u = rng.normal(0.0, 30.0, (n, 2)) * rng.uniform(0, 1, (n, 1)) ** 3
+    a1 = a + rng.normal(0.0, 2.0, (n, 2))
+    u1 = u + rng.normal(0.0, 0.5, (n, 2))
+    for kind in kinds:
+        i = rng.random(n) < 0.5
+        if kind == "short":             # shorter than 1e-12 px
+            u[i] = rng.uniform(-1.0, 1.0, (i.sum(), 2)) * 5e-13
+        elif kind == "short_end":
+            u1[i] = rng.uniform(-1.0, 1.0, (i.sum(), 2)) * 5e-13
+        elif kind == "zero":
+            u[i] = 0.0
+        elif kind == "flat":            # |ty| < _SLAB_EPS
+            u[i, 1] = u[i, 0] * rng.uniform(-1.0, 1.0, i.sum()) * 1e-6
+        elif kind == "flat_end":
+            u1[i, 1] = u1[i, 0] * rng.uniform(-1.0, 1.0, i.sum()) * 1e-6
+        elif kind == "flip":            # ty * ty1 < 0
+            u1[i] = u[i] * [1.0, -1.0]
+        elif kind == "vertical":
+            u[i, 0] = 0.0
+        elif kind == "on_pixel":        # the lines pass through pixel centres
+            a[i] = np.round(a[i])
+        elif kind == "on_pixel_end":
+            a1[i] = np.round(a1[i])
+        elif kind == "still":
+            a1[i], u1[i] = a[i], u[i]
+    b, b1 = a + u, a1 + u1
+    reach = np.maximum(np.linalg.norm(a1 - a, axis=1),
+                       np.linalg.norm(b1 - b, axis=1)) + 1.5
+    lo = np.minimum(np.minimum(a, b), np.minimum(a1, b1)) - 1
+    hi = np.maximum(np.maximum(a, b), np.maximum(a1, b1)) + 1
+    box = (np.clip(np.floor(lo[:, 0]), 0, 99), np.clip(np.ceil(hi[:, 0]), 0, 99),
+           np.clip(np.floor(lo[:, 1]), 0, 79), np.clip(np.ceil(hi[:, 1]), 0, 79))
+    return (a, b, a1, b1, reach) + tuple(v.astype(np.int64) for v in box)
+
+
+class TestBandMatchesReference:
+    """The row-filtered band enumerates exactly the pixels, in exactly the
+    order, of the band without the filter; the jitter draws follow that
+    order."""
+
+    @pytest.mark.parametrize("preset", ["const-vel", "boxes"])
+    def test_pinned_scenes(self, preset):
+        # the pinned 0.1 s scenes of TestEventDigests, both cameras
+        cfg = SimConfig()
+        rng_scene, rng_events = np.random.default_rng(0).spawn(2)
+        traj = make_trajectory(preset, duration=0.1)
+        scene = make_scene(preset, traj, cfg, rng_scene)
+        calls = []
+
+        def recording_band(*args):
+            calls.append(args)
+            return reference_band_pixels(*args)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_band_pixels", recording_band)
+            generate_stereo_events(scene, traj, default_rig(cfg), cfg,
+                                   rng_events)
+        assert len(calls) >= 2
+        assert sum(assert_band_matches_reference(*args)
+                   for args in calls) > 1000
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 2 ** 32 - 1), st.integers(1, 60),
+           st.lists(st.sampled_from(BOX_KINDS), max_size=4))
+    def test_random_boxes(self, seed, n, kinds):
+        assert_band_matches_reference(*random_boxes(seed, n, kinds))
+
+    def test_every_kind_of_box(self):
+        args = random_boxes(3, 400, BOX_KINDS)
+        a, b, a1, b1 = args[:4]
+        ln = np.hypot(*(b - a).T)
+        with np.errstate(invalid="ignore"):
+            ty = (b - a)[:, 1] / ln
+            ty1 = (b1 - a1)[:, 1] / np.hypot(*(b1 - a1).T)
+        assert np.any(ln < 1e-12)
+        assert np.any((ln >= 1e-12) & (np.abs(ty) < simulator._SLAB_EPS))
+        assert np.any(ty * ty1 < 0)
+        assert assert_band_matches_reference(*args) > 100
+
+
+def reference_project_edges(rs, ps, edges, intr, z_near):
+    """Endpoint projection with einsum, before the per-axis planes."""
+    rel0 = edges[None, :, 0, :] - ps[:, None, :]
+    rel1 = edges[None, :, 1, :] - ps[:, None, :]
+    c0 = np.einsum("kji,kej->kei", rs, rel0)
+    c1 = np.einsum("kji,kej->kei", rs, rel1)
+    valid = (c0[..., 2] > z_near) & (c1[..., 2] > z_near)
+    z0 = np.where(valid, c0[..., 2], 1.0)
+    z1 = np.where(valid, c1[..., 2], 1.0)
+    a = np.stack([intr.f * c0[..., 0] / z0 + intr.cx,
+                  intr.f * c0[..., 1] / z0 + intr.cy], axis=-1)
+    b = np.stack([intr.f * c1[..., 0] / z1 + intr.cx,
+                  intr.f * c1[..., 1] / z1 + intr.cy], axis=-1)
+    return a, b, valid
+
+
+class TestProjectEdges:
+    """The per-axis projection rounds exactly as the einsum it replaced."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_poses(self, seed):
+        rng = np.random.default_rng(seed)
+        k, e = 70, 45
+        quats = rng.normal(size=(k, 4))
+        rs = np.stack([quat_to_matrix(q / np.linalg.norm(q)) for q in quats])
+        ps = rng.normal(0.0, 3.0, (k, 3))
+        edges = rng.normal(0.0, 4.0, (e, 2, 3))
+        intr = default_rig(SimConfig()).left
+        got = simulator._project_edges(rs, ps, edges, intr, 0.25)
+        want = reference_project_edges(rs, ps, edges, intr, 0.25)
+        assert 0 < want[2].sum() < want[2].size
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    @pytest.mark.parametrize("preset", ["const-vel", "corridor", "spin"])
+    def test_trajectory_poses(self, preset):
+        # a straight path broadcasts one rotation over all poses
+        cfg = SimConfig()
+        traj = make_trajectory(preset, duration=0.5)
+        scene = make_scene(preset, traj, cfg, np.random.default_rng(2))
+        rs, ps = simulator._camera_positions(
+            traj, np.linspace(0.0, 0.5, 257), cfg.baseline)
+        intr = default_rig(cfg).right
+        got = simulator._project_edges(rs, ps, scene.edges, intr, cfg.z_near)
+        want = reference_project_edges(rs, ps, scene.edges, intr, cfg.z_near)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 def plane_side_cases():
