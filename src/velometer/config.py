@@ -54,7 +54,8 @@ class ImuConfig:
 class SplineConfig:
     knot_dt: float = 0.1             # s between knots
     window_segments: int = 10        # segments kept in the sliding window
-    max_extrap_dv: float = 10.0      # m/s, cap on the extrapolated increment per knot
+    max_jerk: float = 100.0          # m/s^3, bound on the velocity's second derivative;
+                                     # smoothness prior sigma = max_jerk * knot_dt^2
 
 
 @dataclass
@@ -77,10 +78,6 @@ class EstimatorConfig:
     seed: int = 0
     output_hz: float = 75.0
     output_lag: float = 0.1          # s, emit only states refined by later batches
-    max_step_velocity: float = 20.0  # m/s, trust-region cap per LM step and control point
-    max_step_bias: float = 0.5       # cap on bias moves per LM step
-    anchor_sigma: float = 0.0        # m/s, optional prior tying control points to
-                                     # the state at optimize entry (0 disables)
     bias_prior_acc: float = 0.1      # weak zero prior, m/s^2
     bias_prior_gyro: float = 0.02    # rad/s
     min_imu_dt: float = 1e-3         # reject degenerate pre-integration intervals
@@ -152,8 +149,23 @@ def validate_config(cfg: PipelineConfig):
          "must not be negative"),
         ("spline.knot_dt", cfg.spline.knot_dt, cfg.spline.knot_dt > 0,
          "must be positive"),
+        ("spline.max_jerk", cfg.spline.max_jerk, cfg.spline.max_jerk > 0,
+         "must be positive"),
         ("estimator.output_hz", cfg.estimator.output_hz,
          cfg.estimator.output_hz > 0, "must be positive"),
+        ("estimator.huber_delta", cfg.estimator.huber_delta,
+         cfg.estimator.huber_delta > 0, "must be positive"),
+        ("estimator.lm_lambda0", cfg.estimator.lm_lambda0,
+         cfg.estimator.lm_lambda0 > 0, "must be positive"),
+        ("estimator.lm_lambda_max", cfg.estimator.lm_lambda_max,
+         cfg.estimator.lm_lambda_max >= cfg.estimator.lm_lambda0,
+         f"must be at least estimator.lm_lambda0={cfg.estimator.lm_lambda0}"),
+        ("estimator.lm_max_iters", cfg.estimator.lm_max_iters,
+         cfg.estimator.lm_max_iters >= 1, "must be at least 1"),
+        ("estimator.bias_prior_acc", cfg.estimator.bias_prior_acc,
+         cfg.estimator.bias_prior_acc > 0, "must be positive"),
+        ("estimator.bias_prior_gyro", cfg.estimator.bias_prior_gyro,
+         cfg.estimator.bias_prior_gyro > 0, "must be positive"),
         ("sim.px_step", cfg.sim.px_step, cfg.sim.px_step > 0,
          "must be positive"),
         ("sim.contrast_threshold", cfg.sim.contrast_threshold,

@@ -21,8 +21,16 @@ the stacked Jacobian J is never formed:
 
 States are the spline control points plus one [accel | gyro] bias row per
 spline segment; a weak random-walk tie couples neighboring biases and a
-wide prior keeps unobserved biases bounded. Both priors, and the optional
-control-point anchor, go straight onto H's diagonal and bias band.
+wide prior keeps unobserved biases bounded.
+
+A smoothness prior on the second differences c[k] - 2 c[k+1] + c[k+2] of
+the control points keeps the window well posed. For a uniform B-spline that
+difference is the velocity's second derivative times knot_dt^2, so a motion
+model whose jerk stays within `spline.max_jerk` gives the standard deviation
+sigma = max_jerk * knot_dt^2 (1 m/s at 100 m/s^3 and 0.1 s knots). Without
+it the newest control point, whose weight at the batch time is only u^3/6,
+has no constraint of its own and Gauss-Newton steps along it are unbounded.
+All three priors go straight onto H's bands through strided views.
 Orientation is not estimated: it comes from gyro integration and only
 feeds the gravity direction and the rotational flow component.
 """
@@ -309,17 +317,13 @@ class Estimator:
         n = self.spline.num_controls
         return x[:3 * n].reshape(n, 3), x[3 * n:].reshape(-1, 6)
 
-    def _normal_equations(self, x, anchor=None, flows=None,
-                          imu_constants=None):
+    def _normal_equations(self, x, flows=None, imu_constants=None):
         """Gauss-Newton normal equations (H, g) and robust cost at state x.
 
         H = J^T J and g = J^T r of the whitened stacked residual, summed one
         block at a time: a 15x15 block per flow segment group, a 30x30 block
-        per pre-integration, and the bias and anchor priors straight on the
-        band and the diagonal. Huber weights enter as IRLS weights.
-        `anchor` optionally ties every control point to a reference value
-        with a wide prior, giving otherwise-unconstrained directions a
-        diagonal and bounding excursions of barely-observed tail states.
+        per pre-integration, and the smoothness and bias priors straight on
+        H's bands. Huber weights enter as IRLS weights.
         `flows` is _stack_flows(self.flow_batches) and `imu_constants` is
         _imu_constants(self.preints); both are computed here when not given.
         """
@@ -340,12 +344,23 @@ class Estimator:
         upper = flat_h[corner + 6::size + 1][:6 * (m - 1)]
         lower = flat_h[corner + 6 * size::size + 1][:6 * (m - 1)]
 
-        if anchor is not None and est_cfg.anchor_sigma > 0:
-            inv = 1.0 / est_cfg.anchor_sigma
-            r = (cp - anchor).ravel() * inv
-            diag[:3 * n] += inv * inv
-            g[:3 * n] += inv * r
-            cost += float(r @ r)
+        # smoothness: whitened c[k] - 2 c[k + 1] + c[k + 2], for k < n - 2.
+        # Row k puts coef[p] * coef[q] / sigma^2 on H[c_k+p, c_k+q] for each
+        # axis; over all k that is a diagonal run of 3 (n - 2) entries.
+        sp_cfg = self.cfg.spline
+        inv = 1.0 / (sp_cfg.max_jerk * sp_cfg.knot_dt ** 2)
+        coef = np.array([1.0, -2.0, 1.0]) * inv
+        run = 3 * (n - 2)
+        for p in range(3):
+            for q in range(3):
+                start = 3 * p * (size + 1) + 3 * (q - p)
+                flat_h[start::size + 1][:run] += coef[p] * coef[q]
+        r = (cp[:-2] - 2.0 * cp[1:-1] + cp[2:]) * inv
+        g_cp = g[:3 * n].reshape(n, 3)
+        for p in range(3):
+            g_cp[p:p + n - 2] += coef[p] * r
+        r = r.ravel()
+        cost += float(r @ r)
 
         flows = self._stack_flows(self.flow_batches) if flows is None else flows
         if len(flows.c):
@@ -410,17 +425,27 @@ class Estimator:
         return h, g, cost
 
     def optimize(self, max_iters=None, lambda0=None) -> OptimizeReport:
-        """Damped Gauss-Newton on the current window; state kept on failure."""
+        """Levenberg-Marquardt on the current window; the state only moves
+        by steps that lower the cost.
+
+        Each trial solves (H + lam diag(H)) step = -g. Before the trial point
+        is evaluated, the Gauss-Newton model predicts the cost decrease
+        -2 step^T g - step^T H step (the cost is the plain sum of squares,
+        without a factor 1/2). If that is below `cost_tol` times the cost, or
+        the step is shorter than `step_tol`, the window has converged and the
+        loop stops without evaluating the trial. A trial that lowers the cost
+        is accepted and divides lam by 10; one that does not multiplies it by
+        10. `converged` in the report is true only when the stopping rule
+        ended the loop, not when the iteration cap or `lm_lambda_max` did.
+        """
         est_cfg = self.cfg.estimator
         max_iters = est_cfg.lm_max_iters if max_iters is None else max_iters
         lam = est_cfg.lm_lambda0 if lambda0 is None else lambda0
 
         x = self._pack()
-        anchor = self.spline.control_points.copy()
-        n_cp = 3 * self.spline.num_controls
         consts = (self._stack_flows(self.flow_batches),
                   self._imu_constants(self.preints) if self.preints else None)
-        h, g, cost = self._normal_equations(x, anchor, *consts)
+        h, g, cost = self._normal_equations(x, *consts)
         cost0 = cost
         iters = 0
         converged = False
@@ -436,43 +461,30 @@ class Estimator:
                 except np.linalg.LinAlgError:
                     lam *= 10.0
                     continue
-                if np.linalg.norm(step) < est_cfg.step_tol:
+                predicted = -step @ (2.0 * g + h @ step)
+                if (predicted < est_cfg.cost_tol * cost
+                        or np.linalg.norm(step) < est_cfg.step_tol):
                     converged = True
-                    accepted = True
                     break
-                # trust region: reject steps that move any state implausibly far
-                if (np.max(np.abs(step[:n_cp])) > est_cfg.max_step_velocity
-                        or np.max(np.abs(step[n_cp:]), initial=0.0)
-                        > est_cfg.max_step_bias):
-                    lam *= 10.0
-                    continue
                 x_new = x + step
-                h_new, g_new, cost_new = self._normal_equations(x_new, anchor,
-                                                                *consts)
+                h_new, g_new, cost_new = self._normal_equations(x_new, *consts)
                 if cost_new < cost:
-                    rel_drop = (cost - cost_new) / max(cost, 1e-300)
                     x, h, g, cost = x_new, h_new, g_new, cost_new
                     lam = max(lam / 10.0, 1e-12)
                     accepted = True
-                    if rel_drop < est_cfg.cost_tol:
-                        converged = True
                     break
                 lam *= 10.0
             if not accepted:
                 break
-            if converged:
-                break
 
-        success = converged or cost < cost0 or iters == 0
-        if cost <= cost0:
-            cp, biases = self._unpack(x)
-            self.spline.control_points = cp
-            self.spline.biases = biases
+        cp, biases = self._unpack(x)
+        self.spline.control_points = cp
+        self.spline.biases = biases
         self.report.lm_iterations += iters
         self.report.optimizations += 1
         self.report.cost_drops.append(cost0 - cost)
-        return OptimizeReport(cost_before=cost0, cost_after=min(cost, cost0),
-                              iterations=iters, converged=bool(success),
+        return OptimizeReport(cost_before=cost0, cost_after=cost,
+                              iterations=iters, converged=converged,
                               lambda_final=lam)
 
     # ------------------------------------------------------------------
@@ -560,8 +572,7 @@ class Estimator:
                 self.report.init_failure = exc.reason
                 return None
 
-        self.spline.extend_to(t_batch + 1e-9,
-                              max_dv=self.cfg.spline.max_extrap_dv)
+        self.spline.extend_to(t_batch + 1e-9)
         if len(flows):
             self.flow_batches.append(flows)
         self._extend_preints(t_batch)

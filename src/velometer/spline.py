@@ -128,16 +128,13 @@ class VelocitySpline:
         """Interior evaluation-span knot times (segment boundaries)."""
         return self.t0 + self.knot_dt * np.arange(3, self.num_controls + 1)
 
-    def extend_to(self, t_target, max_dv=np.inf):
+    def extend_to(self, t_target):
         """Append extrapolated control points until t_target is evaluable.
 
-        New points continue the last segment linearly; `max_dv` caps the
-        per-knot increment so a disturbed tail cannot amplify exponentially
-        across repeated extensions.
+        New points continue the last segment linearly.
         """
         while self.t_max <= t_target + 1e-12:
             dv = self.control_points[-1] - self.control_points[-2]
-            dv = np.clip(dv, -max_dv, max_dv)
             self.control_points = np.vstack([self.control_points,
                                              self.control_points[-1] + dv])
             self.biases = np.vstack([self.biases, self.biases[-1]])

@@ -1,0 +1,110 @@
+"""Acceptance criteria: every preset tracks under the default config.
+
+Each shipped preset runs for seeds 0-3, 2.5 s each, through the whole
+pipeline (events, normal flow, stereo depth, estimator) with the default
+config and the initial orientation from ground truth. The mean absolute
+velocity error (AVE) and the 50th and 95th percentiles of the relative
+velocity error (RVE) must stay within per-preset bounds. A short run of
+the estimator alone on exact observations with noisy IMU checks that the
+window solve converges well inside the iteration cap.
+
+Every sequence is simulated once, by the test that checks it, with the
+seed scheme of `simulator.export_dataset`.
+"""
+
+import numpy as np
+import pytest
+
+from velometer import simulator
+from velometer.config import PipelineConfig
+from velometer.estimator import Estimator
+from velometer.evaluation import VelocityTrack, align_and_compare
+from velometer.pipeline import VelocityPipeline
+
+DURATION = 2.5
+SEEDS = range(4)
+
+# (mean AVE m/s, RVE p50 %, RVE p95 %) per preset. The worst run of seeds
+# 0-3 measured 0.10 / 5.5 / 10.8 (const-vel), 0.29 / 5.5 / 7.1 (corridor
+# seeds 0 and 3), 0.095 / 3.4 / 6.9 (boxes) and 0.25 / 5.5 / 9.4 (spin).
+BOUNDS = {
+    "const-vel": (0.15, 8.0, 15.0),
+    "corridor": (0.45, 8.0, 10.0),
+    "boxes": (0.15, 5.0, 10.0),
+    "spin": (0.35, 8.0, 14.0),
+}
+
+# Their stereo depth has heavy tails (ROADMAP item 4): corridor seed 1
+# initializes 5.8 m/s off and reaches a mean AVE of 4.1 m/s, seed 2 0.91 m/s.
+FRONT_END_DEPTH_TAILS = pytest.mark.xfail(
+    strict=True, reason="front-end depth tails, ROADMAP item 4")
+EXPECTED_FAILURES = {("corridor", 1), ("corridor", 2)}
+
+
+def pipeline_metrics(preset, seed):
+    """Simulate one sequence and run the default pipeline on it."""
+    cfg = PipelineConfig()
+    rng_scene, rng_events, rng_imu = np.random.default_rng(seed).spawn(3)
+    traj = simulator.make_trajectory(preset, duration=DURATION)
+    scene = simulator.make_scene(preset, traj, cfg.sim, rng_scene)
+    rig = simulator.default_rig(cfg.sim)
+    left, right = simulator.generate_stereo_events(scene, traj, rig, cfg.sim,
+                                                   rng_events)
+    imu, bias_a, bias_w = simulator.generate_imu(traj, cfg.imu,
+                                                 cfg.gravity_vec(), rng_imu)
+    gt = simulator.ground_truth(traj, rate=cfg.imu.rate_hz, bias_acc=bias_a,
+                                bias_gyro=bias_w)
+    ts, vs, _ = VelocityPipeline(rig, cfg).run(left, right, imu,
+                                               q0=gt.quat_wb[0])
+    return align_and_compare(VelocityTrack(ts, vs),
+                             VelocityTrack(gt.t, gt.v_body))
+
+
+@pytest.mark.parametrize("preset, seed", [
+    pytest.param(preset, seed, marks=FRONT_END_DEPTH_TAILS)
+    if (preset, seed) in EXPECTED_FAILURES else (preset, seed)
+    for preset in BOUNDS for seed in SEEDS])
+def test_preset_tracks(preset, seed):
+    m = pipeline_metrics(preset, seed)
+    ave_max, p50_max, p95_max = BOUNDS[preset]
+    summary = (f"{preset} seed {seed}: mean AVE {m.mean_ave:.3f} m/s, RVE "
+               f"p50 {m.rve_percentiles[50]:.2f}%, p95 "
+               f"{m.rve_percentiles[95]:.2f}% over {len(m.t)} samples")
+    assert len(m.t) > 20, summary
+    assert m.mean_ave <= ave_max, summary
+    assert m.rve_percentiles[50] <= p50_max, summary
+    assert m.rve_percentiles[95] <= p95_max, summary
+    print(f"PASS {summary}")
+
+
+def test_backend_on_exact_observations_converges():
+    # the estimator alone on exact flows every 0.2 s of a 5 s corridor with
+    # noisy IMU: no front-end error, so a failure here is the back end's
+    cfg = PipelineConfig()
+    rng_scene, _, rng_imu = np.random.default_rng(0).spawn(3)
+    traj = simulator.make_trajectory("corridor", duration=5.0)
+    scene = simulator.make_scene("corridor", traj, cfg.sim, rng_scene)
+    rig = simulator.default_rig(cfg.sim)
+    imu, bias_a, bias_w = simulator.generate_imu(traj, cfg.imu,
+                                                 cfg.gravity_vec(), rng_imu)
+    gt = simulator.ground_truth(traj, rate=cfg.imu.rate_hz, bias_acc=bias_a,
+                                bias_gyro=bias_w)
+    est = Estimator(rig, cfg)
+    est.set_initial_orientation(imu.t[0], gt.quat_wb[0])
+    est.feed_imu(imu)
+    reports = []
+    for t in imu.t[0] + 0.2 * np.arange(1, 25):
+        reports.append(est.step(
+            simulator.exact_observations(scene, traj, rig, t), t))
+    est.finalize()
+    m = align_and_compare(VelocityTrack(*est.velocity_track()),
+                          VelocityTrack(gt.t, gt.v_body))
+    summary = (f"backend corridor 5 s: mean AVE {m.mean_ave:.3f} m/s, RVE "
+               f"p95 {m.rve_percentiles[95]:.2f}%, at most "
+               f"{max(r.iterations for r in reports)} iterations")
+    assert all(r is not None and r.converged for r in reports), summary
+    assert max(r.iterations for r in reports) < cfg.estimator.lm_max_iters, \
+        summary
+    assert m.mean_ave < 0.1, summary
+    assert m.rve_percentiles[95] < 5.0, summary
+    print(f"PASS {summary}")

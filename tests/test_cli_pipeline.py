@@ -177,6 +177,29 @@ class TestEstimateCli:
         assert key in err
         assert "missing.csv" not in err
 
+    def test_estimator_keys_checked_before_inputs_are_read(self, tmp_path,
+                                                           capsys):
+        # lm_lambda0=0 made optimize loop forever, lm_lambda_max below it
+        # skipped every optimize, a zero bias prior divided by zero after
+        # the run started, and huber_delta=0 zeroed every flow weight
+        missing = str(tmp_path / "missing.csv")
+        for override in ("estimator.lm_lambda0=0", "estimator.lm_lambda_max=0",
+                         "estimator.bias_prior_acc=0",
+                         "estimator.bias_prior_gyro=0",
+                         "estimator.lm_max_iters=0", "estimator.huber_delta=0",
+                         "spline.max_jerk=0"):
+            rc = main(["estimate",
+                       "--events-left", missing,
+                       "--events-right", missing,
+                       "--imu", missing,
+                       "--calib", missing,
+                       "--config", override,
+                       "--out", str(tmp_path / "v.csv")])
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert override.split("=")[0] in err
+            assert "missing.csv" not in err
+
     def test_config_override_changes_behavior(self, dataset, tmp_path):
         vel = tmp_path / "v.csv"
         rc = main(["estimate",

@@ -227,8 +227,16 @@ class TestConfigOverrides:
         ("imu.acc_noise", "-1e-3"),
         ("imu.gyro_noise", "-1e-4"),
         ("spline.knot_dt", "0"),
+        ("spline.max_jerk", "0"),
         ("estimator.output_hz", "0"),
         ("estimator.output_hz", "-5"),
+        ("estimator.huber_delta", "0"),
+        ("estimator.lm_lambda0", "0"),
+        ("estimator.lm_lambda0", "-1e-4"),
+        ("estimator.lm_lambda_max", "1e-5"),
+        ("estimator.lm_max_iters", "0"),
+        ("estimator.bias_prior_acc", "0"),
+        ("estimator.bias_prior_gyro", "-0.02"),
         ("sim.px_step", "0"),
         ("sim.contrast_threshold", "0"),
         ("sim.jitter_std", "-1e-4"),

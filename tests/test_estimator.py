@@ -106,7 +106,24 @@ def reference_flow_rows(est, batch, cp, biases):
     return r, jac_cp, b_rows * scale[:, None], j
 
 
-def reference_rows(est, x, anchor=None, imu_constants=None):
+def smoothness_rows(est, cp):
+    """The whitened second differences c[k] - 2 c[k + 1] + c[k + 2] and their
+    dense Jacobian over the control-point columns, one row block per k."""
+    sp = est.spline
+    n = sp.num_controls
+    ncols = 3 * n + 6 * sp.num_segments
+    sigma = est.cfg.spline.max_jerk * est.cfg.spline.knot_dt ** 2
+    rows_r, rows_j = [], []
+    for k in range(n - 2):
+        jmat = np.zeros((3, ncols))
+        for p, coef in enumerate((1.0, -2.0, 1.0)):
+            jmat[:, 3 * (k + p):3 * (k + p) + 3] = coef / sigma * np.eye(3)
+        rows_r.append((cp[k] - 2.0 * cp[k + 1] + cp[k + 2]) / sigma)
+        rows_j.append(jmat)
+    return np.concatenate(rows_r), np.vstack(rows_j)
+
+
+def reference_rows(est, x, imu_constants=None):
     """The dense whitened residual r, Jacobian J (rows x (3n + 6m)) and
     robust cost at state x, one row block per residual family; Huber
     weights enter as square roots on the flow rows."""
@@ -116,16 +133,9 @@ def reference_rows(est, x, anchor=None, imu_constants=None):
     m = sp.num_segments
     ncols = 3 * n + 6 * m
     cp, biases = est._unpack(x)
-    rows_r, rows_j = [], []
-    cost = 0.0
-    if anchor is not None and est_cfg.anchor_sigma > 0:
-        inv = 1.0 / est_cfg.anchor_sigma
-        r = (cp - anchor).ravel() * inv
-        jmat = np.zeros((3 * n, ncols))
-        jmat[:, :3 * n] = np.eye(3 * n) * inv
-        cost += float(r @ r)
-        rows_r.append(r)
-        rows_j.append(jmat)
+    r, jmat = smoothness_rows(est, cp)
+    rows_r, rows_j = [r], [jmat]
+    cost = float(r @ r)
     for batch in est.flow_batches:
         if not len(batch):
             continue
@@ -181,11 +191,10 @@ def reference_rows(est, x, anchor=None, imu_constants=None):
     return np.concatenate(rows_r), np.vstack(rows_j), cost
 
 
-def reference_normal_equations(est, x, anchor=None, flows=None,
-                               imu_constants=None):
+def reference_normal_equations(est, x, flows=None, imu_constants=None):
     """(J^T J, J^T r, cost) from the dense rows; a drop-in for
     Estimator._normal_equations that ignores the stacked flows."""
-    r, jmat, cost = reference_rows(est, x, anchor, imu_constants)
+    r, jmat, cost = reference_rows(est, x, imu_constants)
     return jmat.T @ jmat, jmat.T @ r, cost
 
 
@@ -335,14 +344,15 @@ class TestImuResidual:
                                        atol=1e-12 * np.abs(want).max())
 
     def test_assembled_rows_match_per_interval_loop(self):
-        # no flows and no anchor: the IMU rows, the bias random-walk tie
-        # and the bias zero prior
+        # no flows: the smoothness prior, the IMU rows, the bias
+        # random-walk tie and the bias zero prior
         est = self._window()
         est.flow_batches = []
         sp, cfg = est.spline, est.cfg
         n, m = sp.num_controls, sp.num_segments
         ncols = 3 * n + 6 * m
-        rows_r, rows_j = [], []
+        r, jmat = smoothness_rows(est, sp.control_points)
+        rows_r, rows_j = [r], [jmat]
         for pre in est.preints:
             r, jc0, j0, jc1, j1, jb, seg = reference_imu_residual(est, pre)
             jmat = np.zeros((3, ncols))
@@ -404,10 +414,10 @@ class TestNormalEquations:
         return est
 
     @staticmethod
-    def _check(est, anchor=None):
+    def _check(est):
         x = est._pack()
-        h, g, cost = est._normal_equations(x, anchor)
-        want_h, want_g, want_cost = reference_normal_equations(est, x, anchor)
+        h, g, cost = est._normal_equations(x)
+        want_h, want_g, want_cost = reference_normal_equations(est, x)
         for got, want in ((h, want_h), (g, want_g)):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
@@ -433,13 +443,6 @@ class TestNormalEquations:
         est = self._window()
         est.cfg.estimator.robust = False
         self._check(est)
-
-    def test_anchor(self):
-        est = self._window()
-        est.cfg.estimator.anchor_sigma = 2.0
-        anchor = est.spline.control_points + np.random.default_rng(5).normal(
-            0, 1.0, est.spline.control_points.shape)
-        self._check(est, anchor)
 
     def test_one_segment(self):
         # m = 1: no random-walk rows
@@ -500,11 +503,55 @@ class TestOptimize:
         report = est.optimize(max_iters=30)
         assert report.cost_after < report.cost_before
         # probe only where flow/IMU data exists: states beyond the last
-        # observation have no residual to pull them back (anchor_sigma is 0
-        # by default, so no anchor prior is active) and cannot recover
+        # observation have only the smoothness prior to pull them back
         for t in np.arange(0.15, 0.86, 0.1):
             v = est.spline.velocity(t)
             assert np.linalg.norm(v - traj.velocity_body(t)) < 2e-3
+
+    @pytest.mark.parametrize("perturb", [0.0, 0.5])
+    def test_converged(self, perturb):
+        est, _ = self._tracking_estimator(perturb=perturb)
+        report = est.optimize()
+        assert report.converged
+        assert report.iterations < est.cfg.estimator.lm_max_iters
+
+    def test_not_converged_when_iteration_cap_stops(self):
+        est, _ = self._tracking_estimator(perturb=0.5)
+        report = est.optimize(max_iters=1)
+        assert report.iterations == 1
+        assert report.cost_after < report.cost_before
+        assert not report.converged
+
+    @pytest.mark.parametrize("max_jerk, bounded", [(100.0, True),
+                                                   (np.inf, False)])
+    def test_tail_step_bounded_by_smoothness_prior(self, max_jerk, bounded):
+        # a batch 5 ms into a new segment weighs the newest control point by
+        # u^3 / 6 = 2e-5 and nothing else observes it. On noisy IMU, one
+        # Gauss-Newton step from the truth moves it by 0.06-0.24 m/s with
+        # the prior; without it (infinite max_jerk) the step fits the noise
+        # along that direction and throws it by 3-10 m/s.
+        cfg, rig, traj, scene = make_setup(duration=1.0)
+        cfg.spline.max_jerk = max_jerk
+        est = estimator_with_truth(cfg, rig, traj, 0.5)
+        fit_spline_to_truth(est, traj)
+        est.imu, _, _ = generate_imu(traj, cfg.imu, GRAVITY,
+                                     np.random.default_rng(0))
+        for t in np.arange(0.1, 0.5, 0.1):
+            est.flow_batches.append(exact_observations(scene, traj, rig, t,
+                                                       count=30))
+        t_new = est.spline.t_max + 0.005
+        est.spline.extend_to(t_new)
+        est.flow_batches.append(exact_observations(scene, traj, rig, t_new,
+                                                   count=30))
+        est._extend_preints(t_new)
+        assert est.spline.weights(t_new)[1][-1] < 1e-4
+        before = est.spline.control_points.copy()
+        est.optimize(max_iters=1)
+        moved = np.linalg.norm(est.spline.control_points - before, axis=1)
+        if bounded:
+            assert moved[-1] < 0.5
+        else:
+            assert moved[-1] > 2.0
 
     def test_accepted_steps_decrease_cost(self):
         est, _ = self._tracking_estimator(perturb=0.8)
