@@ -16,5 +16,5 @@ from .imu import (OrientationTrack, Preintegration, preintegrate,
 from .normal_flow import (FlowBatch, normal_flow_from_gradient,
                           process_batch, select_candidates)
 from .spline import VelocitySpline, basis
-from .stereo import DepthEstimate, associate, match_block
-from .time_surface import SurfacePair, TimeSurface, update_time_surface
+from .stereo import associate, match_blocks
+from .time_surface import SurfacePair, TimeSurface

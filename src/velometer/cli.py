@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 parse/input error, 3 estimation failure,
 import argparse
 import os
 import sys
+from collections import deque
 
 import numpy as np
 
@@ -116,9 +117,11 @@ def cmd_flow_debug(args):
     rig = dataio.read_calibration(args.calib)
     events = dataio.read_events_csv(args.events)
     intr = rig.left if args.camera == "left" else rig.right
-    surfaces = SurfacePair.create(intr.width, intr.height)
+    surfaces = SurfacePair(intr.width, intr.height)
     with open(args.out, "w") as fh:
-        for batch in batch_by_count(events, cfg.flow.batch_size):
+        batches = deque(batch_by_count(events, cfg.flow.batch_size))
+        while batches:
+            batch = batches.popleft()   # frees each batch's event columns
             surfaces.update(batch)
             flows = process_batch(batch, surfaces, cfg.flow)
             t_ns = int(round(flows.t * 1e9))

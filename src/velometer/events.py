@@ -1,11 +1,13 @@
 """Event and IMU stream containers.
 
 Event streams are kept as numpy structured arrays (dtype :data:`EVENT_DTYPE`)
-so that batching and time-surface updates stay vectorized; a scalar record of
-that array behaves like a single event with fields t, x, y, p.
+so that batching stays a slice; a scalar record of that array behaves like a
+single event with fields t, x, y, p. An :class:`EventBatch` gives its fields
+as contiguous columns, built on first use: strided field views are slow.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,9 +29,14 @@ def make_events(t, x, y, p):
     return ev
 
 
+def _column(name):
+    """A contiguous copy of one event field, built on first access."""
+    return cached_property(lambda self: np.ascontiguousarray(self.events[name]))
+
+
 @dataclass
 class EventBatch:
-    """A contiguous, time-sorted slice of an event stream."""
+    """A contiguous, time-sorted slice of an event stream; polarities +-1."""
 
     events: np.ndarray
     t_start: float
@@ -45,10 +52,20 @@ class EventBatch:
             raise SequencingError("events in a batch must be sorted by time")
         if t[0] < self.t_start or t[-1] > self.t_end:
             raise ValueError("events outside the batch window")
+        p = self.events["p"]
+        bad = (p != 1) & (p != -1)
+        if np.any(bad):
+            raise ValueError(f"event polarity {p[np.argmax(bad)]} is neither "
+                             "+1 nor -1")
 
     @property
     def duration(self):
         return self.t_end - self.t_start
+
+    t = _column("t")
+    x = _column("x")
+    y = _column("y")
+    p = _column("p")
 
     def __len__(self):
         return len(self.events)

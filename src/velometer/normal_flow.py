@@ -59,19 +59,6 @@ class FlowBatch:
                          take(self.depth), take(self.weight))
 
 
-def _box_sum(img, radius):
-    """Sum of each (2r+1)^2 window, same shape as img (zero-padded)."""
-    r = radius
-    h, w = img.shape
-    pad = np.zeros((h + 2 * r, w + 2 * r))
-    pad[r:r + h, r:r + w] = img
-    ii = np.zeros((h + 2 * r + 1, w + 2 * r + 1))
-    ii[1:, 1:] = pad.cumsum(axis=0).cumsum(axis=1)
-    k = 2 * r + 1
-    return (ii[k:, k:][:h, :w] - ii[:h, k:][:, :w]
-            - ii[k:, :w][:h] + ii[:h, :w])
-
-
 def select_candidates(batch: EventBatch, surfaces: SurfacePair, cfg: FlowConfig):
     """Indices of batch events that pass the three culling rules.
 
@@ -81,38 +68,53 @@ def select_candidates(batch: EventBatch, surfaces: SurfacePair, cfg: FlowConfig)
          5x5 patch (valid = stamped within the batch window, center excluded);
       3. event time within `time_dev_frac` * duration of the mean neighbor
          stamp.
+
+    Both polarity planes are evaluated in one pass. The count of valid
+    pixels and the sum of valid stamps (0 where invalid) over each patch
+    come from integral images of the zero-padded planes, built in place in
+    one (2, h + 2r + 1, w + 2r + 1) buffer, first for the counts and then
+    for the stamps. They are read only at the border-kept events, as
+    ((A - B) - C) + D from the four patch corners, and the event's own pixel
+    is read from the buffer before each cumulative sum.
     """
-    ev = batch.events
     t0, t1 = batch.t_start, batch.t_end
-    w, h = surfaces.pos.width, surfaces.pos.height
+    x, y = batch.x, batch.y
+    _, h, w = surfaces.stamps.shape
     m = cfg.border_margin
-    keep = ((ev["x"] >= m) & (ev["x"] < w - m)
-            & (ev["y"] >= m) & (ev["y"] < h - m))
+    keep = (x >= m) & (x < w - m) & (y >= m) & (y < h - m)
+    idx = np.flatnonzero(keep)
+    xs, ys, ts = x[idx], y[idx], batch.t[idx]
 
+    stamps = surfaces.stamps
+    valid = (stamps >= t0) & (stamps <= t1)
     r = cfg.patch_radius
-    for pol in (1, -1):
-        surf = surfaces.for_polarity(pol)
-        valid = surf.valid_mask(t0, t1)
-        stamps = np.where(valid, surf.stamps, 0.0)
-        n_valid = _box_sum(valid.astype(float), r)
-        t_sum = _box_sum(stamps, r)
+    k = 2 * r + 1
+    ii = np.zeros((2, h + k, w + k))
+    inner = ii[:, r + 1:r + 1 + h, r + 1:r + 1 + w]
+    flat = ii.reshape(-1)
+    # flat position of each event's patch corner D = ii[plane, y, x]
+    at = surfaces.plane_of(batch.p[idx]) * ii[0].size + ys * (w + k) + xs
 
-        sel = keep & (ev["p"] == pol)
-        if not np.any(sel):
-            continue
-        xs, ys = ev["x"][sel], ev["y"][sel]
-        center_valid = valid[ys, xs]
-        neighbors = n_valid[ys, xs] - center_valid
-        ok = neighbors > cfg.min_neighbors
-        mean_t = np.zeros(len(xs))
-        nz = neighbors > 0
-        mean_t[nz] = ((t_sum[ys, xs] - stamps[ys, xs] * center_valid)[nz]
-                      / neighbors[nz])
-        ok &= np.abs(ev["t"][sel] - mean_t) <= cfg.time_dev_frac * batch.duration
-        idx = np.flatnonzero(sel)
-        keep[idx[~ok]] = False
+    def center_and_patch_sum():
+        center = flat[at + (r + 1) * (w + k + 1)]
+        np.cumsum(ii, axis=1, out=ii)
+        np.cumsum(ii, axis=2, out=ii)
+        return center, ((flat[at + k * (w + k) + k] - flat[at + k])
+                        - flat[at + k * (w + k)] + flat[at])
 
-    return np.flatnonzero(keep)
+    inner[...] = valid
+    center_valid, n_valid = center_and_patch_sum()
+    ii[...] = 0.0
+    np.copyto(inner, stamps, where=valid)
+    center_t, t_sum = center_and_patch_sum()
+
+    neighbors = n_valid - center_valid
+    ok = neighbors > cfg.min_neighbors
+    mean_t = np.zeros(len(idx))
+    nz = neighbors > 0
+    mean_t[nz] = (t_sum - center_t)[nz] / neighbors[nz]
+    ok &= np.abs(ts - mean_t) <= cfg.time_dev_frac * batch.duration
+    return idx[ok]
 
 
 def _patch_design(radius):
@@ -184,17 +186,6 @@ def fit_planes(surface: TimeSurface, xs, ys, window, cfg: FlowConfig):
     return coef[:, :2], rms, ok
 
 
-def fit_plane(surface: TimeSurface, px, window, cfg: FlowConfig = None):
-    """Single-pixel plane fit; returns (grad (2,), rms) or None on failure."""
-    cfg = cfg or FlowConfig()
-    xs = np.array([int(px[0])])
-    ys = np.array([int(px[1])])
-    grads, rms, ok = fit_planes(surface, xs, ys, window, cfg)
-    if not ok[0]:
-        return None
-    return grads[0], float(rms[0])
-
-
 def _corrected_flows(grads, cfg: FlowConfig):
     """Rows of (direction, magnitude, ok) for gradients (K, 2): the direction
     is the gradient direction and the speed its inverse norm."""
@@ -263,20 +254,20 @@ def process_batch(batch: EventBatch, surfaces: SurfacePair,
             np.linspace(0, len(idx) - 1, cfg.max_measurements)).astype(int))
         idx = idx[take]
 
-    ev = batch.events[idx]
-    xs = ev["x"].astype(np.int64)
-    ys = ev["y"].astype(np.int64)
+    xs = batch.x[idx].astype(np.int64)
+    ys = batch.y[idx].astype(np.int64)
+    ps, ts = batch.p[idx], batch.t[idx]
+    plane = surfaces.plane_of(ps)
     grads = np.empty((len(idx), 2))
     rms = np.empty(len(idx))
     ok = np.empty(len(idx), dtype=bool)
-    for pol in (1, -1):
-        sel = ev["p"] == pol
+    for i, surface in enumerate(surfaces.planes):
+        sel = plane == i
         grads[sel], rms[sel], ok[sel] = fit_planes(
-            surfaces.for_polarity(pol), xs[sel], ys[sel],
-            (batch.t_start, batch.t_end), cfg)
+            surface, xs[sel], ys[sel], (batch.t_start, batch.t_end), cfg)
     convert = _corrected_flows if cfg.mode == "corrected" else _benosman_flows
     direction, magnitude, flow_ok = convert(grads, cfg)
     keep = np.flatnonzero(ok & flow_ok)
-    order = keep[np.lexsort((ev["p"][keep], ys[keep], xs[keep], ev["t"][keep]))]
+    order = keep[np.lexsort((ps[keep], ys[keep], xs[keep], ts[keep]))]
     return FlowBatch(batch.t_end, xs[order], ys[order], direction[order],
                      magnitude[order], rms[order])

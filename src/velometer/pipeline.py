@@ -8,6 +8,7 @@ takes that batch as it is. The right camera serves depth only.
 """
 
 import time
+from collections import deque
 
 import numpy as np
 
@@ -47,8 +48,8 @@ class VelocityPipeline:
         self.cfg = config or PipelineConfig()
         validate_config(self.cfg)
         w, h = rig.left.width, rig.left.height
-        self.left_surfaces = SurfacePair.create(w, h)
-        self.right_surfaces = SurfacePair.create(w, h)
+        self.left_surfaces = SurfacePair(w, h)
+        self.right_surfaces = SurfacePair(w, h)
         self.estimator = Estimator(rig, self.cfg)
 
     def run(self, events_left, events_right, imu: ImuData, q0=None):
@@ -61,7 +62,9 @@ class VelocityPipeline:
         est.set_initial_orientation(imu.t[0], q0)
         est.feed_imu(imu)
 
-        batches = batch_by_count(events_left, cfg.flow.batch_size)
+        # a batch leaves the queue when processed, so the event columns it
+        # builds are freed with it instead of accumulating over the run
+        batches = deque(batch_by_count(events_left, cfg.flow.batch_size))
         right_cursor = 0
         right_t = events_right["t"] if len(events_right) else np.empty(0)
         # one search for every batch end: a search on the strided field view
@@ -69,16 +72,16 @@ class VelocityPipeline:
         # peak memory
         right_ends = np.searchsorted(right_t, [b.t_end for b in batches],
                                      side="right")
-        for batch_idx, batch in enumerate(batches):
+        for batch_idx, hi in enumerate(right_ends.tolist()):
+            batch = batches.popleft()
             if batch.t_end > imu.t[-1]:
                 break
             # bring the right camera's surfaces up to this batch's window
-            hi = int(right_ends[batch_idx])
             if hi > right_cursor:
                 chunk = events_right[right_cursor:hi]
                 # start where the last right update ended, so the window has a
                 # positive duration even when every event sits at batch.t_end
-                t0 = min(float(chunk["t"][0]), self.right_surfaces.pos.t_ref)
+                t0 = min(float(chunk["t"][0]), self.right_surfaces.t_ref)
                 self.right_surfaces.update(EventBatch(
                     chunk, t0, max(float(chunk["t"][-1]), batch.t_end)))
                 right_cursor = hi

@@ -27,8 +27,6 @@ Cross-Correlation", 1995). One small matrix product per pixel gives it for
 every d at once, as the D diagonals of a Gram matrix.
 """
 
-from dataclasses import dataclass
-
 import numpy as np
 from numpy.lib.stride_tricks import as_strided, sliding_window_view
 
@@ -40,15 +38,6 @@ from .time_surface import TimeSurface
 _CHUNK = 16     # reference pixels per block-matching pass
 
 
-@dataclass
-class DepthEstimate:
-    x: int
-    y: int
-    depth: float        # m, along the optical axis
-    disparity: float    # px, refined; depth * disparity == f * baseline
-    score: float        # match confidence in [0, 1]
-
-
 def _normalize(surface: TimeSurface, window, rows=slice(None)):
     """Window-normalized stamps of the rows `rows`, 0 where invalid, and
     their valid mask."""
@@ -56,25 +45,6 @@ def _normalize(surface: TimeSurface, window, rows=slice(None)):
     valid = surface.valid_mask(t0, t1, rows)
     vals = np.where(valid, (surface.stamps[rows] - t0) / (t1 - t0), 0.0)
     return vals, valid
-
-
-def match_block(left: TimeSurface, right: TimeSurface, px, window, rig: StereoRig,
-                cfg: DepthConfig = None):
-    """Match one left pixel against the same row of the right surface.
-
-    Returns a DepthEstimate, or None when no acceptable correlation peak
-    exists. The pixel must be far enough from the borders for the block to
-    fit; violating that is a caller error (ValueError, from match_blocks).
-    """
-    cfg = cfg or DepthConfig()
-    x, y = int(px[0]), int(px[1])
-    disp, score, ok = match_blocks(left, right, np.array([x]), np.array([y]),
-                                   window, cfg)
-    if not ok[0]:
-        return None
-    d = float(disp[0])
-    return DepthEstimate(x=x, y=y, depth=rig.left.f * rig.baseline / d,
-                         disparity=d, score=float(score[0]))
 
 
 def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,

@@ -2,10 +2,10 @@
 
 Untouched pixels carry -inf ("never"). The front end keeps one surface per
 polarity per camera, because events of opposite polarity belong to opposite
-sides of an edge and would corrupt local plane fits.
+sides of an edge and would corrupt local plane fits. A camera's two surfaces
+are the planes of one (2, h, w) array, so one scatter writes a batch of both
+polarities and the candidate culling reads both at once.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,67 +32,57 @@ class TimeSurface:
         return (stamps >= t0) & (stamps <= t1)
 
 
-def _latest_per_pixel(events, width, height):
-    """Indices of the last (most recent) event per distinct pixel, in
-    ascending pixel-key (y * width + x) order.
-
-    A scatter-max of the event indices into a per-pixel array that starts
-    at -1 leaves each touched pixel holding the index of its last event,
-    without sorting the batch.
-    """
-    keys = events["y"].astype(np.int64) * width + events["x"]
-    last = np.full(width * height, -1, dtype=np.int64)
-    np.maximum.at(last, keys, np.arange(len(keys)))
-    return last[last >= 0]
-
-
-def update_time_surface(ts: TimeSurface, batch: EventBatch) -> TimeSurface:
-    """Write each event's timestamp at its pixel; latest wins.
-
-    Batches must arrive in order: the batch may not start before the
-    surface's reference time.
-    """
-    if batch.t_start < ts.t_ref - 1e-12:
-        raise SequencingError(
-            f"batch starts at {batch.t_start} before surface t_ref {ts.t_ref}")
-    ev = batch.events
-    if np.any(ev["x"] < 0) or np.any(ev["x"] >= ts.width) \
-            or np.any(ev["y"] < 0) or np.any(ev["y"] >= ts.height):
-        raise ValueError("event outside image bounds")
-    idx = _latest_per_pixel(ev, ts.width, ts.height)
-    ts.stamps[ev["y"][idx], ev["x"][idx]] = ev["t"][idx]
-    ts.t_ref = batch.t_end
-    return ts
-
-
-@dataclass
 class SurfacePair:
-    """Per-polarity surfaces of one camera."""
+    """Per-polarity surfaces of one camera: `pos` and `neg` hold views of
+    the planes of the pair's (2, h, w) `stamps`, in the order of
+    :meth:`plane_of`. Batches must arrive in order: a batch may not start
+    before the pair's reference time `t_ref`.
+    """
 
-    pos: TimeSurface
-    neg: TimeSurface
+    def __init__(self, width, height):
+        self.stamps = np.full((2, height, width), NEVER)
+        self.t_ref = 0.0
+        self.planes = (TimeSurface(width, height), TimeSurface(width, height))
+        for plane, stamps in zip(self.planes, self.stamps):
+            plane.stamps = stamps
+        self.pos, self.neg = self.for_polarity(1), self.for_polarity(-1)
 
-    @classmethod
-    def create(cls, width, height):
-        return cls(TimeSurface(width, height), TimeSurface(width, height))
+    @staticmethod
+    def plane_of(p):
+        """Index of the plane holding polarity p (elementwise): 0 for +1,
+        1 for -1."""
+        return (np.asarray(p) < 0).astype(np.intp)
 
     def for_polarity(self, p):
-        return self.pos if p > 0 else self.neg
+        return self.planes[self.plane_of(p)]
 
     def update(self, batch: EventBatch):
-        ev = batch.events
-        for pol, surf in ((1, self.pos), (-1, self.neg)):
-            sel = ev["p"] == pol
-            if np.any(sel):
-                sub = ev[sel]
-                surf_batch = EventBatch(sub, batch.t_start, batch.t_end)
-                update_time_surface(surf, surf_batch)
-            else:
-                surf.t_ref = batch.t_end
+        """Write each event's time on its polarity's plane; latest wins.
+
+        One scatter-max of the times over the flat keys
+        plane * h * w + y * w + x, after every touched pixel is reset to
+        NEVER. The events are sorted, so the largest time at a pixel is the
+        time of its last event, also where an old stamp is newer (a batch
+        that starts inside the 1e-12 s sequencing tolerance).
+        """
+        if batch.t_start < self.t_ref - 1e-12:
+            raise SequencingError(f"batch starts at {batch.t_start} before "
+                                  f"surface t_ref {self.t_ref}")
+        _, h, w = self.stamps.shape
+        x, y, t = batch.x, batch.y, batch.t
+        if min(x.min(), y.min()) < 0 or x.max() >= w or y.max() >= h:
+            raise ValueError("event outside image bounds")
+        keys = (self.plane_of(batch.p) * (h * w)
+                + np.multiply(y, w, dtype=np.int64) + x)
+        flat = self.stamps.reshape(-1)
+        flat[keys] = NEVER
+        np.maximum.at(flat, keys, t)
+        self.t_ref = batch.t_end
+        for plane in self.planes:
+            plane.t_ref = self.t_ref
 
     def combined(self):
         """Latest-of-either-polarity surface (used for stereo matching)."""
-        out = TimeSurface(self.pos.width, self.pos.height,
-                          max(self.pos.t_ref, self.neg.t_ref))
+        out = TimeSurface(self.pos.width, self.pos.height, self.t_ref)
         out.stamps = np.maximum(self.neg.stamps, self.pos.stamps)
         return out

@@ -573,18 +573,33 @@ class TestOptimize:
 
     def test_gauge_locality_without_imu(self):
         # flows at one timestamp, no IMU residuals: only the active control
-        # points may move
+        # points are observed, so the inactive ones move only as the
+        # smoothness prior moves them. From a perturbed active quadruple, the
+        # optimum leaves each inactive point where the prior alone puts it
+        # given the active points: the second differences minimized over the
+        # inactive points with the active ones held fixed.
         est, _ = self._tracking_estimator(duration=1.0)
         est.flow_batches = est.flow_batches[4:5]
         est.preints = []
-        t_active = est.flow_batches[0].t
-        j_active, _ = est.spline.segment_of(t_active)
+        j_active, _ = est.spline.segment_of(est.flow_batches[0].t)
+        active = np.arange(j_active, j_active + 4)
+        est.spline.control_points[active] += np.random.default_rng(0).normal(
+            0, 0.3, (4, 3))
         before = est.spline.control_points.copy()
-        est.optimize(max_iters=5)
-        moved = np.linalg.norm(est.spline.control_points - before, axis=1)
-        for idx in range(est.spline.num_controls):
-            if idx < j_active or idx > j_active + 3:
-                assert moved[idx] < 1e-6
+        report = est.optimize(max_iters=50)
+        assert report.converged
+        cp = est.spline.control_points
+        n = len(cp)
+        second_diff = np.zeros((n - 2, n))
+        for k in range(n - 2):
+            second_diff[k, k:k + 3] = [1.0, -2.0, 1.0]
+        inactive = np.setdiff1d(np.arange(n), active)
+        prior_only, *_ = np.linalg.lstsq(second_diff[:, inactive],
+                                         -second_diff[:, active] @ cp[active],
+                                         rcond=None)
+        assert np.allclose(cp[inactive], prior_only, rtol=0.0, atol=1e-9)
+        moved = np.linalg.norm(cp - before, axis=1)
+        assert moved[inactive].max() > 1e-2     # the prior did move them
 
 
 class TestHuber:

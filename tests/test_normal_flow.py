@@ -1,13 +1,17 @@
+import hashlib
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from velometer.config import FlowConfig
-from velometer.events import EventBatch, make_events
-from velometer.normal_flow import (benosman_flow_from_gradient, fit_plane,
+from velometer.config import FlowConfig, SimConfig
+from velometer.events import EventBatch, batch_by_count, make_events
+from velometer.normal_flow import (benosman_flow_from_gradient, fit_planes,
                                    normal_flow_from_gradient, process_batch,
                                    select_candidates)
+from velometer.simulator import (default_rig, generate_stereo_events,
+                                 make_scene, make_trajectory)
 from velometer.time_surface import SurfacePair, TimeSurface
 
 
@@ -43,7 +47,7 @@ class TestSelectCandidates:
     def test_border_event_rejected(self):
         cfg = FlowConfig()
         batch = surrounded_event_batch(3, 20, 1.0)
-        pair = SurfacePair.create(40, 40)
+        pair = SurfacePair(40, 40)
         pair.update(batch)
         idx = select_candidates(batch, pair, cfg)
         target = np.flatnonzero(batch.events["x"] == 3)
@@ -66,7 +70,7 @@ class TestSelectCandidates:
         ev = make_events(np.asarray(ts_), xs, ys, np.ones(len(xs), np.int8))
         ev = np.sort(ev, order="t")
         batch = EventBatch(ev, t - 0.05, t + 0.05)
-        pair = SurfacePair.create(40, 40)
+        pair = SurfacePair(40, 40)
         pair.update(batch)
         idx = select_candidates(batch, pair, cfg)
         target = np.flatnonzero(batch.events["x"] == x)
@@ -75,7 +79,7 @@ class TestSelectCandidates:
     def test_full_neighborhood_accepted(self):
         cfg = FlowConfig()
         batch = surrounded_event_batch(20, 20, 1.0)
-        pair = SurfacePair.create(40, 40)
+        pair = SurfacePair(40, 40)
         pair.update(batch)
         idx = select_candidates(batch, pair, cfg)
         target = int(np.flatnonzero((batch.events["x"] == 20)
@@ -87,7 +91,7 @@ class TestSelectCandidates:
         # neighbors stamped early in a long batch; event far from their mean
         batch = surrounded_event_batch(20, 20, 1.0, spread=0.09)
         batch = EventBatch(batch.events, 0.9, 1.01)  # dev 0.09 >> 5% of 0.11
-        pair = SurfacePair.create(40, 40)
+        pair = SurfacePair(40, 40)
         pair.update(batch)
         idx = select_candidates(batch, pair, cfg)
         target = np.flatnonzero((batch.events["x"] == 20) & (batch.events["y"] == 20))
@@ -100,7 +104,7 @@ class TestSelectCandidates:
                          rng.integers(0, 40, n), rng.integers(0, 40, n),
                          rng.choice([-1, 1], n).astype(np.int8))
         batch = EventBatch(ev, 0.0, 0.05)
-        pair = SurfacePair.create(40, 40)
+        pair = SurfacePair(40, 40)
         pair.update(batch)
         strict = FlowConfig()
         loose = FlowConfig(min_neighbors=5, time_dev_frac=0.5, border_margin=5)
@@ -108,6 +112,127 @@ class TestSelectCandidates:
         idx_loose = select_candidates(batch, pair, loose)
         assert set(idx_strict).issubset(set(range(n)))
         assert set(idx_strict).issubset(set(idx_loose.tolist()))
+
+
+def reference_box_sum(img, radius):
+    """Sum of each (2r+1)^2 window, same shape as img (zero-padded)."""
+    r = radius
+    h, w = img.shape
+    pad = np.zeros((h + 2 * r, w + 2 * r))
+    pad[r:r + h, r:r + w] = img
+    ii = np.zeros((h + 2 * r + 1, w + 2 * r + 1))
+    ii[1:, 1:] = pad.cumsum(axis=0).cumsum(axis=1)
+    k = 2 * r + 1
+    return (ii[k:, k:][:h, :w] - ii[:h, k:][:, :w]
+            - ii[k:, :w][:h] + ii[:h, :w])
+
+
+def reference_select_candidates(batch, surfaces, cfg):
+    """Two full box-sum images per polarity, read at that polarity's events."""
+    ev = batch.events
+    t0, t1 = batch.t_start, batch.t_end
+    w, h = surfaces.pos.width, surfaces.pos.height
+    m = cfg.border_margin
+    keep = ((ev["x"] >= m) & (ev["x"] < w - m)
+            & (ev["y"] >= m) & (ev["y"] < h - m))
+    r = cfg.patch_radius
+    for pol in (1, -1):
+        surf = surfaces.for_polarity(pol)
+        valid = surf.valid_mask(t0, t1)
+        stamps = np.where(valid, surf.stamps, 0.0)
+        n_valid = reference_box_sum(valid.astype(float), r)
+        t_sum = reference_box_sum(stamps, r)
+        sel = keep & (ev["p"] == pol)
+        if not np.any(sel):
+            continue
+        xs, ys = ev["x"][sel], ev["y"][sel]
+        center_valid = valid[ys, xs]
+        neighbors = n_valid[ys, xs] - center_valid
+        ok = neighbors > cfg.min_neighbors
+        mean_t = np.zeros(len(xs))
+        nz = neighbors > 0
+        mean_t[nz] = ((t_sum[ys, xs] - stamps[ys, xs] * center_valid)[nz]
+                      / neighbors[nz])
+        ok &= np.abs(ev["t"][sel] - mean_t) <= cfg.time_dev_frac * batch.duration
+        idx = np.flatnonzero(sel)
+        keep[idx[~ok]] = False
+    return np.flatnonzero(keep)
+
+
+class TestSelectCandidatesMatchesReference:
+    # each batch: (polarities, [(tick, x, y, positive)]); "pos" and "neg"
+    # batches leave the other plane empty inside their window
+    batches = st.lists(
+        st.tuples(st.sampled_from(["mixed", "pos", "neg"]),
+                  st.lists(st.tuples(st.integers(0, 3), st.integers(0, 13),
+                                     st.integers(0, 11), st.booleans()),
+                           min_size=1, max_size=120)),
+        min_size=1, max_size=3)
+
+    @settings(max_examples=120, deadline=None)
+    @given(specs=batches, radius=st.integers(1, 3), margin=st.integers(0, 4),
+           min_neighbors=st.integers(0, 8),
+           time_dev_frac=st.sampled_from([0.05, 0.3, 1.0]))
+    @example(specs=[("mixed", [(0, 0, 0, True), (1, 13, 11, False)]),
+                    ("pos", [(0, 6, 6, True)] * 3 + [(1, 5, 6, True)])],
+             radius=2, margin=0, min_neighbors=0, time_dev_frac=1.0)
+    def test_same_indices(self, specs, radius, margin, min_neighbors,
+                          time_dev_frac):
+        cfg = FlowConfig(patch_radius=radius, border_margin=margin,
+                         min_neighbors=min_neighbors,
+                         time_dev_frac=time_dev_frac)
+        pair = SurfacePair(14, 12)
+        t_end = 1.0
+        for mode, rows in specs:
+            # ticks of an inexact step, so the stamp sums round
+            t = t_end + np.cumsum([tick for tick, *_ in rows]) * 0.0013717
+            pos = np.array([r[3] for r in rows]) if mode == "mixed" \
+                else np.full(len(rows), mode == "pos")
+            ev = make_events(t, [r[1] for r in rows], [r[2] for r in rows],
+                             np.where(pos, 1, -1).astype(np.int8))
+            batch = EventBatch(ev, t_end, float(t[-1]) + 0.0007)
+            t_end = batch.t_end
+            pair.update(batch)
+            got = select_candidates(batch, pair, cfg)
+            want = reference_select_candidates(batch, pair, cfg)
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want)
+
+
+class TestFrontEndDigest:
+    """The rows of every process_batch call over a short boxes scene, pinned
+    byte for byte, so that a speed-up of the front end cannot change a
+    flow. The cap on plane fits is lifted, so every candidate is fitted."""
+
+    def test_process_batch_rows_pinned(self):
+        cfg = SimConfig()
+        rng_scene, rng_events = np.random.default_rng(0).spawn(2)
+        traj = make_trajectory("boxes", duration=0.2)
+        scene = make_scene("boxes", traj, cfg, rng_scene)
+        left, _ = generate_stereo_events(scene, traj, default_rig(cfg), cfg,
+                                         rng_events)
+        flow_cfg = FlowConfig(batch_size=8000, max_measurements=100000)
+        pair = SurfacePair(cfg.width, cfg.height)
+        digest = hashlib.sha256()
+        batches = rows = 0
+        for batch in batch_by_count(left, flow_cfg.batch_size):
+            pair.update(batch)
+            flows = process_batch(batch, pair, flow_cfg)
+            batches += 1
+            rows += len(flows)
+            for col in (flows.x, flows.y, flows.direction, flows.magnitude,
+                        flows.fit_rms):
+                digest.update(np.ascontiguousarray(col).tobytes())
+        assert (batches, rows) == (6, 28792)
+        assert digest.hexdigest() == ("88a9154f592ba3803b6bb2f652bbb6a4"
+                                      "9d89050448b188830614024576210830")
+
+
+def fit_plane(surface, px, window):
+    """fit_planes at one pixel: (grad (2,), rms), or None where it fails."""
+    grads, rms, ok = fit_planes(surface, np.array([px[0]]), np.array([px[1]]),
+                                window, FlowConfig())
+    return (grads[0], float(rms[0])) if ok[0] else None
 
 
 class TestFitPlane:
@@ -203,14 +328,14 @@ class TestGradientToFlow:
 class TestProcessBatch:
     def test_empty_like_batches(self):
         cfg = FlowConfig()
-        pair = SurfacePair.create(40, 40)
+        pair = SurfacePair(40, 40)
         ev = make_events([1.0], [20], [20], [1])
         degenerate = EventBatch(ev, 1.0, 1.0 + 1e-9)   # shorter than 1 us
         assert len(process_batch(degenerate, pair, cfg)) == 0
 
     def test_full_neighborhood_yields_measurement(self):
         cfg = FlowConfig()
-        pair = SurfacePair.create(60, 60)
+        pair = SurfacePair(60, 60)
         # plane-like sweep: stamp a 9x9 region with an x-ramp, all polarity +
         xs, ys, ts_ = [], [], []
         for dy in range(-4, 5):
@@ -239,7 +364,7 @@ class TestProcessBatch:
         # recur across regions and along columns; the stream lists regions
         # and rows in the opposite order to the expected output
         cfg = FlowConfig()
-        pair = SurfacePair.create(60, 60)
+        pair = SurfacePair(60, 60)
         stamp = {}
         rows = []
         for cx in (40, 18):

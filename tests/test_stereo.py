@@ -7,8 +7,7 @@ from velometer.normal_flow import FlowBatch, process_batch
 from velometer.simulator import (StraightTrajectory, default_rig,
                                  generate_stereo_events, tilted_edge_scene,
                                  true_depth_at)
-from velometer.stereo import (_CHUNK, _normalize, associate, match_block,
-                              match_blocks)
+from velometer.stereo import _CHUNK, _normalize, associate, match_blocks
 from velometer.time_surface import SurfacePair, TimeSurface
 
 
@@ -44,39 +43,42 @@ def rig_for(ts):
     return StereoRig(left=intr, right=intr, baseline=0.12)
 
 
+def match_at(left, right, pixels, window=(0.0, 1.0), cfg=None):
+    """match_blocks at a list of (x, y) pixels."""
+    xs, ys = np.array(pixels, dtype=np.int64).reshape(-1, 2).T
+    return match_blocks(left, right, xs, ys, window, cfg or DepthConfig())
+
+
 class TestMatchBlock:
     def test_shifted_copy_recovers_disparity(self):
         left = textured_surface()
         right = shifted_copy(left, 10)   # right image: features at x - 10
-        rig = rig_for(left)
-        window = (0.0, 1.0)
-        hits = 0
-        for x in range(60, 140, 10):
-            for y in range(30, 90, 15):
-                est = match_block(left, right, (x, y), window, rig)
-                if est is None:
-                    continue
-                hits += 1
-                assert abs(est.disparity - 10.0) <= 0.05
-                assert est.score > 0.95
-        assert hits >= 20
+        grid = [(x, y) for x in range(60, 140, 10) for y in range(30, 90, 15)]
+        disp, score, ok = match_at(left, right, grid)
+        assert np.all(np.abs(disp[ok] - 10.0) <= 0.05)
+        assert np.all(score[ok] > 0.95)
+        assert ok.sum() >= 20
 
     def test_depth_from_disparity(self):
         left = textured_surface()
         right = shifted_copy(left, 24)
         rig = rig_for(left)   # f=100, baseline=0.12
-        est = match_block(left, right, (100, 60), (0.0, 1.0), rig)
-        assert est is not None
-        assert abs(est.depth - 100.0 * 0.12 / est.disparity) < 1e-12
-        assert abs(est.depth - 0.5) < 0.02
-        assert abs(est.depth * est.disparity - 100.0 * 0.12) < 1e-12
+        disp, _, ok = match_at(left, right, [(100, 60)])
+        assert ok[0]
+        flows = FlowBatch(1.0, np.array([100]), np.array([60]),
+                          np.array([[1.0, 0.0]]), np.array([100.0]),
+                          np.array([0.0]))
+        depth = associate(flows, left, right, (0.0, 1.0), rig).depth
+        assert len(depth) == 1
+        assert abs(depth[0] - 100.0 * 0.12 / disp[0]) < 1e-12
+        assert abs(depth[0] - 0.5) < 0.02
+        assert abs(depth[0] * disp[0] - 100.0 * 0.12) < 1e-12
 
     def test_border_precondition(self):
         left = textured_surface()
         right = shifted_copy(left, 5)
-        rig = rig_for(left)
         with pytest.raises(ValueError):
-            match_block(left, right, (3, 60), (0.0, 1.0), rig)
+            match_at(left, right, [(3, 60)])
 
     @pytest.mark.parametrize("x, y", [(7, 60), (192, 60), (100, 7), (100, 112)])
     def test_match_blocks_border_precondition(self, x, y):
@@ -92,23 +94,20 @@ class TestMatchBlock:
     def test_no_events_on_right(self):
         left = textured_surface()
         right = TimeSurface(left.width, left.height)   # all "never"
-        rig = rig_for(left)
-        est = match_block(left, right, (100, 60), (0.0, 1.0), rig)
-        assert est is None
+        _, _, ok = match_at(left, right, [(100, 60)])
+        assert not ok[0]
 
     def test_shift_equivariance(self):
         left = textured_surface(seed=3)
         right = shifted_copy(left, 12)
-        rig = rig_for(left)
-        window = (0.0, 1.0)
-        a = match_block(left, right, (100, 60), window, rig)
+        a, _, ok_a = match_at(left, right, [(100, 60)])
         # shift both surfaces right by 6 px
         left2 = shifted_copy(left, -0)
         left2.stamps = np.roll(left.stamps, 6, axis=1)
         right2 = shifted_copy(left2, 12)
-        b = match_block(left2, right2, (106, 60), window, rig)
-        assert a is not None and b is not None
-        assert abs(a.disparity - b.disparity) < 1e-9
+        b, _, ok_b = match_at(left2, right2, [(106, 60)])
+        assert ok_a[0] and ok_b[0]
+        assert abs(a[0] - b[0]) < 1e-9
 
     def test_exact_copy_matches_exactly(self):
         # the Gram expansion of the SSD cancels to rounding on an exact
@@ -362,8 +361,8 @@ def tilted_edge_pair():
                                         np.random.default_rng(0))
     assert len(ev_l) > 5000 and len(ev_r) > 5000
     fcfg = FlowConfig(batch_size=min(len(ev_l), 20000) - 1)
-    left_pair = SurfacePair.create(cfg.width, cfg.height)
-    right_pair = SurfacePair.create(cfg.width, cfg.height)
+    left_pair = SurfacePair(cfg.width, cfg.height)
+    right_pair = SurfacePair(cfg.width, cfg.height)
     batch = batch_by_count(ev_l, fcfg.batch_size)[0]
     left_pair.update(batch)
     hi = int(np.searchsorted(ev_r["t"], batch.t_end, side="right"))

@@ -4,8 +4,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from velometer.events import EventBatch, SequencingError, make_events
-from velometer.time_surface import (NEVER, SurfacePair, TimeSurface,
-                                   _latest_per_pixel, update_time_surface)
+from velometer.time_surface import NEVER, SurfacePair, TimeSurface
 
 
 def batch_from(t, x, y, p, t_start=None, t_end=None):
@@ -15,19 +14,19 @@ def batch_from(t, x, y, p, t_start=None, t_end=None):
 
 
 def test_single_event_write():
-    ts = TimeSurface(20, 20)
-    update_time_surface(ts, batch_from([1.0], [5], [7], [1]))
-    assert ts.stamps[7, 5] == 1.0
-    others = ts.stamps.copy()
-    others[7, 5] = NEVER
+    pair = SurfacePair(20, 20)
+    pair.update(batch_from([1.0], [5], [7], [1]))
+    assert pair.pos.stamps[7, 5] == 1.0
+    others = pair.stamps.copy()
+    others[0, 7, 5] = NEVER
     assert np.all(others == NEVER)
 
 
 def test_latest_wins_at_same_pixel():
-    ts = TimeSurface(20, 20)
-    update_time_surface(ts, batch_from([1.0, 2.0], [5, 5], [7, 7], [1, 1]))
-    assert ts.stamps[7, 5] == 2.0
-    assert ts.t_ref >= 2.0
+    pair = SurfacePair(20, 20)
+    pair.update(batch_from([1.0, 2.0], [5, 5], [7, 7], [1, 1]))
+    assert pair.pos.stamps[7, 5] == 2.0
+    assert pair.t_ref >= 2.0
 
 
 def test_touched_pixels_match_distinct_count():
@@ -37,39 +36,39 @@ def test_touched_pixels_match_distinct_count():
     y = rng.integers(0, 260, n)
     t = np.sort(rng.uniform(0.0, 0.1, n))
     p = rng.choice([-1, 1], n).astype(np.int8)
-    ts = TimeSurface(346, 260)
-    update_time_surface(ts, batch_from(t, x, y, p))
-    touched = int(np.sum(ts.stamps > NEVER))
-    distinct = len(set(zip(x.tolist(), y.tolist())))
+    pair = SurfacePair(346, 260)
+    pair.update(batch_from(t, x, y, p))
+    touched = int(np.sum(pair.stamps > NEVER))
+    distinct = len(set(zip(x.tolist(), y.tolist(), p.tolist())))
     assert touched == distinct
 
 
 def test_out_of_order_batch_rejected():
-    ts = TimeSurface(20, 20)
-    update_time_surface(ts, batch_from([1.0, 2.0], [1, 2], [1, 2], [1, 1]))
+    pair = SurfacePair(20, 20)
+    pair.update(batch_from([1.0, 2.0], [1, 2], [1, 2], [1, 1]))
     with pytest.raises(SequencingError):
-        update_time_surface(ts, batch_from([0.5], [3], [3], [1]))
+        pair.update(batch_from([0.5], [3], [3], [1]))
 
 
 def test_out_of_bounds_event_rejected():
-    ts = TimeSurface(20, 20)
+    pair = SurfacePair(20, 20)
     with pytest.raises(ValueError):
-        update_time_surface(ts, batch_from([1.0], [25], [3], [1]))
+        pair.update(batch_from([1.0], [25], [3], [1]))
 
 
 @settings(max_examples=25)
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=60))
 def test_updates_never_decrease_stamps(pixels):
-    ts = TimeSurface(10, 10)
+    pair = SurfacePair(10, 10)
     t = 0.0
     for chunk_start in range(0, len(pixels), 7):
         chunk = pixels[chunk_start:chunk_start + 7]
         times = t + 0.01 * (1 + np.arange(len(chunk)))
-        before = ts.stamps.copy()
-        update_time_surface(ts, batch_from(
+        before = pair.stamps.copy()
+        pair.update(batch_from(
             times, [c[0] for c in chunk], [c[1] for c in chunk],
             [1] * len(chunk), t_start=times[0], t_end=times[-1] + 1e-6))
-        assert np.all(ts.stamps >= before)
+        assert np.all(pair.stamps >= before)
         t = times[-1] + 1e-6
 
 
@@ -92,16 +91,109 @@ def test_latest_per_pixel_matches_unique(width, height, picks, ticks):
     # so pixels repeat heavily; few distinct ticks, so stamps repeat too
     x = [width - 1 if last else min(px, width - 1) for px, _, last in picks]
     y = [height - 1 if last else min(py, height - 1) for _, py, last in picks]
-    t = np.cumsum(ticks[:len(picks)]) * 1e-3
+    t = 1.0 + np.cumsum(ticks[:len(picks)]) * 1e-3
     ev = make_events(t, x, y, np.ones(len(picks), dtype=np.int8))
-    got = _latest_per_pixel(ev, width, height)
+    pair = SurfacePair(width, height)
+    pair.update(EventBatch(ev, 1.0, float(t[-1]) + 1e-3))
     want = reference_latest_per_pixel(ev, width)
-    assert got.dtype == want.dtype
-    assert np.array_equal(got, want)
+    expected = np.full((height, width), NEVER)
+    expected[ev["y"][want], ev["x"][want]] = ev["t"][want]
+    assert np.array_equal(pair.pos.stamps, expected)
+    assert np.all(pair.neg.stamps == NEVER)
+
+
+def reference_update_time_surface(ts, batch):
+    """Per-surface update with index scatter-max over structured records."""
+    if batch.t_start < ts.t_ref - 1e-12:
+        raise SequencingError("batch starts before surface t_ref")
+    ev = batch.events
+    if np.any(ev["x"] < 0) or np.any(ev["x"] >= ts.width) \
+            or np.any(ev["y"] < 0) or np.any(ev["y"] >= ts.height):
+        raise ValueError("event outside image bounds")
+    keys = ev["y"].astype(np.int64) * ts.width + ev["x"]
+    last = np.full(ts.width * ts.height, -1, dtype=np.int64)
+    np.maximum.at(last, keys, np.arange(len(keys)))
+    idx = last[last >= 0]
+    ts.stamps[ev["y"][idx], ev["x"][idx]] = ev["t"][idx]
+    ts.t_ref = batch.t_end
+
+
+def reference_pair_update(pos, neg, batch):
+    """One copied sub-batch per polarity, each written on its own surface."""
+    ev = batch.events
+    for pol, surf in ((1, pos), (-1, neg)):
+        sel = ev["p"] == pol
+        if np.any(sel):
+            reference_update_time_surface(
+                surf, EventBatch(ev[sel], batch.t_start, batch.t_end))
+        else:
+            surf.t_ref = batch.t_end
+
+
+# one batch: (start offset from the previous end, [(dt, x, y, positive)]);
+# an offset of -1 starts the batch 5e-13 s before the previous end, inside
+# the sequencing tolerance, so an event there may be older than a stamp
+batch_specs = st.lists(
+    st.tuples(st.sampled_from([-1, 0, 1]),
+              st.lists(st.tuples(st.integers(0, 2), st.integers(0, 5),
+                                 st.integers(0, 4), st.booleans()),
+                       min_size=1, max_size=30)),
+    min_size=1, max_size=4)
+
+
+def batches_from_specs(specs, all_positive=False):
+    t_end = 1.0
+    for offset, rows in specs:
+        t_start = t_end + {-1: -5e-13, 0: 0.0, 1: 1e-3}[offset]
+        t = t_start + np.cumsum([dt for dt, *_ in rows]) * 1e-3
+        pos = [all_positive or positive for *_, positive in rows]
+        p = np.where(pos, 1, -1).astype(np.int8)
+        ev = make_events(t, [r[1] for r in rows], [r[2] for r in rows], p)
+        # end at the last event where that leaves a positive duration
+        t_end = float(t[-1]) if t[-1] > t_start else t_start + 1e-3
+        yield EventBatch(ev, t_start, t_end)
+
+
+@settings(max_examples=150, deadline=None)
+@given(specs=batch_specs, all_positive=st.booleans())
+@example(specs=[(0, [(0, 5, 4, True), (1, 0, 0, False), (1, 5, 4, True)]),
+                (-1, [(0, 5, 4, True), (0, 0, 0, False)])], all_positive=False)
+@example(specs=[(0, [(0, 2, 2, True)] * 4), (1, [(0, 3, 3, False)])],
+         all_positive=True)
+def test_pair_update_matches_reference(specs, all_positive):
+    # duplicate pixels, border pixels of a 6 x 5 image, few distinct times,
+    # batches with one polarity only, and starts inside the tolerance
+    pair = SurfacePair(6, 5)
+    pos, neg = TimeSurface(6, 5), TimeSurface(6, 5)
+    for batch in batches_from_specs(specs, all_positive):
+        pair.update(batch)
+        reference_pair_update(pos, neg, batch)
+        assert np.array_equal(pair.pos.stamps, pos.stamps)
+        assert np.array_equal(pair.neg.stamps, neg.stamps)
+        assert pair.t_ref == pos.t_ref == neg.t_ref
+        assert np.shares_memory(pair.stamps[0], pair.pos.stamps)
+        assert np.shares_memory(pair.stamps[1], pair.neg.stamps)
+
+
+def test_latest_wins_inside_sequencing_tolerance():
+    # the second batch starts 5e-13 s before the first one's end, and its
+    # event at (4, 4) is older than that pixel's stamp: it still wins
+    pair = SurfacePair(10, 10)
+    pair.update(batch_from([1.0, 2.0], [3, 4], [2, 4], [1, -1], t_end=2.0))
+    pair.update(batch_from([2.0 - 5e-13], [4], [4], [-1], t_start=2.0 - 5e-13))
+    assert pair.neg.stamps[4, 4] == 2.0 - 5e-13
+    assert pair.pos.stamps[2, 3] == 1.0
+
+
+@pytest.mark.parametrize("p", [0, 2, -2])
+def test_polarity_other_than_plus_minus_one_rejected(p):
+    ev = make_events([1.0, 1.1, 1.2], [3, 4, 5], [3, 4, 5], [1, p, -1])
+    with pytest.raises(ValueError, match=f"polarity {p} "):
+        EventBatch(ev, 1.0, 1.3)
 
 
 def test_polarity_pair_routes_events():
-    pair = SurfacePair.create(20, 20)
+    pair = SurfacePair(20, 20)
     pair.update(batch_from([1.0, 1.5], [3, 4], [3, 4], [1, -1]))
     assert pair.pos.stamps[3, 3] == 1.0
     assert pair.neg.stamps[4, 4] == 1.5
