@@ -31,6 +31,14 @@ a rounding-sized margin, is enumerated, in (step, edge, row, column)
 order. The exact tests then run on these pixels, so the candidates, and
 with them the events, are those of enumerating every box pixel.
 
+Memory follows a fixed work budget, not the duration. Steps are projected
+256 at a time, and each chunk's (step, edge) boxes are split into
+consecutive groups of at most `_ROW_BUDGET` box rows. Each group runs the
+whole pipeline: band, exact tests, bisection, polarity, event expansion
+and timestamp jitter, drawn per group in candidate order. Only its event
+columns are kept. After the loop come the spurious events, drawn after
+every jitter draw, then the in-duration filter and a stable time sort.
+
 Trajectories are closed-form (straight line or circular arc with the body
 z-axis tracking the tangent), so velocity, acceleration, angular rate and
 orientation are available exactly at any time.
@@ -203,6 +211,8 @@ def _look_rotation(forward, up_world=(0.0, 0.0, 1.0)):
 
 def make_trajectory(preset, speed=None, omega=None, duration=3.0):
     """Kinematic presets; speed (m/s) / omega (rad/s) default per preset."""
+    if not duration > 0:
+        raise ValueError(f"duration must be positive, got {duration}")
     if preset == "const-vel":
         speed = 2.0 if speed is None else speed
         v_world = np.array([speed, 0.0, 0.0])
@@ -542,18 +552,37 @@ def _band_pixels(a, b, a1, b1, reach, x0, x1, y0, y1):
     return row[span], px, py[span]
 
 
-def _signed_distance(px, py, a, b):
-    """Signed distance of pixels to the line through a-b plus edge parameter."""
+def _signed_distance(px, py, a, b, owner=slice(None)):
+    """Signed distance of pixels to the line through a-b plus edge parameter;
+    pixel j is measured against segment owner[j] (each segment's frame is
+    computed once)."""
     ux = b[:, 0] - a[:, 0]
     uy = b[:, 1] - a[:, 1]
     ln = np.hypot(ux, uy)
     ln = np.where(ln < 1e-12, 1.0, ln)
     nx, ny = -uy / ln, ux / ln
-    dx = px - a[:, 0]
-    dy = py - a[:, 1]
-    d = nx * dx + ny * dy
-    s = (ux * dx + uy * dy) / (ln * ln)
+    dx = px - a[owner, 0]
+    dy = py - a[owner, 1]
+    d = nx[owner] * dx + ny[owner] * dy
+    s = (ux[owner] * dx + uy[owner] * dy) / (ln * ln)[owner]
     return d, s
+
+
+# a pass enumerates the bands of (step, edge) boxes holding at most this many
+# box rows in total, so its working arrays do not grow with the step chunk
+_ROW_BUDGET = 1 << 16
+
+
+def _row_groups(rows, budget):
+    """Slices of consecutive boxes whose row counts sum to at most `budget`
+    (a box of more rows makes a group of its own)."""
+    ends = np.cumsum(rows)
+    i0 = 0
+    while i0 < len(ends):
+        base = ends[i0 - 1] if i0 else 0
+        i1 = max(int(np.searchsorted(ends, base + budget, side="right")), i0 + 1)
+        yield slice(i0, i1)
+        i0 = i1
 
 
 def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
@@ -570,10 +599,12 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
     n_steps = int(np.ceil(traj.duration / dt))
     ts = np.linspace(0.0, traj.duration, n_steps + 1)
     dt = ts[1] - ts[0]
+    # with timestamp jitter applied afterwards, refining crossings far below
+    # the jitter scale buys nothing
+    tol = 1e-12 if cfg.jitter_std == 0.0 else min(1e-6, 0.01 * cfg.jitter_std)
+    n_iter = int(np.clip(np.ceil(np.log2(dt / tol)), 10, 60))
 
-    cand_px, cand_py, cand_lo, cand_hi = [], [], [], []
-    cand_edge, cand_sign = [], []
-
+    columns = []                    # (t, x, y, p) of each group's events
     chunk = 256
     for k0 in range(0, n_steps, chunk):
         k1 = min(k0 + chunk, n_steps)
@@ -590,69 +621,65 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
         y1 = np.clip(y_hi + 1, 0, intr.height - 1).astype(np.int64)
         inside = ((x_hi >= 0) & (x_lo <= intr.width - 1)
                   & (y_hi >= 0) & (y_lo <= intr.height - 1))
-        step_ok = step_ok & inside
-        sk, se = np.nonzero(step_ok)
-        if len(sk) == 0:
-            continue
-        # a pixel can only be crossed if it starts within one step's motion
-        # of the line; only that band of each box is enumerated, and the
-        # exact test runs before the second distance pass
-        reach = np.maximum(
-            np.linalg.norm(a[sk + 1, se] - a[sk, se], axis=-1),
-            np.linalg.norm(b[sk + 1, se] - b[sk, se], axis=-1)) + 1.5
-        owner, px, py = _band_pixels(a[sk, se], b[sk, se],
-                                     a[sk + 1, se], b[sk + 1, se], reach,
-                                     x0[sk, se], x1[sk, se],
-                                     y0[sk, se], y1[sk, se])
-        if len(owner) == 0:
-            continue
-        ek = se[owner]
-        kk = sk[owner]
-        d0, s0 = _signed_distance(px, py, a[kk, ek], b[kk, ek])
-        near = (np.abs(d0) <= reach[owner]) & (s0 > -0.02) & (s0 < 1.02)
-        if not np.any(near):
-            continue
-        owner, px, py, ek, kk, d0 = (arr[near] for arr in
-                                     (owner, px, py, ek, kk, d0))
-        d1, s1 = _signed_distance(px, py, a[kk + 1, ek], b[kk + 1, ek])
-        hit = (d0 * d1 < 0) & (s1 > -0.02) & (s1 < 1.02)
-        if not np.any(hit):
-            continue
-        cand_px.append(px[hit])
-        cand_py.append(py[hit])
-        cand_lo.append(sub[kk[hit]])
-        cand_hi.append(sub[kk[hit] + 1])
-        cand_edge.append(ek[hit])
-        cand_sign.append(np.sign(d0[hit]))
+        sk, se = np.nonzero(step_ok & inside)
+        for g in _row_groups(y1[sk, se] - y0[sk, se] + 1, _ROW_BUDGET):
+            gk, ge = sk[g], se[g]
+            a0, b0, a1, b1 = a[gk, ge], b[gk, ge], a[gk + 1, ge], b[gk + 1, ge]
+            # a pixel can only be crossed if it starts within one step's
+            # motion of the line; only that band of each box is enumerated,
+            # and the exact test runs before the second distance pass
+            reach = np.maximum(np.linalg.norm(a1 - a0, axis=-1),
+                               np.linalg.norm(b1 - b0, axis=-1)) + 1.5
+            owner, px, py = _band_pixels(a0, b0, a1, b1, reach, x0[gk, ge],
+                                         x1[gk, ge], y0[gk, ge], y1[gk, ge])
+            d0, s0 = _signed_distance(px, py, a0, b0, owner)
+            near = (np.abs(d0) <= reach[owner]) & (s0 > -0.02) & (s0 < 1.02)
+            owner, px, py, d0 = (v[near] for v in (owner, px, py, d0))
+            d1, s1 = _signed_distance(px, py, a1, b1, owner)
+            hit = (d0 * d1 < 0) & (s1 > -0.02) & (s1 < 1.02)
+            if not np.any(hit):
+                continue
+            owner, px, py, d0 = (v[hit] for v in (owner, px, py, d0))
+            events = _crossing_events(
+                scene, traj, intr, cfg, rng, offset_x, n_iter, px, py,
+                ge[owner], sub[gk[owner]], sub[gk[owner] + 1], np.sign(d0))
+            if len(events[0]):
+                columns.append(events)
 
-    if not cand_px:
+    # a stream without a single edge event gets no spurious events either
+    if not columns:
         return np.empty(0, dtype=EVENT_DTYPE)
+    if cfg.spurious_rate > 0:
+        n_sp = rng.poisson(cfg.spurious_rate * traj.duration)
+        columns.append((rng.uniform(0.0, traj.duration, n_sp),
+                        rng.integers(0, intr.width, n_sp).astype(np.int32),
+                        rng.integers(0, intr.height, n_sp).astype(np.int32),
+                        rng.choice(np.array([-1, 1], dtype=np.int8), n_sp)))
+    t_ev, x_ev, y_ev, p_ev = (np.concatenate(c) for c in zip(*columns))
+    del columns
+    keep = (t_ev >= 0.0) & (t_ev <= traj.duration)
+    t_ev, x_ev, y_ev, p_ev = t_ev[keep], x_ev[keep], y_ev[keep], p_ev[keep]
+    order = np.argsort(t_ev, kind="stable")
+    return make_events(t_ev[order], x_ev[order], y_ev[order], p_ev[order])
 
-    px = np.concatenate(cand_px).astype(float)
-    py = np.concatenate(cand_py).astype(float)
-    lo = np.concatenate(cand_lo)
-    hi = np.concatenate(cand_hi)
-    eid = np.concatenate(cand_edge)
-    sign_lo = np.concatenate(cand_sign)
 
+def _crossing_events(scene, traj, intr, cfg, rng, offset_x, n_iter, px, py,
+                     eid, lo, hi, sign_lo):
+    """Events (t, x, y, p columns) of crossing candidates: pixel (px, py),
+    edge eid, crossed within [lo, hi], on side sign_lo at lo."""
     # both endpoints lie beyond z_near > 0 at both step ends, where the
     # plane side has the sign of the pixel's image distance to the line
+    px, py = px.astype(float), py.astype(float)
     rays = np.stack([px - intr.cx, py - intr.cy, np.full_like(px, intr.f)],
                     axis=1)
     side_at = traj.plane_side(scene.edges[eid, 0], scene.edges[eid, 1], rays,
                               offset_x)
-
-    # with timestamp jitter applied afterwards, refining crossings far below
-    # the jitter scale buys nothing
-    tol = 1e-12 if cfg.jitter_std == 0.0 else min(1e-6, 0.01 * cfg.jitter_std)
-    n_iter = int(np.clip(np.ceil(np.log2(dt / tol)), 10, 60))
-    t_lo, t_hi = lo.copy(), hi.copy()
+    t_lo, t_hi = lo, hi
     for _ in range(n_iter):
         tm = 0.5 * (t_lo + t_hi)
         same = np.sign(side_at(tm)) == sign_lo
         t_lo = np.where(same, tm, t_lo)
         t_hi = np.where(same, t_hi, tm)
-    t_star = 0.5 * (t_lo + t_hi)
 
     # a step edge delivers its whole log-intensity change at the crossing
     # instant, so every threshold multiple fires there
@@ -661,33 +688,11 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
                                + 1e-9).astype(int), 0)
     pol = (np.sign(contrast) * (-sign_lo)).astype(np.int8)
     pol[pol == 0] = 1
-
-    total = int(n_ev.sum())
-    if total == 0:
-        return np.empty(0, dtype=EVENT_DTYPE)
-    owner = np.repeat(np.arange(len(n_ev)), n_ev)
-    t_ev = t_star[owner]
-    x_ev = px[owner].astype(np.int32)
-    y_ev = py[owner].astype(np.int32)
-    p_ev = pol[owner]
-
+    t_ev = np.repeat(0.5 * (t_lo + t_hi), n_ev)
     if cfg.jitter_std > 0:
-        t_ev = t_ev + rng.normal(0.0, cfg.jitter_std, total)
-    if cfg.spurious_rate > 0:
-        n_sp = rng.poisson(cfg.spurious_rate * traj.duration)
-        t_sp = rng.uniform(0.0, traj.duration, n_sp)
-        x_sp = rng.integers(0, intr.width, n_sp).astype(np.int32)
-        y_sp = rng.integers(0, intr.height, n_sp).astype(np.int32)
-        p_sp = rng.choice(np.array([-1, 1], dtype=np.int8), n_sp)
-        t_ev = np.concatenate([t_ev, t_sp])
-        x_ev = np.concatenate([x_ev, x_sp])
-        y_ev = np.concatenate([y_ev, y_sp])
-        p_ev = np.concatenate([p_ev, p_sp])
-
-    keep = (t_ev >= 0.0) & (t_ev <= traj.duration)
-    t_ev, x_ev, y_ev, p_ev = t_ev[keep], x_ev[keep], y_ev[keep], p_ev[keep]
-    order = np.argsort(t_ev, kind="stable")
-    return make_events(t_ev[order], x_ev[order], y_ev[order], p_ev[order])
+        t_ev = t_ev + rng.normal(0.0, cfg.jitter_std, len(t_ev))
+    return (t_ev, np.repeat(px, n_ev).astype(np.int32),
+            np.repeat(py, n_ev).astype(np.int32), np.repeat(pol, n_ev))
 
 
 def generate_stereo_events(scene, traj, rig, cfg: SimConfig, rng=None):
@@ -869,10 +874,11 @@ def export_dataset(out_dir, preset, cfg: SimConfig, imu_cfg: ImuConfig,
 
     from . import dataio
 
+    # the trajectory checks its arguments before anything is written
+    traj = make_trajectory(preset, speed=speed, omega=omega, duration=duration)
     os.makedirs(out_dir, exist_ok=True)
     rng = np.random.default_rng(seed)
     rng_scene, rng_events, rng_imu = rng.spawn(3)
-    traj = make_trajectory(preset, speed=speed, omega=omega, duration=duration)
     scene = make_scene(preset, traj, cfg, rng_scene)
     rig = default_rig(cfg)
     ev_left, ev_right = generate_stereo_events(scene, traj, rig, cfg, rng_events)

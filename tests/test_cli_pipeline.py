@@ -60,6 +60,16 @@ class TestSimulateCli:
         assert "sim.px_step" in capsys.readouterr().err
         assert not out.exists() or not os.listdir(out)
 
+    @pytest.mark.parametrize("duration", ["0", "-1", "nan"])
+    def test_non_positive_duration_exits_before_writing(self, tmp_path,
+                                                        capsys, duration):
+        out = tmp_path / "sim"
+        rc = main(["simulate", "--preset", "const-vel", "--duration", duration,
+                   "--out", str(out)])
+        assert rc == 2
+        assert "duration" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_zero_near_plane_exits_before_writing(self, tmp_path, capsys):
         out = tmp_path / "sim"
         rc = main(["simulate", "--preset", "const-vel", "--duration", "3",

@@ -1,4 +1,5 @@
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,6 +42,11 @@ class TestTrajectories:
         assert np.allclose(traj.velocity_body(0.3), [0, 0, 2.0])
         assert np.allclose(traj.omega_body(0.5), 0.0)
         assert np.allclose(traj.accel_world(0.1), 0.0)
+
+    @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
+    def test_non_positive_duration_rejected(self, duration):
+        with pytest.raises(ValueError, match="duration"):
+            make_trajectory("corridor", duration=duration)
 
     def test_corridor_targets(self):
         traj = make_trajectory("corridor", duration=1.0)
@@ -629,9 +635,19 @@ class TestPlaneSide:
         assert np.array_equal(np.sign(side[clear]), np.sign(d[clear]))
 
 
+def stereo_digest(preset, cfg):
+    """SHA-256 of both event streams of a seed-0 0.1 s preset scene."""
+    rng_scene, rng_events = np.random.default_rng(0).spawn(2)
+    traj = make_trajectory(preset, duration=0.1)
+    scene = make_scene(preset, traj, cfg, rng_scene)
+    left, right = generate_stereo_events(scene, traj, default_rig(cfg), cfg,
+                                         rng_events)
+    return hashlib.sha256(left.tobytes() + right.tobytes()).hexdigest()
+
+
 class TestEventDigests:
-    """The event streams of two short preset scenes, pinned byte for byte,
-    so that a speed-up of the crossing search cannot change an event."""
+    """The event streams of short preset scenes, pinned byte for byte, so
+    that a speed-up of the crossing search cannot change an event."""
 
     @pytest.mark.parametrize("preset, digest", [
         ("const-vel",
@@ -640,14 +656,70 @@ class TestEventDigests:
          "0fde4336906e85796fd7c95a109ea904ca845b3d005a148013be537c932af034"),
     ])
     def test_stereo_events_pinned(self, preset, digest):
+        assert stereo_digest(preset, SimConfig()) == digest
+
+    @pytest.mark.parametrize("preset, spurious_rate, digest", [
+        ("boxes", 5000.0,
+         "584c3eb62484662b6a2fda84405c8427969021b80783847833a622720a1cec92"),
+        ("spin", 0.0,
+         "51af92d3f3e9d6e1384a6bb51dc1f6f5037ed97aafd9ad74e12e6a0963fe6aaa"),
+    ])
+    def test_random_draw_order_pinned(self, preset, spurious_rate, digest):
+        # the jitter is drawn in candidate order and every spurious event
+        # after it; reordering either changes these streams
+        cfg = SimConfig(spurious_rate=spurious_rate)
+        assert stereo_digest(preset, cfg) == digest
+
+
+class TestRowBudget:
+    def test_groups_are_consecutive_and_within_budget(self):
+        groups = simulator._row_groups(np.array([3, 5, 2, 9, 1, 1, 4]), 8)
+        assert [(g.start, g.stop) for g in groups] == [
+            (0, 2), (2, 3), (3, 4), (4, 7)]
+
+    @pytest.mark.parametrize("scene, traj, budget", [
+        (tilted_edge_scene(depth=2.0, tilt_deg=30.0, length=0.8, n_edges=3,
+                           spacing=0.3), lateral_traj(0.8, 0.05), 1),
+        (None, make_trajectory("const-vel", duration=0.05), 700),
+    ], ids=["one-box-per-group", "few-boxes-per-group"])
+    def test_split_does_not_change_events(self, scene, traj, budget):
+        # each scene's chunk fits the default budget in one group; groups
+        # follow (step, edge) order and draw their jitter in it, so a box
+        # per group or a few give the same stream
+        cfg = SimConfig(spurious_rate=500.0)
+        if scene is None:
+            scene = make_scene("const-vel", traj, cfg,
+                               np.random.default_rng(1))
+        rig = default_rig(cfg)
+        want = generate_events(scene, traj, rig, cfg, np.random.default_rng(2))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(simulator, "_ROW_BUDGET", budget)
+            got = generate_events(scene, traj, rig, cfg,
+                                  np.random.default_rng(2))
+        assert len(want) > 1000
+        assert np.array_equal(got, want)
+
+
+class TestGenerationMemory:
+    def test_peak_follows_the_returned_stream(self):
+        # events are emitted group by group of (step, edge) boxes, so the
+        # working memory is a few times the returned stream; keeping every
+        # crossing candidate to the end took 13.6 times it here
         cfg = SimConfig()
         rng_scene, rng_events = np.random.default_rng(0).spawn(2)
-        traj = make_trajectory(preset, duration=0.1)
-        scene = make_scene(preset, traj, cfg, rng_scene)
-        left, right = generate_stereo_events(scene, traj, default_rig(cfg),
-                                             cfg, rng_events)
-        got = hashlib.sha256(left.tobytes() + right.tobytes()).hexdigest()
-        assert got == digest
+        traj = make_trajectory("corridor", duration=1.0)
+        scene = make_scene("corridor", traj, cfg, rng_scene)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            ev = generate_events(scene, traj, default_rig(cfg), cfg,
+                                 rng_events)
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert len(ev) > 100_000
+        assert peak <= 6 * ev.nbytes
 
 
 class TestImuGeneration:
