@@ -71,9 +71,13 @@ def select_candidates(batch: EventBatch, surfaces: SurfacePair, cfg: FlowConfig)
 
     Both polarity planes are evaluated in one pass. The count of valid
     pixels and the sum of valid stamps (0 where invalid) over each patch
-    come from integral images of the zero-padded planes, built in place in
-    one (2, h + 2r + 1, w + 2r + 1) buffer, first for the counts and then
-    for the stamps. They are read only at the border-kept events, as
+    come from integral images of the zero-padded planes, each built in
+    place in a (2, h + 2r + 1, w + 2r + 1) buffer: int32 for the counts,
+    which is exact and halves the cumulative sums' memory traffic, and
+    float64 for the stamps. The stamps are taken relative to the batch start,
+    so the sums do not depend on the time origin (at epoch times of about
+    1.7e9 s the corners of a raw-stamp integral image reach about 3e13, where
+    one ulp is milliseconds). They are read only at the border-kept events, as
     ((A - B) - C) + D from the four patch corners, and the event's own pixel
     is read from the buffer before each cumulative sum.
     """
@@ -89,31 +93,32 @@ def select_candidates(batch: EventBatch, surfaces: SurfacePair, cfg: FlowConfig)
     valid = (stamps >= t0) & (stamps <= t1)
     r = cfg.patch_radius
     k = 2 * r + 1
-    ii = np.zeros((2, h + k, w + k))
-    inner = ii[:, r + 1:r + 1 + h, r + 1:r + 1 + w]
-    flat = ii.reshape(-1)
     # flat position of each event's patch corner D = ii[plane, y, x]
-    at = surfaces.plane_of(batch.p[idx]) * ii[0].size + ys * (w + k) + xs
+    at = (surfaces.plane_of(batch.p[idx]) * ((h + k) * (w + k))
+          + ys * (w + k) + xs)
 
-    def center_and_patch_sum():
+    def center_and_patch_sum(ii):
+        flat = ii.reshape(-1)
         center = flat[at + (r + 1) * (w + k + 1)]
         np.cumsum(ii, axis=1, out=ii)
         np.cumsum(ii, axis=2, out=ii)
         return center, ((flat[at + k * (w + k) + k] - flat[at + k])
                         - flat[at + k * (w + k)] + flat[at])
 
-    inner[...] = valid
-    center_valid, n_valid = center_and_patch_sum()
-    ii[...] = 0.0
-    np.copyto(inner, stamps, where=valid)
-    center_t, t_sum = center_and_patch_sum()
+    counts = np.zeros((2, h + k, w + k), dtype=np.int32)
+    counts[:, r + 1:r + 1 + h, r + 1:r + 1 + w] = valid
+    center_valid, n_valid = center_and_patch_sum(counts)
+    sums = np.zeros((2, h + k, w + k))
+    np.subtract(stamps, t0, out=sums[:, r + 1:r + 1 + h, r + 1:r + 1 + w],
+                where=valid)
+    center_t, t_sum = center_and_patch_sum(sums)
 
     neighbors = n_valid - center_valid
     ok = neighbors > cfg.min_neighbors
     mean_t = np.zeros(len(idx))
     nz = neighbors > 0
     mean_t[nz] = (t_sum - center_t)[nz] / neighbors[nz]
-    ok &= np.abs(ts - mean_t) <= cfg.time_dev_frac * batch.duration
+    ok &= np.abs((ts - t0) - mean_t) <= cfg.time_dev_frac * batch.duration
     return idx[ok]
 
 
@@ -156,6 +161,9 @@ def fit_planes(surface: TimeSurface, xs, ys, window, cfg: FlowConfig):
     t0, t1 = window
     r = cfg.patch_radius
     x_des = _patch_design(r)                      # (P, 3)
+    # per patch pixel, the outer product of its design row: the normal
+    # matrices are then one product with the mask, exact (integer sums)
+    outer = (x_des[:, :, None] * x_des[:, None, :]).reshape(len(x_des), 9)
     off = np.arange(-r, r + 1)
     pys = ys[:, None, None] + off[None, :, None]  # (K, 2r+1, 2r+1)
     pxs = xs[:, None, None] + off[None, None, :]
@@ -164,7 +172,7 @@ def fit_planes(surface: TimeSurface, xs, ys, window, cfg: FlowConfig):
     tv = np.where(valid, tv - t1, 0.0)            # shift for conditioning
 
     def solve(mask):
-        n_mats = np.einsum("kp,pa,pb->kab", mask.astype(float), x_des, x_des)
+        n_mats = (mask.astype(float) @ outer).reshape(-1, 3, 3)
         rhs = np.einsum("kp,pa->ka", mask * tv, x_des)
         coef, ok = _solve3(n_mats, rhs)
         res = np.einsum("pa,ka->kp", x_des, coef) - tv

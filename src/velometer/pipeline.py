@@ -1,10 +1,11 @@
 """Offline pipeline: events + IMU in, velocity track + run report out.
 
 Batches the left event stream by count and keeps per-polarity time surfaces
-for both cameras. Per batch, the left camera's plane fits yield one
+for the left camera. Per batch, the left camera's plane fits yield one
 FlowBatch of normal flows; stereo block matching against the right camera's
 surface keeps the rows it can match and attaches their depth; the estimator
-takes that batch as it is. The right camera serves depth only.
+takes that batch as it is. The right camera serves depth only, so it keeps
+one surface with the latest stamp of either polarity.
 """
 
 import time
@@ -18,8 +19,8 @@ from .events import EventBatch, ImuData, batch_by_count
 from .geometry import StereoRig
 from .normal_flow import process_batch
 from .rotations import quat_between, quat_identity
-from .stereo import associate
-from .time_surface import SurfacePair
+from .stereo import associate, block_rows
+from .time_surface import SurfacePair, TimeSurface
 
 
 class EstimationFailure(RuntimeError):
@@ -49,7 +50,7 @@ class VelocityPipeline:
         validate_config(self.cfg)
         w, h = rig.left.width, rig.left.height
         self.left_surfaces = SurfacePair(w, h)
-        self.right_surfaces = SurfacePair(w, h)
+        self.right_surface = TimeSurface(w, h)
         self.estimator = Estimator(rig, self.cfg)
 
     def run(self, events_left, events_right, imu: ImuData, q0=None):
@@ -76,13 +77,13 @@ class VelocityPipeline:
             batch = batches.popleft()
             if batch.t_end > imu.t[-1]:
                 break
-            # bring the right camera's surfaces up to this batch's window
+            # bring the right camera's surface up to this batch's window
             if hi > right_cursor:
                 chunk = events_right[right_cursor:hi]
                 # start where the last right update ended, so the window has a
                 # positive duration even when every event sits at batch.t_end
-                t0 = min(float(chunk["t"][0]), self.right_surfaces.t_ref)
-                self.right_surfaces.update(EventBatch(
+                t0 = min(float(chunk["t"][0]), self.right_surface.t_ref)
+                self.right_surface.update(EventBatch(
                     chunk, t0, max(float(chunk["t"][-1]), batch.t_end)))
                 right_cursor = hi
             self.left_surfaces.update(batch)
@@ -91,9 +92,9 @@ class VelocityPipeline:
 
             flows = process_batch(batch, self.left_surfaces, cfg.flow)
             window = (batch.t_start, batch.t_end)
-            obs = associate(flows, self.left_surfaces.combined(),
-                            self.right_surfaces.combined(), window,
-                            self.rig, cfg.depth)
+            left = self.left_surfaces.combined(block_rows(flows.y, cfg.depth))
+            obs = associate(flows, left, self.right_surface, window, self.rig,
+                            cfg.depth)
             est.report.flows += len(flows)
             est.step(obs, batch.t_end)
 

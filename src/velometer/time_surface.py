@@ -1,10 +1,11 @@
 """Time surfaces: per-pixel timestamp of the most recent event.
 
-Untouched pixels carry -inf ("never"). The front end keeps one surface per
-polarity per camera, because events of opposite polarity belong to opposite
-sides of an edge and would corrupt local plane fits. A camera's two surfaces
-are the planes of one (2, h, w) array, so one scatter writes a batch of both
-polarities and the candidate culling reads both at once.
+Untouched pixels carry -inf ("never"). The left camera keeps one surface per
+polarity, because events of opposite polarity belong to opposite sides of an
+edge and would corrupt local plane fits. Its two surfaces are the planes of
+one (2, h, w) array, so one scatter writes a batch of both polarities and the
+candidate culling reads both at once. The right camera serves stereo only,
+which reads the latest stamp of either polarity, so it keeps that one plane.
 """
 
 import numpy as np
@@ -26,10 +27,38 @@ class TimeSurface:
         ts.stamps = self.stamps.copy()
         return ts
 
-    def valid_mask(self, t0, t1, rows=slice(None)):
-        """Pixels (of the rows `rows`) whose latest stamp falls within [t0, t1]."""
-        stamps = self.stamps[rows]
-        return (stamps >= t0) & (stamps <= t1)
+    def update(self, batch: EventBatch):
+        """Write each event's time, whatever its polarity; latest wins.
+
+        The scatter of :meth:`SurfacePair.update` on one plane: after a
+        batch, every pixel holds what the pair's :meth:`SurfacePair.combined`
+        would.
+        """
+        _write_latest(self.stamps, self.t_ref, batch, 0)
+        self.t_ref = batch.t_end
+
+
+def _write_latest(stamps, t_ref, batch: EventBatch, plane):
+    """Scatter a batch's times into the (..., h, w) `stamps`, on the plane
+    index `plane` (one per event, or one for all): one scatter-max over the
+    flat keys
+    plane * h * w + y * w + x, after every touched pixel is reset to NEVER.
+
+    The events are sorted, so the largest time at a pixel is the time of its
+    last event, also where an old stamp is newer (a batch that starts inside
+    the 1e-12 s sequencing tolerance of `t_ref`).
+    """
+    if batch.t_start < t_ref - 1e-12:
+        raise SequencingError(f"batch starts at {batch.t_start} before "
+                              f"surface t_ref {t_ref}")
+    h, w = stamps.shape[-2:]
+    x, y, t = batch.x, batch.y, batch.t
+    if min(x.min(), y.min()) < 0 or x.max() >= w or y.max() >= h:
+        raise ValueError("event outside image bounds")
+    keys = plane * (h * w) + np.multiply(y, w, dtype=np.int64) + x
+    flat = stamps.reshape(-1)
+    flat[keys] = NEVER
+    np.maximum.at(flat, keys, t)
 
 
 class SurfacePair:
@@ -59,30 +88,17 @@ class SurfacePair:
     def update(self, batch: EventBatch):
         """Write each event's time on its polarity's plane; latest wins.
 
-        One scatter-max of the times over the flat keys
-        plane * h * w + y * w + x, after every touched pixel is reset to
-        NEVER. The events are sorted, so the largest time at a pixel is the
-        time of its last event, also where an old stamp is newer (a batch
-        that starts inside the 1e-12 s sequencing tolerance).
+        One scatter over both planes (see :func:`_write_latest`).
         """
-        if batch.t_start < self.t_ref - 1e-12:
-            raise SequencingError(f"batch starts at {batch.t_start} before "
-                                  f"surface t_ref {self.t_ref}")
-        _, h, w = self.stamps.shape
-        x, y, t = batch.x, batch.y, batch.t
-        if min(x.min(), y.min()) < 0 or x.max() >= w or y.max() >= h:
-            raise ValueError("event outside image bounds")
-        keys = (self.plane_of(batch.p) * (h * w)
-                + np.multiply(y, w, dtype=np.int64) + x)
-        flat = self.stamps.reshape(-1)
-        flat[keys] = NEVER
-        np.maximum.at(flat, keys, t)
+        _write_latest(self.stamps, self.t_ref, batch, self.plane_of(batch.p))
         self.t_ref = batch.t_end
         for plane in self.planes:
             plane.t_ref = self.t_ref
 
-    def combined(self):
-        """Latest-of-either-polarity surface (used for stereo matching)."""
+    def combined(self, rows=slice(None)):
+        """Latest-of-either-polarity surface (used for stereo matching),
+        built over the rows `rows` only; every other row is NEVER."""
         out = TimeSurface(self.pos.width, self.pos.height, self.t_ref)
-        out.stamps = np.maximum(self.neg.stamps, self.pos.stamps)
+        np.maximum(self.neg.stamps[rows], self.pos.stamps[rows],
+                   out=out.stamps[rows])
         return out

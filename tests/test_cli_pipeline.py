@@ -295,5 +295,5 @@ class TestRightCameraChunks:
         pipe = VelocityPipeline(default_rig(cfg.sim), cfg)
         with pytest.raises(EstimationFailure):
             pipe.run(left, right, imu, q0=quat_identity())
-        assert pipe.right_surfaces.pos.stamps[80, 90] == t[9]
-        assert pipe.right_surfaces.pos.t_ref == t[9]
+        assert pipe.right_surface.stamps[80, 90] == t[9]
+        assert pipe.right_surface.t_ref == t[9]

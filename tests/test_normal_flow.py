@@ -113,6 +113,34 @@ class TestSelectCandidates:
         assert set(idx_strict).issubset(set(range(n)))
         assert set(idx_strict).issubset(set(idx_loose.tolist()))
 
+    def test_candidates_do_not_depend_on_the_time_origin(self):
+        # stamps on a 2^-18 s grid keep the same exact differences when
+        # shifted to an epoch time such as dataio reads from t_ns
+        cfg = SimConfig()
+        rng_scene, rng_events = np.random.default_rng(3).spawn(2)
+        traj = make_trajectory("boxes", duration=0.1)
+        scene = make_scene("boxes", traj, cfg, rng_scene)
+        left, _ = generate_stereo_events(scene, traj, default_rig(cfg), cfg,
+                                         rng_events)
+        left["t"] = np.round(left["t"] * 2.0 ** 18) / 2.0 ** 18
+        shifted = left.copy()
+        shifted["t"] += 1.7e9
+        flow_cfg = FlowConfig(batch_size=5000)
+        pair, pair_shifted = (SurfacePair(cfg.width, cfg.height)
+                              for _ in range(2))
+        batches = zip(batch_by_count(left, flow_cfg.batch_size),
+                      batch_by_count(shifted, flow_cfg.batch_size))
+        kept = 0
+        for batch, batch_shifted in batches:
+            assert batch_shifted.duration == batch.duration
+            pair.update(batch)
+            pair_shifted.update(batch_shifted)
+            idx = select_candidates(batch, pair, flow_cfg)
+            assert np.array_equal(
+                select_candidates(batch_shifted, pair_shifted, flow_cfg), idx)
+            kept += len(idx)
+        assert kept > 1000
+
 
 def reference_box_sum(img, radius):
     """Sum of each (2r+1)^2 window, same shape as img (zero-padded)."""
@@ -128,7 +156,8 @@ def reference_box_sum(img, radius):
 
 
 def reference_select_candidates(batch, surfaces, cfg):
-    """Two full box-sum images per polarity, read at that polarity's events."""
+    """Two full box-sum images per polarity, read at that polarity's events;
+    stamps relative to the batch start."""
     ev = batch.events
     t0, t1 = batch.t_start, batch.t_end
     w, h = surfaces.pos.width, surfaces.pos.height
@@ -138,8 +167,8 @@ def reference_select_candidates(batch, surfaces, cfg):
     r = cfg.patch_radius
     for pol in (1, -1):
         surf = surfaces.for_polarity(pol)
-        valid = surf.valid_mask(t0, t1)
-        stamps = np.where(valid, surf.stamps, 0.0)
+        valid = (surf.stamps >= t0) & (surf.stamps <= t1)
+        stamps = np.where(valid, surf.stamps - t0, 0.0)
         n_valid = reference_box_sum(valid.astype(float), r)
         t_sum = reference_box_sum(stamps, r)
         sel = keep & (ev["p"] == pol)
@@ -153,7 +182,8 @@ def reference_select_candidates(batch, surfaces, cfg):
         nz = neighbors > 0
         mean_t[nz] = ((t_sum[ys, xs] - stamps[ys, xs] * center_valid)[nz]
                       / neighbors[nz])
-        ok &= np.abs(ev["t"][sel] - mean_t) <= cfg.time_dev_frac * batch.duration
+        ok &= (np.abs((ev["t"][sel] - t0) - mean_t)
+               <= cfg.time_dev_frac * batch.duration)
         idx = np.flatnonzero(sel)
         keep[idx[~ok]] = False
     return np.flatnonzero(keep)

@@ -7,7 +7,8 @@ from velometer.normal_flow import FlowBatch, process_batch
 from velometer.simulator import (StraightTrajectory, default_rig,
                                  generate_stereo_events, tilted_edge_scene,
                                  true_depth_at)
-from velometer.stereo import _CHUNK, _normalize, associate, match_blocks
+from velometer.stereo import (_CHUNK, _normalize, associate, coincidence_mask,
+                              match_blocks)
 from velometer.time_surface import SurfacePair, TimeSurface
 
 
@@ -43,10 +44,17 @@ def rig_for(ts):
     return StereoRig(left=intr, right=intr, baseline=0.12)
 
 
+def every_disparity(k, cfg):
+    """The all-True (K, D) mask: every disparity of every pixel."""
+    return np.ones((k, cfg.max_disparity - cfg.min_disparity + 1), dtype=bool)
+
+
 def match_at(left, right, pixels, window=(0.0, 1.0), cfg=None):
-    """match_blocks at a list of (x, y) pixels."""
+    """match_blocks at a list of (x, y) pixels, over every disparity."""
+    cfg = cfg or DepthConfig()
     xs, ys = np.array(pixels, dtype=np.int64).reshape(-1, 2).T
-    return match_blocks(left, right, xs, ys, window, cfg or DepthConfig())
+    return match_blocks(left, right, xs, ys, window, cfg,
+                        every_disparity(len(xs), cfg))
 
 
 class TestMatchBlock:
@@ -89,7 +97,15 @@ class TestMatchBlock:
         xs = np.array([100, 8, 191, x])
         ys = np.array([60, 8, 111, y])
         with pytest.raises(ValueError, match=f"pixel \\({x}, {y}\\)"):
-            match_blocks(left, right, xs, ys, (0.0, 1.0), DepthConfig())
+            match_blocks(left, right, xs, ys, (0.0, 1.0), DepthConfig(),
+                         every_disparity(len(xs), DepthConfig()))
+
+    def test_mask_shape_checked(self):
+        left = textured_surface()
+        xs, ys = np.array([100, 120]), np.array([60, 60])
+        with pytest.raises(ValueError, match="mask of shape"):
+            match_blocks(left, shifted_copy(left, 5), xs, ys, (0.0, 1.0),
+                         DepthConfig(), np.ones((2, 47), dtype=bool))
 
     def test_no_events_on_right(self):
         left = textured_surface()
@@ -115,8 +131,8 @@ class TestMatchBlock:
         left = textured_surface()
         right = shifted_copy(left, 10)
         ys, xs = np.mgrid[8:112:6, 8:192:6]
-        disp, score, ok = match_blocks(left, right, xs.ravel(), ys.ravel(),
-                                       (0.0, 1.0), DepthConfig())
+        disp, score, ok = match_at(left, right,
+                                   np.column_stack([xs.ravel(), ys.ravel()]))
         assert ok.sum() >= 0.9 * len(ok)
         assert np.all(disp[ok] == 10.0)
         assert np.all(score[ok] == 1.0)
@@ -135,13 +151,19 @@ class TestMatchBlock:
         counts = []
         for smin in (0.2, 0.5, 0.8, 0.95):
             cfg = DepthConfig(score_min=smin)
-            _, _, ok = match_blocks(left, right, xs, ys, (0.0, 1.0), cfg)
+            _, _, ok = match_at(left, right, np.column_stack([xs, ys]),
+                                cfg=cfg)
             counts.append(int(ok.sum()))
         assert all(a >= b for a, b in zip(counts, counts[1:]))
 
 
-def reference_match_blocks(left, right, xs, ys, window, cfg):
-    """The (K, D, B, B) fancy-index gather that match_blocks replaced."""
+def reference_match_blocks(left, right, xs, ys, window, cfg, mask=None):
+    """The (K, D, B, B) fancy-index gather that match_blocks replaced.
+
+    Given a (K, D) mask, only the masked disparities and their +-1
+    neighbours keep their scores (-inf elsewhere), and the peak and the
+    margin test range over the mask alone.
+    """
     half = cfg.block // 2
     lv, lm = _normalize(left, window)
     rv, rm = _normalize(right, window)
@@ -172,12 +194,19 @@ def reference_match_blocks(left, right, xs, ys, window, cfg):
     diff = np.where(both, lpatch[:, None, :] - rpatch, 0.0)
     rmse = np.sqrt(np.einsum("kdp,kdp->kd", diff, diff) / nf)
     scores = np.where(enough, np.exp(-rmse / cfg.value_scale), -np.inf)
+    if mask is None:
+        mask = np.ones((k, d), dtype=bool)
+    scored = mask.copy()
+    scored[:, 1:] |= mask[:, :-1]
+    scored[:, :-1] |= mask[:, 1:]
+    scores = np.where(scored, scores, -np.inf)
+    peaks = np.where(mask, scores, -np.inf)
 
     rows = np.arange(k)
-    best = np.argmax(scores, axis=1)
-    best_score = scores[rows, best]
+    best = np.argmax(peaks, axis=1)
+    best_score = peaks[rows, best]
     near = np.abs(np.arange(d)[None, :] - best[:, None]) <= 1
-    second = np.where(near, -np.inf, scores).max(axis=1, initial=-np.inf)
+    second = np.where(near, -np.inf, peaks).max(axis=1, initial=-np.inf)
     ambiguous = (np.isfinite(second) & (second > 0)
                  & (best_score < cfg.margin * second))
     ok = np.isfinite(best_score) & (best_score >= cfg.score_min) & ~ambiguous
@@ -202,7 +231,8 @@ def with_holes(ts, frac, seed):
 
 
 class TestStripGather:
-    """match_blocks must agree with the per-disparity gather.
+    """match_blocks must agree with the per-disparity gather, over every
+    disparity unless a test passes a mask.
 
     The Gram scores sum in another order than the difference volume, so
     disparity and score may differ by rounding. The valid-pixel counts are
@@ -210,11 +240,15 @@ class TestStripGather:
     any scorable disparity (best score -inf, returned as 0) must be equal.
     """
 
-    def assert_same(self, left, right, xs, ys, cfg, window=(0.0, 1.0)):
+    def assert_same(self, left, right, xs, ys, cfg, window=(0.0, 1.0),
+                    mask=None):
         xs, ys = np.asarray(xs), np.asarray(ys)
-        disp, score, ok = got = match_blocks(left, right, xs, ys, window, cfg)
+        if mask is None:
+            mask = every_disparity(len(xs), cfg)
+        disp, score, ok = got = match_blocks(left, right, xs, ys, window, cfg,
+                                             mask)
         want_disp, want_score, want_ok = reference_match_blocks(
-            left, right, xs, ys, window, cfg)
+            left, right, xs, ys, window, cfg, mask)
         for g in got:
             assert g.shape == (len(xs),)
         assert np.array_equal(ok, want_ok)
@@ -297,6 +331,22 @@ class TestStripGather:
                                     flows.y[inside], cfg, window)
         assert 0 < ok.sum() < inside.sum()
 
+    @pytest.mark.parametrize("density", [0.02, 0.2, 0.6])
+    def test_random_masks(self, density):
+        # masks of every span, empty rows among them, so every strip width
+        # and the rows without a candidate are exercised
+        base = textured_surface(seed=13)
+        left = with_holes(base, 0.2, seed=12)
+        right = with_holes(shifted_copy(base, 9), 0.2, seed=13)
+        cfg = DepthConfig()
+        rng = np.random.default_rng(int(density * 100))
+        xs = rng.integers(8, 192, 200)
+        ys = rng.integers(8, 112, 200)
+        mask = rng.random((200, cfg.max_disparity)) < density
+        mask[:20] = False
+        _, _, ok = self.assert_same(left, right, xs, ys, cfg, mask=mask)
+        assert not ok[:20].any() and ok.any()
+
     def test_surface_one_block_larger_than_window(self):
         # one block wider than the right strip and two blocks tall, so the
         # window views have few positions and every pixel is near a border
@@ -350,7 +400,7 @@ class TestAssociate:
 @pytest.fixture(scope="module")
 def tilted_edge_pair():
     """Flows of one batch of three tilted edges at 2 m, with both cameras'
-    combined time surfaces and the batch window."""
+    latest-of-either-polarity time surfaces and the batch window."""
     cfg = SimConfig(jitter_std=0.0, spurious_rate=0.0)
     rig = default_rig(cfg)
     traj = StraightTrajectory(np.zeros(3), np.array([0.6, 0.0, 0.0]),
@@ -362,20 +412,35 @@ def tilted_edge_pair():
     assert len(ev_l) > 5000 and len(ev_r) > 5000
     fcfg = FlowConfig(batch_size=min(len(ev_l), 20000) - 1)
     left_pair = SurfacePair(cfg.width, cfg.height)
-    right_pair = SurfacePair(cfg.width, cfg.height)
+    right = TimeSurface(cfg.width, cfg.height)
     batch = batch_by_count(ev_l, fcfg.batch_size)[0]
     left_pair.update(batch)
     hi = int(np.searchsorted(ev_r["t"], batch.t_end, side="right"))
     chunk = ev_r[:hi]
-    right_batch = EventBatch(chunk, float(chunk["t"][0]),
-                             max(float(chunk["t"][-1]), batch.t_end))
-    right_pair.update(right_batch)
+    right.update(EventBatch(chunk, float(chunk["t"][0]),
+                            max(float(chunk["t"][-1]), batch.t_end)))
     flows = process_batch(batch, left_pair, fcfg)
-    return (flows, left_pair.combined(), right_pair.combined(),
-            (batch.t_start, batch.t_end), rig)
+    return (flows, left_pair.combined(), right, (batch.t_start, batch.t_end),
+            rig)
 
 
 class TestSimulatedDepth:
+    def test_gate_keeps_the_ungated_matches(self, tilted_edge_pair):
+        flows, left, right, window, _ = tilted_edge_pair
+        cfg = DepthConfig()
+        half = cfg.block // 2
+        flows = flows.subset((flows.x >= half) & (flows.x < left.width - half)
+                             & (flows.y >= half)
+                             & (flows.y < left.height - half))
+        args = (left, right, flows.x, flows.y, window, cfg)
+        every = every_disparity(len(flows), cfg)
+        mask = coincidence_mask(flows, left, right, window, cfg)
+        disp, _, ok = match_blocks(*args, every)
+        gated, _, gated_ok = match_blocks(*args, mask)
+        assert mask.sum() < 0.5 * every.sum()
+        assert ok.sum() > 30 and np.all(gated_ok[ok])
+        assert np.array_equal(np.round(gated[ok]), np.round(disp[ok]))
+
     def test_edge_depth_within_five_percent(self, tilted_edge_pair):
         flows, left, right, window, rig = tilted_edge_pair
         assert len(flows) > 30

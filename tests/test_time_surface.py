@@ -175,6 +175,42 @@ def test_pair_update_matches_reference(specs, all_positive):
         assert np.shares_memory(pair.stamps[1], pair.neg.stamps)
 
 
+@settings(max_examples=150, deadline=None)
+@given(specs=batch_specs, all_positive=st.booleans())
+@example(specs=[(0, [(0, 5, 4, True), (0, 5, 4, False), (1, 5, 4, True)]),
+                (0, [(0, 5, 4, False), (1, 0, 0, True)])], all_positive=False)
+def test_single_plane_matches_pair_combined(specs, all_positive):
+    # batches in order, each starting at or after the previous end
+    specs = [(max(offset, 0), rows) for offset, rows in specs]
+    pair = SurfacePair(6, 5)
+    plane = TimeSurface(6, 5)
+    for batch in batches_from_specs(specs, all_positive):
+        pair.update(batch)
+        plane.update(batch)
+        assert np.array_equal(plane.stamps, pair.combined().stamps)
+        assert plane.t_ref == pair.t_ref
+
+
+def test_single_plane_checks_like_the_pair():
+    plane = TimeSurface(10, 10)
+    plane.update(batch_from([1.0, 2.0], [3, 4], [2, 4], [1, -1], t_end=2.0))
+    with pytest.raises(SequencingError):
+        plane.update(batch_from([1.5], [3], [3], [1], t_start=1.5))
+    with pytest.raises(ValueError, match="outside image bounds"):
+        plane.update(batch_from([3.0], [10], [3], [1], t_start=2.5))
+
+
+def test_combined_over_rows():
+    pair = SurfacePair(8, 6)
+    pair.update(batch_from([1.0, 1.5, 2.0], [1, 2, 3], [0, 2, 5], [1, -1, 1]))
+    rows = slice(1, 5)
+    band = pair.combined(rows)
+    assert np.array_equal(band.stamps[rows], pair.combined().stamps[rows])
+    assert np.all(band.stamps[:1] == NEVER)
+    assert np.all(band.stamps[5:] == NEVER)
+    assert band.stamps[2, 2] == 1.5 and band.t_ref == pair.t_ref
+
+
 def test_latest_wins_inside_sequencing_tolerance():
     # the second batch starts 5e-13 s before the first one's end, and its
     # event at (4, 4) is older than that pixel's stamp: it still wins
