@@ -11,8 +11,7 @@ from .config import PipelineConfig, SimConfig
 from .events import EventBatch, ImuData, batch_by_count, make_events
 from .geometry import (BodyKinematics, CameraIntrinsics, StereoRig,
                        flow_matrices, flow_rows, motion_flow)
-from .imu import (OrientationTrack, Preintegration, preintegrate,
-                  predicted_velocity_increment)
+from .imu import OrientationTrack, Preintegration, preintegrate
 from .normal_flow import (FlowBatch, normal_flow_from_gradient,
                           process_batch, select_candidates)
 from .spline import VelocitySpline, basis

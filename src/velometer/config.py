@@ -62,7 +62,6 @@ class SplineConfig:
 class EstimatorConfig:
     flow_sigma: float = 10.0         # px/s, fixed normal-flow measurement std
     flow_sigma_rel: float = 0.04     # plane-fit error grows with flow speed
-    robust: bool = True
     huber_delta: float = 2.0         # in whitened units
     lm_lambda0: float = 1e-4
     lm_lambda_max: float = 1e8
@@ -118,6 +117,8 @@ def validate_config(cfg: PipelineConfig):
     checks = (
         ("flow.batch_size", cfg.flow.batch_size, cfg.flow.batch_size > 0,
          "must be positive"),
+        ("flow.mode", cfg.flow.mode, cfg.flow.mode in ("corrected", "benosman"),
+         'must be "corrected" or "benosman"'),
         ("flow.patch_radius", cfg.flow.patch_radius,
          cfg.flow.patch_radius >= 1, "must be at least 1"),
         ("flow.border_margin", cfg.flow.border_margin,
@@ -183,12 +184,6 @@ def validate_config(cfg: PipelineConfig):
 
 
 def _coerce(current, text):
-    if isinstance(current, bool):
-        if text.lower() in ("1", "true", "yes", "on"):
-            return True
-        if text.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse boolean from {text!r}")
     if isinstance(current, int):
         return int(text)
     if isinstance(current, float):

@@ -7,17 +7,22 @@ the stacked Jacobian J is never formed:
   * normal-flow rows: measured flow speed minus the speed predicted from the
     spline velocity, the depth and the bias-corrected gyro rate, whitened by
     a fixed flow standard deviation and per-observation quality weights,
-    optionally robustified with a Huber loss (as IRLS weights). Depth and
-    gyro are fixed, so each row is linear in the four active control points
-    and its segment's gyro bias. The window's rows are stacked once per
-    optimize with that 15-column Jacobian; a trial point only re-evaluates
-    the residuals and Huber weights and adds one 15x15 block per segment;
+    robustified with a Huber loss (as IRLS weights). Depth and gyro are
+    fixed, so each row is linear in the four active control points and its
+    segment's gyro bias: a 15-column Jacobian, built once per optimize. A
+    trial point only re-evaluates the residuals and Huber weights and adds
+    one 15x15 block per segment;
   * pre-integration rows: measured velocity increment minus the increment
     predicted from the spline at both interval ends and the gravity
     direction, whitened by the propagated measurement covariance. The
     window's pre-integrations are evaluated together, as arrays with a
     leading interval axis, and each adds one 30x30 block (both control-point
     quadruples and its bias row), scattered by flat-index bincount.
+
+The window holds both families as stacked rows (WindowFlows, ImuConstants).
+Their state-independent terms are computed once, when the rows are
+appended, and rows the span no longer covers are dropped by slicing; each
+optimize recomputes only the spline weights and the state indices.
 
 States are the spline control points plus one [accel | gyro] bias row per
 spline segment; a weak random-walk tie couples neighboring biases and a
@@ -35,8 +40,7 @@ Orientation is not estimated: it comes from gyro integration and only
 feeds the gravity direction and the rotational flow component.
 """
 
-from dataclasses import dataclass, field
-from itertools import compress
+from dataclasses import dataclass, field, fields, is_dataclass
 
 import numpy as np
 
@@ -82,36 +86,77 @@ class BlockIndex:
         g += np.bincount(self.states.ravel(), vecs.ravel(), size)
 
 
+def _map_rows(fn, rows, *others):
+    """fn over the arrays of `rows` (and of `others`, field by field),
+    through nested dataclasses, as a new object of the same type."""
+    if not is_dataclass(rows):
+        return fn(rows, *others)
+    return type(rows)(**{f.name: _map_rows(fn, getattr(rows, f.name),
+                                           *(getattr(o, f.name) for o in others))
+                         for f in fields(rows)})
+
+
+class _Rows:
+    """Arrays (or dataclasses of arrays) that share one leading row axis."""
+
+    def append(self, rows):
+        """These rows followed by those of `rows`."""
+        return _map_rows(lambda a, b: np.concatenate([a, b]), self, rows)
+
+    def keep(self, mask):
+        """The rows where `mask` is true."""
+        return _map_rows(lambda a: a[mask], self)
+
+
 @dataclass
-class WindowFlows:
-    """The window's flow rows, linear in the states they touch.
+class WindowFlows(_Rows):
+    """The window's flow rows, in arrival order, so their times never decrease.
 
     Depth and gyro are fixed, so a whitened flow residual is linear in
     z = [c_j .. c_j+3 | gyro bias of segment j], the 15 states it touches:
-    r = c + J z. Rows are sorted by segment; each segment is one group.
+    r = c + [w_0 a | w_1 a | w_2 a | w_3 a | b] z, with w the spline weights
+    at the row's time, a = `a_scaled` and b = `b_scaled`.
     """
 
+    t: np.ndarray           # (K,) time of each row
+    a_scaled: np.ndarray    # (K, 3) whitened d r / d velocity
+    b_scaled: np.ndarray    # (K, 3) whitened d r / d gyro bias
     c: np.ndarray           # (K,)
-    jac: np.ndarray         # (K, 15)
-    starts: np.ndarray      # (S + 1,) first row of each group, then K
-    blocks: BlockIndex      # states (S, 15): the indices of z per group
+
+    @classmethod
+    def empty(cls):
+        return cls(np.empty(0), np.empty((0, 3)), np.empty((0, 3)), np.empty(0))
 
 
 @dataclass
-class ImuConstants:
-    """State-independent terms of N stacked pre-integrations."""
+class ImuConstants(_Rows):
+    """The window's pre-integration intervals and their state-independent
+    terms, one row per interval."""
 
     pre: Preintegration     # stacked
+    l_inv: np.ndarray       # (N, 3, 3) inverse Cholesky factor of the floored cov
+    g_hat: np.ndarray       # (N, 3) -gravity in the body frame at t0
+    jac_ba: np.ndarray      # (N, 3, 3) whitened d r / d accel bias
+    jac_bw0: np.ndarray     # (N, 3, 3) d r / d gyro bias, less the rotation term
+
+    @classmethod
+    def empty(cls):
+        m = np.empty((0, 3, 3))
+        return cls(Preintegration(np.empty(0), np.empty(0), np.empty((0, 3)),
+                                  np.empty((0, 4)), m, np.empty((0, 6)), m, m, m),
+                   m, np.empty((0, 3)), m, m)
+
+
+@dataclass
+class ImuSpan:
+    """Where the window's intervals sit on the current spline span."""
+
     j0: np.ndarray          # (N,) segment at t0
     w0: np.ndarray          # (N, 4) weights at t0
     j1: np.ndarray
     w1: np.ndarray
     seg: np.ndarray         # (N,) bias segment
-    l_inv: np.ndarray       # (N, 3, 3) inverse Cholesky factor of the floored cov
-    g_hat: np.ndarray       # (N, 3) -gravity in the body frame at t0
     jac_cp0: np.ndarray     # (N, 3, 12) whitened d r / d c_j0..c_j0+3
-    jac_ba: np.ndarray      # (N, 3, 3) whitened d r / d accel bias
-    jac_bw0: np.ndarray     # (N, 3, 3) d r / d gyro bias, less the rotation term
     blocks: BlockIndex      # states (N, 30): c_j0.., c_j1.., bias row seg
 
 
@@ -171,8 +216,8 @@ class Estimator:
         self.spline: VelocitySpline = None
         self.orientation: OrientationTrack = None
         self.imu: ImuData = None
-        self.flow_batches = []
-        self.preints = []
+        self.flows = WindowFlows.empty()
+        self.intervals = ImuConstants.empty()
         self.status = "uninitialized"
         self.rng = np.random.default_rng(config.estimator.seed)
         self.last_batch_t = -np.inf
@@ -205,42 +250,35 @@ class Estimator:
     # residual builders
     # ------------------------------------------------------------------
 
-    def _stack_flows(self, batches):
-        """The flow rows of `batches` as WindowFlows."""
-        sp = self.spline
-        size = 3 * sp.num_controls + 6 * sp.num_segments
-        batches = sorted((b for b in batches if len(b)), key=lambda b: b.t)
-        if not batches:
-            return WindowFlows(np.empty(0), np.empty((0, 15)), np.zeros(1, int),
-                               BlockIndex.of(np.empty((0, 15), int), size))
-        counts = np.array([len(b) for b in batches])
-        j, w = sp.weights(np.array([b.t for b in batches]))
-        gyro = self.imu.interp_gyro([b.t for b in batches])
-
-        def rows(field):
-            return np.concatenate([getattr(b, field) for b in batches])
-
-        magnitude, depth = rows("magnitude"), rows("depth")
-        a_rows, b_rows = flow_rows(self.rig.left, rows("x"), rows("y"),
-                                   rows("direction"))
+    def _flow_rows(self, batch: FlowBatch):
+        """The state-independent terms of a depth-matched batch's rows."""
+        t = np.full(len(batch), batch.t)
+        a_rows, b_rows = flow_rows(self.rig.left, batch.x, batch.y,
+                                   batch.direction)
         cfg = self.cfg.estimator
-        sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * magnitude)
-        scale = rows("weight") / sigma
-        w = np.repeat(w, counts, axis=0)
-        a_scaled = -(a_rows / depth[:, None]) * scale[:, None]
+        sigma = np.maximum(cfg.flow_sigma, cfg.flow_sigma_rel * batch.magnitude)
+        scale = batch.weight / sigma
+        gyro = self.imu.interp_gyro(t)
+        c = (batch.magnitude - np.einsum("kc,kc->k", b_rows, gyro)) * scale
+        return WindowFlows(t, -(a_rows / batch.depth[:, None]) * scale[:, None],
+                           b_rows * scale[:, None], c)
+
+    def _flow_span(self, flows: WindowFlows):
+        """The (K, 15) Jacobian of `flows` over z at the current span, the
+        first row of each segment's group (then K), and the BlockIndex of the
+        groups' states (S, 15)."""
+        sp = self.spline
+        j, w = sp.weights(flows.t)
         jac = np.concatenate([
-            (a_scaled[:, None, :] * w[:, :, None]).reshape(-1, 12),
-            b_rows * scale[:, None]], axis=1)
-        gyro = np.repeat(gyro, counts, axis=0)
-        c = (magnitude - np.einsum("kc,kc->k", b_rows, gyro)) * scale
+            (flows.a_scaled[:, None, :] * w[:, :, None]).reshape(-1, 12),
+            flows.b_scaled], axis=1)
         segments, first = np.unique(j, return_index=True)
-        starts = np.append(np.cumsum(counts) - counts, len(c))[
-            np.append(first, len(batches))]
         seg = segments[:, None]
         states = np.concatenate([
             3 * seg + np.arange(12),
             3 * sp.num_controls + 6 * seg + np.arange(3, 6)], axis=1)
-        return WindowFlows(c, jac, starts, BlockIndex.of(states, size))
+        return (jac, np.append(first, len(j)),
+                BlockIndex.of(states, 3 * sp.num_controls + 6 * sp.num_segments))
 
     def flow_residual_block(self, batch: FlowBatch, control_points=None,
                             biases=None):
@@ -251,58 +289,57 @@ class Estimator:
         sp = self.spline
         cp = sp.control_points if control_points is None else control_points
         bs = sp.biases if biases is None else biases
-        flows = self._stack_flows([batch])
+        flows = self._flow_rows(batch)
+        jac, _, _ = self._flow_span(flows)
         j, _ = sp.segment_of(batch.t)
         z = np.concatenate([cp[j:j + 4].ravel(), bs[j, 3:]])
-        return flows.c + flows.jac @ z, flows.jac[:, :12], flows.jac[:, 12:], j
+        return flows.c + jac @ z, jac[:, :12], jac[:, 12:], j
 
-    def _imu_constants(self, preints):
-        """State-independent terms of pre-integrations, as ImuConstants."""
-        pre = Preintegration.stack(preints)
-        if np.any(pre.dt < self.cfg.estimator.min_imu_dt):
-            raise ValueError(f"interval of {pre.dt.min()}s too short")
+    def _interval_terms(self, pre: Preintegration):
+        """The state-independent terms of stacked pre-integrations."""
+        l_inv = np.linalg.inv(np.linalg.cholesky(
+            pre.cov + (DV_STD_FLOOR ** 2) * np.eye(3)))
+        return ImuConstants(pre, l_inv, -self.orientation.gravity_in_body(pre.t0),
+                            l_inv @ pre.jac_dv_ba, l_inv @ pre.jac_dv_bw)
+
+    def _imu_span(self):
+        """The window's intervals on the current span, as an ImuSpan."""
         sp = self.spline
+        pre = self.intervals.pre
         j0, w0 = sp.weights(pre.t0)
         j1, w1 = sp.weights(pre.t1)
         seg, _ = sp.segment_of(0.5 * (pre.t0 + pre.t1))
-        l_mat = np.linalg.cholesky(pre.cov + (DV_STD_FLOOR ** 2) * np.eye(3))
-        l_inv = np.linalg.inv(l_mat)
+        l_inv = self.intervals.l_inv
         states = np.concatenate([3 * j0[:, None] + np.arange(12),
                                  3 * j1[:, None] + np.arange(12),
                                  3 * sp.num_controls + 6 * seg[:, None]
                                  + np.arange(6)], axis=1)
-        return ImuConstants(
-            pre, j0, w0, j1, w1, seg, l_inv,
-            g_hat=-self.orientation.gravity_in_body(pre.t0),
+        return ImuSpan(
+            j0, w0, j1, w1, seg,
             jac_cp0=(l_inv[:, :, None, :] * w0[:, None, :, None]).reshape(-1, 3, 12),
-            jac_ba=l_inv @ pre.jac_dv_ba, jac_bw0=l_inv @ pre.jac_dv_bw,
             blocks=BlockIndex.of(states, 3 * sp.num_controls + 6 * sp.num_segments))
 
-    def imu_residual(self, preints, control_points=None, biases=None,
-                     constants=None):
-        """Whitened residuals and Jacobians of N pre-integrations at once.
+    def imu_residual(self, span: ImuSpan, cp, bs):
+        """Whitened residuals and Jacobians of the window's N intervals at
+        control points `cp` and bias rows `bs`; `span` is _imu_span().
 
-        `constants` is _imu_constants(preints), computed here when not given.
         Returns (r (N, 3), jac_cp0 (N, 3, 12), seg0 (N,), jac_cp1 (N, 3, 12),
         seg1 (N,), jac_bias (N, 3, 6), bias segment index (N,)).
         """
-        sp = self.spline
-        cp = sp.control_points if control_points is None else control_points
-        bs = sp.biases if biases is None else biases
-        k = self._imu_constants(preints) if constants is None else constants
+        k = self.intervals
         pre = k.pre
-        v0 = np.einsum("nk,nkc->nc", k.w0, cp[k.j0[:, None] + np.arange(4)])
-        v1 = np.einsum("nk,nkc->nc", k.w1, cp[k.j1[:, None] + np.arange(4)])
-        dv, dq, phi = pre.corrected(bs[k.seg])
+        v0 = np.einsum("nk,nkc->nc", span.w0, cp[span.j0[:, None] + np.arange(4)])
+        v1 = np.einsum("nk,nkc->nc", span.w1, cp[span.j1[:, None] + np.arange(4)])
+        dv, dq, phi = pre.corrected(bs[span.seg])
         rot = quat_to_matrix(dq)
         e = dv - (np.einsum("nij,nj->ni", rot, v1)
                   + k.g_hat * pre.dt[:, None] - v0)
         r = np.einsum("nij,nj->ni", k.l_inv, e)
         lr = -k.l_inv @ rot
-        jac_cp1 = (lr[:, :, None, :] * k.w1[:, None, :, None]).reshape(-1, 3, 12)
+        jac_cp1 = (lr[:, :, None, :] * span.w1[:, None, :, None]).reshape(-1, 3, 12)
         jac_bw = k.jac_bw0 - lr @ hat(v1) @ right_jacobian_so3(phi) @ pre.jac_dq_bw
         jac_bias = np.concatenate([k.jac_ba, jac_bw], axis=-1)
-        return r, k.jac_cp0, k.j0, jac_cp1, k.j1, jac_bias, k.seg
+        return r, span.jac_cp0, span.j0, jac_cp1, span.j1, jac_bias, span.seg
 
     # ------------------------------------------------------------------
     # optimization
@@ -317,15 +354,14 @@ class Estimator:
         n = self.spline.num_controls
         return x[:3 * n].reshape(n, 3), x[3 * n:].reshape(-1, 6)
 
-    def _normal_equations(self, x, flows=None, imu_constants=None):
+    def _normal_equations(self, x, flow_span, imu_span):
         """Gauss-Newton normal equations (H, g) and robust cost at state x.
 
         H = J^T J and g = J^T r of the whitened stacked residual, summed one
         block at a time: a 15x15 block per flow segment group, a 30x30 block
         per pre-integration, and the smoothness and bias priors straight on
         H's bands. Huber weights enter as IRLS weights.
-        `flows` is _stack_flows(self.flow_batches) and `imu_constants` is
-        _imu_constants(self.preints); both are computed here when not given.
+        `flow_span` is _flow_span(self.flows) and `imu_span` is _imu_span().
         """
         est_cfg = self.cfg.estimator
         sp = self.spline
@@ -362,35 +398,26 @@ class Estimator:
         r = r.ravel()
         cost += float(r @ r)
 
-        flows = self._stack_flows(self.flow_batches) if flows is None else flows
-        if len(flows.c):
-            starts = flows.starts
-            z = np.repeat(x[flows.blocks.states], np.diff(starts), axis=0)
-            r = flows.c + np.einsum("kc,kc->k", flows.jac, z)
-            jac = flows.jac
-            if est_cfg.robust:
-                w, rho = huber_weights(r, est_cfg.huber_delta)
-                cost += float(rho.sum())
-                sw = np.sqrt(w)
-                r = r * sw
-                jac = jac * sw[:, None]
-            else:
-                cost += float(r @ r)
-            blocks = np.stack([jac[a:b].T @ jac[a:b]
-                               for a, b in zip(starts[:-1], starts[1:])])
-            flows.blocks.add(h, g, blocks,
-                             np.add.reduceat(jac * r[:, None], starts[:-1]))
+        jac, starts, blocks = flow_span
+        if len(jac):
+            z = np.repeat(x[blocks.states], np.diff(starts), axis=0)
+            r = self.flows.c + np.einsum("kc,kc->k", jac, z)
+            w, rho = huber_weights(r, est_cfg.huber_delta)
+            cost += float(rho.sum())
+            sw = np.sqrt(w)
+            r = r * sw
+            jac = jac * sw[:, None]
+            blocks.add(h, g, np.stack([jac[a:b].T @ jac[a:b]
+                                       for a, b in zip(starts[:-1], starts[1:])]),
+                       np.add.reduceat(jac * r[:, None], starts[:-1]))
 
-        if self.preints:
-            if imu_constants is None:
-                imu_constants = self._imu_constants(self.preints)
-            r, jc0, _, jc1, _, jb, _ = self.imu_residual(
-                self.preints, cp, biases, imu_constants)
+        if len(imu_span.seg):
+            r, jc0, _, jc1, _, jb, _ = self.imu_residual(imu_span, cp, biases)
             jac = np.concatenate([jc0, jc1, jb], axis=2)       # (N, 3, 30)
             # a contiguous transpose: batched matmul is slow on strided input
             jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
-            imu_constants.blocks.add(h, g, jac_t @ jac,
-                                     np.einsum("nij,ni->nj", jac, r))
+            imu_span.blocks.add(h, g, jac_t @ jac,
+                                np.einsum("nij,ni->nj", jac, r))
             r = r.ravel()
             cost += float(r @ r)
 
@@ -443,9 +470,8 @@ class Estimator:
         lam = est_cfg.lm_lambda0 if lambda0 is None else lambda0
 
         x = self._pack()
-        consts = (self._stack_flows(self.flow_batches),
-                  self._imu_constants(self.preints) if self.preints else None)
-        h, g, cost = self._normal_equations(x, *consts)
+        spans = self._flow_span(self.flows), self._imu_span()
+        h, g, cost = self._normal_equations(x, *spans)
         cost0 = cost
         iters = 0
         converged = False
@@ -467,7 +493,7 @@ class Estimator:
                     converged = True
                     break
                 x_new = x + step
-                h_new, g_new, cost_new = self._normal_equations(x_new, *consts)
+                h_new, g_new, cost_new = self._normal_equations(x_new, *spans)
                 if cost_new < cost:
                     x, h, g, cost = x_new, h_new, g_new, cost_new
                     lam = max(lam / 10.0, 1e-12)
@@ -519,7 +545,7 @@ class Estimator:
         # one call for all new intervals; if it raises, nothing is appended
         pre = preintegrate(self.imu, t0, t1, self.spline.biases[segs],
                            self.cfg.imu)
-        self.preints.extend(pre[i] for i in range(len(spans)))
+        self.intervals = self.intervals.append(self._interval_terms(pre))
         self.last_preint_end = t1[-1]
         self.report.imu_intervals += len(spans)
 
@@ -574,7 +600,7 @@ class Estimator:
 
         self.spline.extend_to(t_batch + 1e-9)
         if len(flows):
-            self.flow_batches.append(flows)
+            self.flows = self.flows.append(self._flow_rows(flows))
         self._extend_preints(t_batch)
         report = self.optimize()
         self.status = "tracking"
@@ -587,10 +613,8 @@ class Estimator:
             if self.spline.num_controls < before:
                 # the spline's own rule decides what is still in the window
                 covers = self.spline.covers
-                self.preints = list(compress(
-                    self.preints, covers([p.t0 for p in self.preints])))
-                self.flow_batches = list(compress(
-                    self.flow_batches, covers([b.t for b in self.flow_batches])))
+                self.intervals = self.intervals.keep(covers(self.intervals.pre.t0))
+                self.flows = self.flows.keep(covers(self.flows.t))
         return report
 
     def velocity_track(self):

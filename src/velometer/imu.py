@@ -42,7 +42,7 @@ class IntegrationError(RuntimeError):
 @dataclass
 class Preintegration:
     """One interval, or N stacked with a leading interval axis on every
-    field (from `preintegrate` of arrays, or `stack`); `pre[i]` is one."""
+    field (from `preintegrate` of arrays); `pre[i]` is interval i."""
 
     t0: float
     t1: float
@@ -53,11 +53,6 @@ class Preintegration:
     jac_dv_ba: np.ndarray        # d(delta_v)/d(accel bias)
     jac_dv_bw: np.ndarray        # d(delta_v)/d(gyro bias)
     jac_dq_bw: np.ndarray        # d(rotation vector)/d(gyro bias)
-
-    @classmethod
-    def stack(cls, preints):
-        return cls(**{f.name: np.array([getattr(p, f.name) for p in preints])
-                      for f in fields(cls)})
 
     def __getitem__(self, i):
         """Interval i of a stacked Preintegration, in the one-interval form."""
@@ -208,29 +203,6 @@ def preintegrate(imu: ImuData, t0, t1, bias,
                          jac_dv_ba=j_dv_ba, jac_dv_bw=j_dv_bw,
                          jac_dq_bw=j_phi_bw[:, -1])
     return pre[0] if scalar else pre
-
-
-def predicted_velocity_increment(pre: Preintegration, v_start, v_end, g_body_start):
-    """Residual between the measured and the predicted velocity increment.
-
-    The prediction from body-frame velocities at both interval ends and the
-    gravity term expressed in the start frame is
-
-        R(delta_q) @ v_end + g_body_start * dt - v_start
-
-    and the returned value is measured delta_v minus that prediction.
-    """
-    r = quat_to_matrix(pre.delta_q)
-    predicted = r @ np.asarray(v_end, float) \
-        + np.asarray(g_body_start, float) * pre.dt - np.asarray(v_start, float)
-    return pre.delta_v - predicted
-
-
-def propagate_velocity_world(pre: Preintegration, v_world_start, r_wb_start, gravity_world):
-    """World-frame velocity at the interval end from the start state."""
-    return (np.asarray(v_world_start, float)
-            + np.asarray(gravity_world, float) * pre.dt
-            + r_wb_start @ pre.delta_v)
 
 
 class OrientationTrack:

@@ -176,12 +176,10 @@ class TestConfigOverrides:
         apply_override(cfg, "flow.mode", "benosman")
         apply_override(cfg, "flow.batch_size", "30000")
         apply_override(cfg, "depth.score_min", "0.8")
-        apply_override(cfg, "estimator.robust", "false")
         apply_override(cfg, "gravity", "0,0,-9.8")
         assert cfg.flow.mode == "benosman"
         assert cfg.flow.batch_size == 30000
         assert cfg.depth.score_min == 0.8
-        assert cfg.estimator.robust is False
         assert cfg.gravity == (0.0, 0.0, -9.8)
 
     def test_unknown_key(self):
@@ -204,6 +202,8 @@ class TestConfigOverrides:
 
     @pytest.mark.parametrize("key, value", [
         ("flow.batch_size", "0"),
+        # any mode but "corrected" used to run the benosman flows
+        ("flow.mode", "Corrected"),
         ("flow.patch_radius", "0"),
         ("flow.patch_radius", "-1"),
         # the 15 x 15 patch reaches past the 5 px border margin

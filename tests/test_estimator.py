@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from velometer.config import PipelineConfig
-from velometer.estimator import DV_STD_FLOOR, Estimator, huber_weights
+from velometer.estimator import (DV_STD_FLOOR, Estimator, ImuConstants,
+                                 WindowFlows, huber_weights)
 from velometer.events import ImuData, SequencingError
 from velometer.geometry import flow_rows
 import velometer.estimator
-from velometer.imu import IntegrationError, preintegrate
+from velometer.imu import (IntegrationError, OrientationTrack, Preintegration,
+                           preintegrate)
 from velometer.normal_flow import FlowBatch
 from velometer.rotations import (hat, matrix_to_quat, quat_from_rotvec,
                                  quat_mul, quat_normalize, quat_to_matrix,
@@ -54,21 +56,56 @@ def random_biases(est, rng, acc_std, gyro_std):
                                                rng.normal(0, gyro_std, 3)])
 
 
-def reference_imu_residual(est, pre):
-    """One pre-integration's whitened residual and Jacobians, evaluated on
-    its own with the per-interval arithmetic the stacked form replaces.
+def add_batches(est, batches):
+    """Append the rows of each non-empty batch to the window, as step does;
+    returns the batches, the test's own copy of the window's flow inputs."""
+    for batch in batches:
+        if len(batch):
+            est.flows = est.flows.append(est._flow_rows(batch))
+    return batches
+
+
+def add_interval(est, t0, t1, bias):
+    """Append the pre-integration of [t0, t1] at the bias row to the window."""
+    pre = preintegrate(est.imu, np.array([t0]), np.array([t1]),
+                       np.reshape(bias, (1, 6)), est.cfg.imu)
+    est.intervals = est.intervals.append(est._interval_terms(pre))
+
+
+def window_preints(est):
+    """The window's pre-integrations as stored, one interval each."""
+    pre = est.intervals.pre
+    return [pre[i] for i in range(len(pre.t0))]
+
+
+def normal_equations(est, x):
+    return est._normal_equations(x, est._flow_span(est.flows), est._imu_span())
+
+
+def imu_residual(est, span=None):
+    """The window's stacked IMU residuals at the spline's current state."""
+    span = est._imu_span() if span is None else span
+    return est.imu_residual(span, est.spline.control_points, est.spline.biases)
+
+
+def reference_imu_residual(est, pre, cp=None, biases=None):
+    """One pre-integration's whitened residual and Jacobians at the control
+    points and bias rows (the spline's when not given), evaluated on its own
+    with the per-interval arithmetic the stacked form replaces.
 
     Returns (r (3,), jac_cp0 (3, 12), seg0, jac_cp1 (3, 12), seg1,
     jac_bias (3, 6), bias segment index).
     """
     sp = est.spline
+    cp = sp.control_points if cp is None else cp
+    biases = sp.biases if biases is None else biases
     seg_b, _ = sp.segment_of(0.5 * (pre.t0 + pre.t1))
     j0, w0 = sp.weights(pre.t0)
     j1, w1 = sp.weights(pre.t1)
-    v0 = w0 @ sp.control_points[j0:j0 + 4]
-    v1 = w1 @ sp.control_points[j1:j1 + 4]
-    dba = sp.biases[seg_b, :3] - pre.bias_ref[:3]
-    dbw = sp.biases[seg_b, 3:] - pre.bias_ref[3:]
+    v0 = w0 @ cp[j0:j0 + 4]
+    v1 = w1 @ cp[j1:j1 + 4]
+    dba = biases[seg_b, :3] - pre.bias_ref[:3]
+    dbw = biases[seg_b, 3:] - pre.bias_ref[3:]
     dv = pre.delta_v + pre.jac_dv_ba @ dba + pre.jac_dv_bw @ dbw
     phi = pre.jac_dq_bw @ dbw
     rot = quat_to_matrix(quat_normalize(quat_mul(pre.delta_q,
@@ -123,10 +160,11 @@ def smoothness_rows(est, cp):
     return np.concatenate(rows_r), np.vstack(rows_j)
 
 
-def reference_rows(est, x, imu_constants=None):
+def reference_rows(est, x, batches, preints):
     """The dense whitened residual r, Jacobian J (rows x (3n + 6m)) and
-    robust cost at state x, one row block per residual family; Huber
-    weights enter as square roots on the flow rows."""
+    robust cost at state x of the flow batches and pre-integrations given,
+    one row block per residual family; Huber weights enter as square roots
+    on the flow rows."""
     est_cfg = est.cfg.estimator
     sp = est.spline
     n = sp.num_controls
@@ -136,7 +174,7 @@ def reference_rows(est, x, imu_constants=None):
     r, jmat = smoothness_rows(est, cp)
     rows_r, rows_j = [r], [jmat]
     cost = float(r @ r)
-    for batch in est.flow_batches:
+    for batch in batches:
         if not len(batch):
             continue
         r, jac_cp, jac_bw, j = reference_flow_rows(est, batch, cp, biases)
@@ -144,26 +182,18 @@ def reference_rows(est, x, imu_constants=None):
         jmat[:, 3 * j:3 * j + 12] = jac_cp
         col = 3 * n + 6 * j
         jmat[:, col + 3:col + 6] = jac_bw
-        if est_cfg.robust:
-            w, rho = huber_weights(r, est_cfg.huber_delta)
-            cost += float(rho.sum())
-            sw = np.sqrt(w)
-            r = r * sw
-            jmat = jmat * sw[:, None]
-        else:
-            cost += float(r @ r)
-        rows_r.append(r)
-        rows_j.append(jmat)
-    if est.preints:
-        r, jc0, j0, jc1, j1, jb, seg = est.imu_residual(est.preints, cp, biases,
-                                                        imu_constants)
-        rows = np.arange(r.size)[:, None]
-        j0, j1, seg = (np.repeat(a, 3)[:, None] for a in (j0, j1, seg))
-        jmat = np.zeros((r.size, ncols))
-        jmat[rows, 3 * j0 + np.arange(12)] = jc0.reshape(-1, 12)
-        jmat[rows, 3 * j1 + np.arange(12)] += jc1.reshape(-1, 12)
-        jmat[rows, 3 * n + 6 * seg + np.arange(6)] = jb.reshape(-1, 6)
-        r = r.ravel()
+        w, rho = huber_weights(r, est_cfg.huber_delta)
+        cost += float(rho.sum())
+        sw = np.sqrt(w)
+        rows_r.append(r * sw)
+        rows_j.append(jmat * sw[:, None])
+    for pre in preints:
+        r, jc0, j0, jc1, j1, jb, seg = reference_imu_residual(est, pre, cp,
+                                                              biases)
+        jmat = np.zeros((3, ncols))
+        jmat[:, 3 * j0:3 * j0 + 12] += jc0
+        jmat[:, 3 * j1:3 * j1 + 12] += jc1
+        jmat[:, 3 * n + 6 * seg:3 * n + 6 * seg + 6] = jb
         cost += float(r @ r)
         rows_r.append(r)
         rows_j.append(jmat)
@@ -191,10 +221,9 @@ def reference_rows(est, x, imu_constants=None):
     return np.concatenate(rows_r), np.vstack(rows_j), cost
 
 
-def reference_normal_equations(est, x, flows=None, imu_constants=None):
-    """(J^T J, J^T r, cost) from the dense rows; a drop-in for
-    Estimator._normal_equations that ignores the stacked flows."""
-    r, jmat, cost = reference_rows(est, x, imu_constants)
+def reference_normal_equations(est, x, batches, preints):
+    """(J^T J, J^T r, cost) from the dense rows of the inputs given."""
+    r, jmat, cost = reference_rows(est, x, batches, preints)
     return jmat.T @ jmat, jmat.T @ r, cost
 
 
@@ -263,10 +292,10 @@ class TestImuResidual:
         cfg, rig, traj, _ = make_setup(duration=0.8)
         est = estimator_with_truth(cfg, rig, traj, 0.8)
         fit_spline_to_truth(est, traj)
-        pre = preintegrate(est.imu, 0.30, 0.33, ZERO_BIAS, cfg.imu)
-        (r,), *_ = est.imu_residual([pre])
+        add_interval(est, 0.30, 0.33, ZERO_BIAS)
+        (r,), *_ = imu_residual(est)
         # unwhitened error is tiny; whitening divides by ~2e-4 std
-        e = np.linalg.cholesky(pre.cov + 1e-10 * np.eye(3)) @ r
+        e = np.linalg.cholesky(est.intervals.pre.cov[0] + 1e-10 * np.eye(3)) @ r
         assert np.linalg.norm(e) < 1e-4
 
     def test_jacobians_match_finite_differences(self):
@@ -275,13 +304,14 @@ class TestImuResidual:
         rng = np.random.default_rng(1)
         est.spline.control_points += rng.normal(0, 0.4, est.spline.control_points.shape)
         random_biases(est, rng, 1e-2, 1e-3)
-        pre = preintegrate(est.imu, 0.30, 0.33, ZERO_BIAS, cfg.imu)
+        add_interval(est, 0.30, 0.33, ZERO_BIAS)
+        span = est._imu_span()
         (r0,), (jc0,), (j0,), (jc1,), (j1,), (jb,), (seg,) = \
-            est.imu_residual([pre])
+            imu_residual(est, span)
         eps = 1e-6
 
         def residual():
-            (r,), *_ = est.imu_residual([pre])
+            (r,), *_ = imu_residual(est, span)
             return r
 
         jac_cp = {}
@@ -309,12 +339,14 @@ class TestImuResidual:
             assert np.allclose(jb[:, axis], fd, rtol=1e-4, atol=5e-4)
 
     def test_degenerate_interval_rejected(self):
+        # [0, 0.0305] splits into 0.03 s and 0.5 ms; the second is shorter
+        # than min_imu_dt and never enters the window
         cfg, rig, traj, _ = make_setup(duration=0.8)
         est = estimator_with_truth(cfg, rig, traj, 0.8)
-        good = preintegrate(est.imu, 0.30, 0.33, ZERO_BIAS, cfg.imu)
-        pre = preintegrate(est.imu, 0.30, 0.3005, ZERO_BIAS, cfg.imu)
-        with pytest.raises(ValueError):
-            est.imu_residual([good, pre])
+        est._extend_preints(0.0305)
+        pre = est.intervals.pre
+        assert pre.t0.tolist() == [0.0] and pre.t1.tolist() == [0.03]
+        assert est.last_preint_end == 0.03
 
     def _window(self):
         """Estimator with a pre-integration window whose biases have moved
@@ -327,15 +359,14 @@ class TestImuResidual:
             0, 0.4, est.spline.control_points.shape)
         random_biases(est, rng, 1e-2, 1e-3)
         est._extend_preints(0.7)
-        est.preints.append(preintegrate(est.imu, 0.38, 0.42,
-                                        est.spline.biases[3], cfg.imu))
+        add_interval(est, 0.38, 0.42, est.spline.biases[3])
         random_biases(est, rng, 1e-2, 1e-3)
         return est
 
     def test_stacked_matches_per_interval(self):
         est = self._window()
-        stacked = est.imu_residual(est.preints)
-        refs = [reference_imu_residual(est, pre) for pre in est.preints]
+        stacked = imu_residual(est)
+        refs = [reference_imu_residual(est, pre) for pre in window_preints(est)]
         j0, j1 = stacked[2], stacked[4]
         assert np.any(j0 == j1) and np.any(j0 != j1)
         for got, want in zip(stacked, zip(*refs)):
@@ -347,13 +378,12 @@ class TestImuResidual:
         # no flows: the smoothness prior, the IMU rows, the bias
         # random-walk tie and the bias zero prior
         est = self._window()
-        est.flow_batches = []
         sp, cfg = est.spline, est.cfg
         n, m = sp.num_controls, sp.num_segments
         ncols = 3 * n + 6 * m
         r, jmat = smoothness_rows(est, sp.control_points)
         rows_r, rows_j = [r], [jmat]
-        for pre in est.preints:
+        for pre in window_preints(est):
             r, jc0, j0, jc1, j1, jb, seg = reference_imu_residual(est, pre)
             jmat = np.zeros((3, ncols))
             jmat[:, 3 * j0:3 * j0 + 12] += jc0
@@ -381,7 +411,7 @@ class TestImuResidual:
         want_r, want_j = np.concatenate(rows_r), np.vstack(rows_j)
         want_h, want_g = want_j.T @ want_j, want_j.T @ want_r
 
-        h, g, cost = est._normal_equations(est._pack())
+        h, g, cost = normal_equations(est, est._pack())
         np.testing.assert_allclose(h, want_h, rtol=1e-12,
                                    atol=1e-12 * np.abs(want_h).max())
         np.testing.assert_allclose(g, want_g, rtol=1e-12,
@@ -394,86 +424,98 @@ class TestNormalEquations:
     the dense cost."""
 
     def _window(self, duration=1.0, **cfg_kw):
-        """Perturbed window: three batches in the segment [0.1, 0.2) and one
-        in each of three later segments; pre-integrations that end at knots
-        (j1 == j0 + 1), lie inside one segment (j1 == j0), and one that
-        crosses the knot at 0.4 s."""
+        """Perturbed window and its flow batches: three batches in the
+        segment [0.1, 0.2) and one in each of three later segments;
+        pre-integrations that end at knots (j1 == j0 + 1), lie inside one
+        segment (j1 == j0), and one that crosses the knot at 0.4 s."""
         cfg, rig, traj, scene = make_setup(duration=duration, **cfg_kw)
         est = estimator_with_truth(cfg, rig, traj, duration)
         fit_spline_to_truth(est, traj)
-        for t in (0.12, 0.15, 0.18, 0.35, 0.55, 0.75):
-            est.flow_batches.append(exact_observations(scene, traj, rig, t,
-                                                       count=30))
+        batches = add_batches(est, [
+            exact_observations(scene, traj, rig, t, count=30)
+            for t in (0.12, 0.15, 0.18, 0.35, 0.55, 0.75)])
         est._extend_preints(duration - 0.05)
-        est.preints.append(preintegrate(est.imu, 0.38, 0.42,
-                                        est.spline.biases[3], cfg.imu))
+        add_interval(est, 0.38, 0.42, est.spline.biases[3])
         rng = np.random.default_rng(4)
         est.spline.control_points += rng.normal(
             0, 0.6, est.spline.control_points.shape)
         random_biases(est, rng, 1e-2, 1e-3)
-        return est
+        return est, batches
 
     @staticmethod
-    def _check(est):
+    def _check(est, batches):
         x = est._pack()
-        h, g, cost = est._normal_equations(x)
-        want_h, want_g, want_cost = reference_normal_equations(est, x)
+        h, g, cost = normal_equations(est, x)
+        want_h, want_g, want_cost = reference_normal_equations(
+            est, x, batches, window_preints(est))
         for got, want in ((h, want_h), (g, want_g)):
             np.testing.assert_allclose(got, want, rtol=0,
                                        atol=1e-12 * np.abs(want).max())
         assert abs(cost - want_cost) <= 1e-12 * want_cost
 
     @staticmethod
-    def _flow_weights(est):
+    def _flow_weights(est, batches):
         r = np.concatenate([reference_flow_rows(est, b, est.spline.control_points,
                                                 est.spline.biases)[0]
-                            for b in est.flow_batches])
+                            for b in batches])
         return huber_weights(r, est.cfg.estimator.huber_delta)[0]
 
     def test_robust(self):
-        est = self._window()
-        assert est.cfg.estimator.robust
-        w = self._flow_weights(est)
+        est, batches = self._window()
+        w = self._flow_weights(est, batches)
         assert np.any(w < 1.0) and np.any(w == 1.0)
-        _, _, j0, _, j1, _, _ = est.imu_residual(est.preints)
+        _, _, j0, _, j1, _, _ = imu_residual(est)
         assert np.any(j0 == j1) and np.any(j0 != j1)
-        self._check(est)
-
-    def test_not_robust(self):
-        est = self._window()
-        est.cfg.estimator.robust = False
-        self._check(est)
+        self._check(est, batches)
 
     def test_one_segment(self):
         # m = 1: no random-walk rows
         cfg, rig, traj, scene = make_setup(duration=1.0)
         est = estimator_with_truth(cfg, rig, traj, 0.0)
         assert est.spline.num_segments == 1
-        for t in (0.03, 0.07):
-            est.flow_batches.append(exact_observations(scene, traj, rig, t,
-                                                       count=20))
+        batches = add_batches(est, [exact_observations(scene, traj, rig, t,
+                                                       count=20)
+                                    for t in (0.03, 0.07)])
         est._extend_preints(0.095)
         rng = np.random.default_rng(6)
         est.spline.control_points += rng.normal(0, 0.6, (4, 3))
         random_biases(est, rng, 1e-2, 1e-3)
-        assert est.preints
-        self._check(est)
+        assert len(est.intervals.pre.t0)
+        self._check(est, batches)
 
     def test_no_flows(self):
-        est = self._window()
-        est.flow_batches = []
-        self._check(est)
+        est, _ = self._window()
+        est.flows = WindowFlows.empty()
+        self._check(est, [])
 
     def test_no_residuals_but_priors(self):
-        est = self._window()
-        est.flow_batches, est.preints = [], []
-        self._check(est)
+        est, _ = self._window()
+        est.flows, est.intervals = WindowFlows.empty(), ImuConstants.empty()
+        self._check(est, [])
 
     def test_empty_batch(self):
-        est = self._window()
-        est.flow_batches.insert(2, FlowBatch.empty(0.16))
-        est.flow_batches.append(FlowBatch.empty(0.85))
-        self._check(est)
+        # an empty batch adds IMU rows only: the flow rows stay those of
+        # the non-empty batches
+        cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
+                                           duration=1.0)
+        est = Estimator(rig, cfg)
+        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        batches = [exact_observations(scene, traj, rig, 0.1, count=40),
+                   FlowBatch.empty(0.2),
+                   exact_observations(scene, traj, rig, 0.3, count=40)]
+        for batch in batches:
+            est.step(batch, batch.t)
+        assert est.status == "tracking"
+        np.testing.assert_array_equal(
+            est.flows.t, np.concatenate([np.full(len(b), b.t) for b in batches]))
+        assert est.intervals.pre.t1[-1] == 0.3
+        # away from the optimum, so that g is not all rounding
+        rng = np.random.default_rng(4)
+        est.spline.control_points += rng.normal(
+            0, 0.6, est.spline.control_points.shape)
+        random_biases(est, rng, 1e-2, 1e-3)
+        self._check(est, batches)
 
 
 class TestOptimize:
@@ -481,9 +523,8 @@ class TestOptimize:
         cfg, rig, traj, scene = make_setup(duration=duration)
         est = estimator_with_truth(cfg, rig, traj, duration)
         fit_spline_to_truth(est, traj)
-        for t in np.arange(0.1, duration, 0.1):
-            est.flow_batches.append(exact_observations(scene, traj, rig, t,
-                                                       count=30))
+        add_batches(est, [exact_observations(scene, traj, rig, t, count=30)
+                          for t in np.arange(0.1, duration, 0.1)])
         est._extend_preints(duration - 0.05)
         if perturb:
             rng = np.random.default_rng(seed)
@@ -536,13 +577,10 @@ class TestOptimize:
         fit_spline_to_truth(est, traj)
         est.imu, _, _ = generate_imu(traj, cfg.imu, GRAVITY,
                                      np.random.default_rng(0))
-        for t in np.arange(0.1, 0.5, 0.1):
-            est.flow_batches.append(exact_observations(scene, traj, rig, t,
-                                                       count=30))
         t_new = est.spline.t_max + 0.005
         est.spline.extend_to(t_new)
-        est.flow_batches.append(exact_observations(scene, traj, rig, t_new,
-                                                   count=30))
+        add_batches(est, [exact_observations(scene, traj, rig, t, count=30)
+                          for t in (*np.arange(0.1, 0.5, 0.1), t_new)])
         est._extend_preints(t_new)
         assert est.spline.weights(t_new)[1][-1] < 1e-4
         before = est.spline.control_points.copy()
@@ -562,15 +600,6 @@ class TestOptimize:
         for before, after in costs:
             assert after <= before + 1e-12
 
-    def test_cost_invariant_to_residual_order(self):
-        est, _ = self._tracking_estimator(perturb=0.3)
-        x = est._pack()
-        _, _, cost1 = est._normal_equations(x)
-        est.flow_batches = est.flow_batches[::-1]
-        est.preints = est.preints[::-1]
-        _, _, cost2 = est._normal_equations(x)
-        assert abs(cost1 - cost2) < 1e-12 * max(1.0, cost1)
-
     def test_gauge_locality_without_imu(self):
         # flows at one timestamp, no IMU residuals: only the active control
         # points are observed, so the inactive ones move only as the
@@ -579,9 +608,10 @@ class TestOptimize:
         # given the active points: the second differences minimized over the
         # inactive points with the active ones held fixed.
         est, _ = self._tracking_estimator(duration=1.0)
-        est.flow_batches = est.flow_batches[4:5]
-        est.preints = []
-        j_active, _ = est.spline.segment_of(est.flow_batches[0].t)
+        t_kept = np.unique(est.flows.t)[4]
+        est.flows = est.flows.keep(est.flows.t == t_kept)
+        est.intervals = ImuConstants.empty()
+        j_active, _ = est.spline.segment_of(t_kept)
         active = np.arange(j_active, j_active + 4)
         est.spline.control_points[active] += np.random.default_rng(0).normal(
             0, 0.3, (4, 3))
@@ -701,10 +731,11 @@ class TestExtendPreints:
 
         monkeypatch.setattr(velometer.estimator, "preintegrate", counting)
         est._extend_preints(0.7)
-        assert calls == [len(est.preints)] and len(est.preints) > 7
-        assert est.report.imu_intervals == len(est.preints)
-        assert est.last_preint_end == est.preints[-1].t1 == 0.7
-        for pre in est.preints:
+        n = len(est.intervals.pre.t0)
+        assert calls == [n] and n > 7
+        assert est.report.imu_intervals == n
+        assert est.last_preint_end == est.intervals.pre.t1[-1] == 0.7
+        for pre in window_preints(est):
             seg, _ = est.spline.segment_of(0.5 * (pre.t0 + pre.t1))
             one = preintegrate(est.imu, pre.t0, pre.t1, est.spline.biases[seg],
                                cfg.imu)
@@ -727,13 +758,13 @@ class TestExtendPreints:
         est.imu = ImuData(full.t[keep], full.accel[keep], full.gyro[keep])
         with pytest.raises(IntegrationError):
             est._extend_preints(0.7)
-        assert est.preints == []
+        assert len(est.intervals.pre.t0) == 0
         assert est.last_preint_end == 0.0
         assert est.report.imu_intervals == 0
         # with the data repaired the same span integrates from its start
         est.imu = full
         est._extend_preints(0.7)
-        assert est.preints[0].t0 == 0.0 and est.last_preint_end == 0.7
+        assert est.intervals.pre.t0[0] == 0.0 and est.last_preint_end == 0.7
 
 
 class TestWindowBoundary:
@@ -751,8 +782,92 @@ class TestWindowBoundary:
         assert est.status == "tracking"
         sp = est.spline
         assert sp.t_min > 0.5 - 1e-9
-        assert all(sp.covers(b.t) for b in est.flow_batches)
-        assert all(sp.covers(p.t0) for p in est.preints)
+        assert 0.5 - 5e-10 not in est.flows.t
+        assert np.all(sp.covers(est.flows.t)) and len(est.flows.t)
+        assert np.all(sp.covers(est.intervals.pre.t0))
+
+
+class TestWindowRows:
+    def test_terms_built_once_and_kept_by_the_span(self, monkeypatch):
+        # a 2.2 s corridor run with noisy IMU: after every step the stored
+        # terms equal those recomputed from the inputs the span still
+        # covers, and each row's geometry, covariance factor and gravity
+        # were computed exactly once, when it entered the window
+        cfg, rig, traj, scene = make_setup(duration=2.4)
+        imu, _, _ = generate_imu(traj, cfg.imu, GRAVITY,
+                                 np.random.default_rng(5))
+        batches = [exact_observations(scene, traj, rig, t)
+                   for t in np.arange(1, 12) * 0.2]
+        cholesky = np.linalg.cholesky
+        gravity = OrientationTrack.gravity_in_body
+        calls = {"flow_rows": 0, "cholesky": 0, "gravity_in_body": 0}
+        preints = []
+
+        def counting(name, fn, rows):
+            def wrapper(*args):
+                calls[name] += rows(*args)
+                return fn(*args)
+            return wrapper
+
+        def recording(*args):
+            preints.append(preintegrate(*args))
+            return preints[-1]
+
+        monkeypatch.setattr(velometer.estimator, "flow_rows", counting(
+            "flow_rows", flow_rows, lambda intr, xs, ys, d: len(xs)))
+        monkeypatch.setattr(np.linalg, "cholesky", counting(
+            "cholesky", cholesky, lambda a: len(a)))
+        monkeypatch.setattr(OrientationTrack, "gravity_in_body", counting(
+            "gravity_in_body", gravity, lambda track, t: len(t)))
+        monkeypatch.setattr(velometer.estimator, "preintegrate", recording)
+
+        est = Estimator(rig, cfg)
+        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.feed_imu(imu)
+        dropped = False
+        for k, batch in enumerate(batches):
+            est.step(batch, batch.t)
+            assert est.status == "tracking"
+            stepped = batches[:k + 1]
+            assert calls["flow_rows"] == sum(len(b) for b in stepped)
+            n_pre = sum(len(p.t0) for p in preints)
+            assert calls["cholesky"] == calls["gravity_in_body"] == n_pre
+
+            covers = est.spline.covers
+            kept = [b for b in stepped if covers(b.t)]
+            dropped |= len(kept) < len(stepped)
+            a_rows, b_rows = (np.concatenate(m) for m in zip(*[
+                flow_rows(rig.left, b.x, b.y, b.direction) for b in kept]))
+            t, magnitude, depth, weight = (np.concatenate(m) for m in zip(*[
+                (np.full(len(b), b.t), b.magnitude, b.depth, b.weight)
+                for b in kept]))
+            scale = weight / np.maximum(cfg.estimator.flow_sigma,
+                                        cfg.estimator.flow_sigma_rel * magnitude)
+            gyro = np.stack([imu.interp_gyro(b.t) for b in kept for _ in b.x])
+            want = WindowFlows(
+                t, -(a_rows / depth[:, None]) * scale[:, None],
+                b_rows * scale[:, None],
+                (magnitude - np.einsum("kc,kc->k", b_rows, gyro)) * scale)
+            for f in dataclasses.fields(WindowFlows):
+                np.testing.assert_array_equal(getattr(est.flows, f.name),
+                                              getattr(want, f.name), f.name)
+
+            pre = {f.name: np.concatenate([getattr(p, f.name) for p in
+                                           [ImuConstants.empty().pre, *preints]])
+                   for f in dataclasses.fields(Preintegration)}
+            keep = covers(pre["t0"])
+            pre = {name: rows[keep] for name, rows in pre.items()}
+            got = est.intervals
+            for name, rows in pre.items():
+                np.testing.assert_array_equal(getattr(got.pre, name), rows, name)
+            l_inv = np.linalg.inv(cholesky(pre["cov"] + DV_STD_FLOOR ** 2
+                                           * np.eye(3)))
+            np.testing.assert_array_equal(got.l_inv, l_inv)
+            np.testing.assert_array_equal(
+                got.g_hat, -gravity(est.orientation, pre["t0"]))
+            np.testing.assert_array_equal(got.jac_ba, l_inv @ pre["jac_dv_ba"])
+            np.testing.assert_array_equal(got.jac_bw0, l_inv @ pre["jac_dv_bw"])
+        assert dropped
 
 
 class TestDenseEquivalence:
@@ -774,9 +889,14 @@ class TestDenseEquivalence:
             est.finalize()
             return est.velocity_track()
 
+        def dense(est, x, *spans):
+            # the stepped batches the span still covers, as the window keeps them
+            kept = [b for b in obs if est.report.init_time <= b.t
+                    <= est.last_batch_t and est.spline.covers(b.t)]
+            return reference_normal_equations(est, x, kept, window_preints(est))
+
         ts, vs = run()
-        monkeypatch.setattr(Estimator, "_normal_equations",
-                            reference_normal_equations)
+        monkeypatch.setattr(Estimator, "_normal_equations", dense)
         ts_ref, vs_ref = run()
         assert len(ts) > 100 and np.array_equal(ts, ts_ref)
         assert np.abs(vs - vs_ref).max() <= 1e-6
