@@ -26,12 +26,9 @@ def main():
     ap.add_argument("--omega", type=float, default=0.66)
     ap.add_argument("--duration", type=float, default=2.5)
     ap.add_argument("--seed", type=int, default=0)
-    ap.add_argument("--flow-mode", choices=["corrected", "benosman"],
-                    default="corrected")
     args = ap.parse_args()
 
     cfg = PipelineConfig()
-    cfg.flow.mode = args.flow_mode
     rng = np.random.default_rng(args.seed)
     traj = make_trajectory("corridor", speed=args.speed, omega=args.omega,
                            duration=args.duration)
@@ -50,8 +47,7 @@ def main():
     print(report.to_text())
 
     gt = ground_truth(traj, rate=cfg.imu.rate_hz)
-    metrics = align_and_compare(VelocityTrack(ts, vs, frame="body"),
-                                gt_velocity_track(gt))
+    metrics = align_and_compare(VelocityTrack(ts, vs), gt_velocity_track(gt))
     print(metrics.to_text())
 
 

@@ -47,7 +47,7 @@ def main():
 
     orient = OrientationTrack(imu.t[0], q0, gravity)
     orient.extend(imu)
-    t_p, p_est = dead_reckon(VelocityTrack(ts, vs, frame="body"), orient,
+    t_p, p_est = dead_reckon(VelocityTrack(ts, vs), orient,
                              traj.position(ts[0]))
     drift_est = np.linalg.norm(p_est[-1] - traj.position(t_p[-1]))
     t_i, p_imu, _, _ = imu_dead_reckon(imu, q0, traj.velocity_world(0.0),

@@ -9,11 +9,9 @@ __version__ = "0.1.0"
 
 from .config import PipelineConfig, SimConfig
 from .events import EventBatch, ImuData, batch_by_count, make_events
-from .geometry import (BodyKinematics, CameraIntrinsics, StereoRig,
-                       flow_matrices, flow_rows, motion_flow)
+from .geometry import CameraIntrinsics, StereoRig, flow_rows
 from .imu import OrientationTrack, Preintegration, preintegrate
-from .normal_flow import (FlowBatch, normal_flow_from_gradient,
-                          process_batch, select_candidates)
+from .normal_flow import FlowBatch, process_batch, select_candidates
 from .spline import VelocitySpline, basis
 from .stereo import associate, match_blocks
 from .time_surface import SurfacePair, TimeSurface

@@ -81,8 +81,8 @@ def cmd_estimate(args):
 def cmd_evaluate(args):
     t_est, v_est = dataio.read_velocity_csv(args.est)
     t_gt, v_gt = dataio.read_velocity_csv(args.gt)
-    est = VelocityTrack(t_est, v_est, frame="body")
-    gt = VelocityTrack(t_gt, v_gt, frame="body")
+    est = VelocityTrack(t_est, v_est)
+    gt = VelocityTrack(t_gt, v_gt)
     report = align_and_compare(est, gt)
 
     os.makedirs(args.out, exist_ok=True)
@@ -91,7 +91,7 @@ def cmd_evaluate(args):
         track = OrientationTrack.from_samples(t_q, quats,
                                               np.array([0.0, 0.0, -9.81]))
         mask = (est.t >= track.t_start) & (est.t <= track.t_end)
-        sub = VelocityTrack(est.t[mask], est.v[mask], frame="body")
+        sub = VelocityTrack(est.t[mask], est.v[mask])
         if len(sub.t) >= 2:
             t_p, p = dead_reckon(sub, track, np.zeros(3))
             with open(os.path.join(args.out, "deadreckon.csv"), "w") as fh:

@@ -1,11 +1,11 @@
 """Dataclass configuration for the whole pipeline.
 
-All knobs can be overridden with dotted keys, e.g. ``flow.mode=benosman`` or
+All knobs can be overridden with dotted keys, e.g. ``flow.max_flow=3000`` or
 ``spline.knot_dt=0.05``, either from the command line or from a plain
 ``key = value`` text file.
 """
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -19,7 +19,6 @@ class FlowConfig:
     patch_radius: int = 2            # 5x5 neighborhood
     min_grad: float = 1e-4           # s/px, gradients below reject the measurement
     max_flow: float = 5000.0         # px/s, magnitudes above reject the measurement
-    mode: str = "corrected"          # "corrected" | "benosman"
     min_batch_duration: float = 1e-6
     max_measurements: int = 800      # per-batch cap on plane fits (evenly subsampled)
     min_plane_points: int = 6
@@ -117,8 +116,6 @@ def validate_config(cfg: PipelineConfig):
     checks = (
         ("flow.batch_size", cfg.flow.batch_size, cfg.flow.batch_size > 0,
          "must be positive"),
-        ("flow.mode", cfg.flow.mode, cfg.flow.mode in ("corrected", "benosman"),
-         'must be "corrected" or "benosman"'),
         ("flow.patch_radius", cfg.flow.patch_radius,
          cfg.flow.patch_radius >= 1, "must be at least 1"),
         ("flow.border_margin", cfg.flow.border_margin,
@@ -184,17 +181,13 @@ def validate_config(cfg: PipelineConfig):
 
 
 def _coerce(current, text):
-    if isinstance(current, int):
-        return int(text)
-    if isinstance(current, float):
-        return float(text)
     if isinstance(current, tuple):
         return tuple(float(v) for v in text.split(","))
-    return text
+    return type(current)(text)
 
 
 def apply_override(cfg: PipelineConfig, key: str, value: str):
-    """Set one dotted-key option, e.g. apply_override(cfg, "flow.mode", "benosman")."""
+    """Set one dotted-key option, e.g. apply_override(cfg, "spline.knot_dt", "0.05")."""
     parts = key.split(".")
     target = cfg
     for part in parts[:-1]:
@@ -220,14 +213,3 @@ def load_overrides(cfg: PipelineConfig, path):
             apply_override(cfg, key, value)
     return cfg
 
-
-def clone_config(cfg: PipelineConfig) -> PipelineConfig:
-    return replace(
-        cfg,
-        flow=replace(cfg.flow),
-        depth=replace(cfg.depth),
-        imu=replace(cfg.imu),
-        spline=replace(cfg.spline),
-        estimator=replace(cfg.estimator),
-        sim=replace(cfg.sim),
-    )

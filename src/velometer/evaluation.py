@@ -14,18 +14,18 @@ import numpy as np
 
 from .events import ImuData
 from .imu import OrientationTrack
-from .rotations import quat_to_matrix
 
 
 class MetricError(RuntimeError):
-    """Raised when tracks cannot be compared (no overlap, frame mismatch)."""
+    """Raised when tracks cannot be compared (no overlap, no orientation)."""
 
 
 @dataclass
 class VelocityTrack:
+    """Body-frame velocities `v` (N, 3) at sorted times `t` (N,)."""
+
     t: np.ndarray
     v: np.ndarray
-    frame: str = "body"
 
     def __post_init__(self):
         self.t = np.asarray(self.t, dtype=float)
@@ -34,8 +34,6 @@ class VelocityTrack:
             raise ValueError("track must be sorted in time")
         if not np.all(np.isfinite(self.v)):
             raise ValueError("track velocities must be finite")
-        if self.frame not in ("body", "world"):
-            raise ValueError(f"unknown frame {self.frame!r}")
 
     def interp(self, ts):
         return np.stack([np.interp(ts, self.t, self.v[:, k]) for k in range(3)],
@@ -69,8 +67,6 @@ class MetricsReport:
 def align_and_compare(est: VelocityTrack, gt: VelocityTrack,
                       min_speed=0.05) -> MetricsReport:
     """Interpolate ground truth to the estimate's timestamps and compare."""
-    if est.frame != gt.frame:
-        raise MetricError(f"frame mismatch: {est.frame} vs {gt.frame}")
     t0 = max(est.t[0], gt.t[0])
     t1 = min(est.t[-1], gt.t[-1])
     if t1 <= t0:
@@ -93,8 +89,6 @@ def align_and_compare(est: VelocityTrack, gt: VelocityTrack,
 
 def dead_reckon(est: VelocityTrack, orientation: OrientationTrack, p0):
     """Position by single trapezoidal integration of rotated body velocity."""
-    if est.frame != "body":
-        raise MetricError("dead reckoning expects a body-frame track")
     if est.t[0] < orientation.t_start - 1e-9 or est.t[-1] > orientation.t_end + 1e-9:
         raise MetricError("orientation does not cover the velocity track")
     v_world = np.stack([orientation.rotation(t) @ v
@@ -132,18 +126,6 @@ def imu_dead_reckon(imu: ImuData, q0, v0_world, p0, gravity_world):
     return imu.t.copy(), p, v, track
 
 
-def rotate_to_world(track: VelocityTrack, orientation: OrientationTrack):
-    if track.frame != "body":
-        raise MetricError("track already in world frame")
-    v_world = np.stack([orientation.rotation(t) @ v
-                        for t, v in zip(track.t, track.v)])
-    return VelocityTrack(track.t.copy(), v_world, frame="world")
-
-
-def gt_velocity_track(gt, frame="body"):
+def gt_velocity_track(gt):
     """VelocityTrack from simulator ground truth."""
-    if frame == "body":
-        return VelocityTrack(gt.t.copy(), gt.v_body.copy(), frame="body")
-    v_world = np.stack([quat_to_matrix(q) @ v
-                        for q, v in zip(gt.quat_wb, gt.v_body)])
-    return VelocityTrack(gt.t.copy(), v_world, frame="world")
+    return VelocityTrack(gt.t.copy(), gt.v_body.copy())

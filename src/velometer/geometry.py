@@ -11,10 +11,17 @@ camera moving with body-frame linear velocity v and angular velocity w, is
 
     flow = A(x) @ v / Z + B(x) @ w
 
-with A, B the 2x3 matrices returned by :func:`flow_matrices`. A normal-flow
-measurement observes only the component along its unit direction n, one
-linear constraint n^T A v / Z + n^T B w; :func:`flow_rows` computes its
-rows n^T A and n^T B for many pixels at once.
+with A, B 2x3 matrices that depend only on the pixel and the intrinsics
+(xr = x - cx, yr = y - cy):
+
+    A = [[-f, 0, xr],        B = [[xr yr / f, -(f + xr^2 / f),  yr],
+         [0, -f, yr]]             [f + yr^2 / f,  -xr yr / f,  -xr]]
+
+A normal-flow measurement observes only the component along its unit
+direction n, one linear constraint n^T A v / Z + n^T B w. :func:`flow_rows`
+computes its rows n^T A and n^T B for many pixels at once; it is the one
+place the model is evaluated (at n = (1, 0) and (0, 1) its rows are those
+of A and B).
 """
 
 from dataclasses import dataclass
@@ -38,17 +45,6 @@ class CameraIntrinsics:
         if not (0 < self.cx < self.width) or not (0 < self.cy < self.height):
             raise ValueError("principal point must lie inside the image")
 
-    def contains(self, x, y):
-        return 0 <= x < self.width and 0 <= y < self.height
-
-    def project(self, p_cam):
-        """Pixel coordinates of a camera-frame point; Z must be positive."""
-        p = np.asarray(p_cam, dtype=float)
-        if p[2] <= 0:
-            raise ValueError("point is not in front of the camera")
-        return np.array([self.f * p[0] / p[2] + self.cx,
-                         self.f * p[1] / p[2] + self.cy])
-
 
 @dataclass
 class StereoRig:
@@ -65,44 +61,11 @@ class StereoRig:
             raise ValueError("left and right cameras must share resolution")
 
 
-@dataclass
-class BodyKinematics:
-    """Instantaneous body-frame linear and angular velocity."""
-
-    v: np.ndarray
-    omega: np.ndarray
-
-    def __post_init__(self):
-        self.v = np.asarray(self.v, dtype=float)
-        self.omega = np.asarray(self.omega, dtype=float)
-        if not (np.all(np.isfinite(self.v)) and np.all(np.isfinite(self.omega))):
-            raise ValueError("kinematics must be finite")
-
-
-def flow_matrices(intr: CameraIntrinsics, px):
-    """Geometry matrices (A, B) of the motion-flow model at a pixel.
-
-    A scales the translational term (divide by depth), B the rotational one.
-    Both depend only on the pixel position and the intrinsics.
-    """
-    x, y = float(px[0]), float(px[1])
-    if not intr.contains(x, y):
-        raise ValueError(f"pixel ({x}, {y}) outside image bounds")
-    f = intr.f
-    xr = x - intr.cx
-    yr = y - intr.cy
-    a = np.array([[-f, 0.0, xr],
-                  [0.0, -f, yr]])
-    b = np.array([[xr * yr / f, -(f + xr * xr / f), yr],
-                  [f + yr * yr / f, -xr * yr / f, -xr]])
-    return a, b
-
-
 def flow_rows(intr: CameraIntrinsics, xs, ys, directions):
     """Rows n^T A and n^T B of the projected-flow model, (K, 3) each.
 
     `xs`, `ys` are pixel coordinates (K,) and `directions` the unit normals
-    (K, 2); row k equals n_k @ flow_matrices(intr, (xs[k], ys[k])).
+    (K, 2); row k equals n_k @ A and n_k @ B at pixel (xs[k], ys[k]).
     """
     xr = xs - intr.cx
     yr = ys - intr.cy
@@ -116,10 +79,3 @@ def flow_rows(intr: CameraIntrinsics, xs, ys, directions):
     ], axis=1)
     return a_rows, b_rows
 
-
-def motion_flow(intr: CameraIntrinsics, px, kin: BodyKinematics, depth: float):
-    """Full image velocity (px/s) at a pixel for given kinematics and depth."""
-    if depth <= 0:
-        raise ValueError(f"depth must be positive, got {depth}")
-    a, b = flow_matrices(intr, px)
-    return a @ kin.v / depth + b @ kin.omega

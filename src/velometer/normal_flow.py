@@ -9,10 +9,9 @@ normal. The front end therefore:
   2. fits a plane t = a*x + b*y + c to the same-polarity surface patch,
   3. converts the gradient (a, b) into a unit direction and a magnitude.
 
-The "benosman" mode replaces step 3 with the component-wise reciprocal of the
-gradient, an older formulation kept as a comparison baseline; it yields the
-same direction only for diagonal gradients and overestimates the magnitude
-otherwise.
+The left camera's two polarity planes are the (2, h, w) `stamps` of a
+:class:`~velometer.time_surface.SurfacePair`; step 1 reads both at once and
+step 2 fits each plane's candidates on that plane.
 """
 
 from dataclasses import dataclass
@@ -21,7 +20,7 @@ import numpy as np
 
 from .config import FlowConfig
 from .events import EventBatch
-from .time_surface import SurfacePair, TimeSurface
+from .time_surface import SurfacePair
 
 
 @dataclass
@@ -108,6 +107,7 @@ def select_candidates(batch: EventBatch, surfaces: SurfacePair, cfg: FlowConfig)
     counts = np.zeros((2, h + k, w + k), dtype=np.int32)
     counts[:, r + 1:r + 1 + h, r + 1:r + 1 + w] = valid
     center_valid, n_valid = center_and_patch_sum(counts)
+    del counts                  # before the float image is allocated
     sums = np.zeros((2, h + k, w + k))
     np.subtract(stamps, t0, out=sums[:, r + 1:r + 1 + h, r + 1:r + 1 + w],
                 where=valid)
@@ -151,8 +151,8 @@ def _solve3(n_mats, rhs):
     return coef, ok
 
 
-def fit_planes(surface: TimeSurface, xs, ys, window, cfg: FlowConfig):
-    """Vectorized plane fits at pixels (xs, ys) of one polarity surface.
+def fit_planes(stamps, xs, ys, window, cfg: FlowConfig):
+    """Vectorized plane fits at pixels (xs, ys) of one (h, w) stamps plane.
 
     Returns (grads (K,2), rms (K,), ok (K,)). Fits use only patch pixels
     stamped within the window; one robust re-fit discards points whose
@@ -167,7 +167,7 @@ def fit_planes(surface: TimeSurface, xs, ys, window, cfg: FlowConfig):
     off = np.arange(-r, r + 1)
     pys = ys[:, None, None] + off[None, :, None]  # (K, 2r+1, 2r+1)
     pxs = xs[:, None, None] + off[None, None, :]
-    tv = surface.stamps[pys, pxs].reshape(len(xs), len(x_des))  # (K, P)
+    tv = stamps[pys, pxs].reshape(len(xs), len(x_des))  # (K, P)
     valid = (tv >= t0) & (tv <= t1)
     tv = np.where(valid, tv - t1, 0.0)            # shift for conditioning
 
@@ -205,46 +205,6 @@ def _corrected_flows(grads, cfg: FlowConfig):
     return direction, magnitude, ok
 
 
-def _benosman_flows(grads, cfg: FlowConfig):
-    """Like :func:`_corrected_flows` with the component-wise reciprocal."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        w = 1.0 / grads
-        magnitude = np.hypot(w[:, 0], w[:, 1])
-        direction = w / magnitude[:, None]
-    ok = ((np.hypot(grads[:, 0], grads[:, 1]) > cfg.min_grad)
-          & np.isfinite(w).all(axis=1)
-          & (magnitude <= cfg.max_flow) & (magnitude > 0))
-    return direction, magnitude, ok
-
-
-def _one_flow(convert, grad, cfg):
-    direction, magnitude, ok = convert(
-        np.asarray(grad, dtype=float).reshape(1, 2), cfg or FlowConfig())
-    if not ok[0]:
-        return None
-    return direction[0], float(magnitude[0])
-
-
-def normal_flow_from_gradient(grad, cfg: FlowConfig = None):
-    """Unit direction and speed of the normal flow from a temporal gradient.
-
-    The direction is the gradient direction and the speed its inverse norm.
-    Returns None for gradients too small (near-infinite flow) or flows above
-    the configured maximum.
-    """
-    return _one_flow(_corrected_flows, grad, cfg)
-
-
-def benosman_flow_from_gradient(grad, cfg: FlowConfig = None):
-    """Comparison baseline: component-wise reciprocal of the gradient.
-
-    Kept only to demonstrate that inverting the components does not produce
-    the normal flow (it agrees with the correct formula only when both
-    components are equal).
-    """
-    return _one_flow(_benosman_flows, grad, cfg)
-
-
 def process_batch(batch: EventBatch, surfaces: SurfacePair,
                   cfg: FlowConfig) -> FlowBatch:
     """Full per-batch front end: cull, fit planes, convert to normal flow.
@@ -269,12 +229,11 @@ def process_batch(batch: EventBatch, surfaces: SurfacePair,
     grads = np.empty((len(idx), 2))
     rms = np.empty(len(idx))
     ok = np.empty(len(idx), dtype=bool)
-    for i, surface in enumerate(surfaces.planes):
+    for i, stamps in enumerate(surfaces.stamps):
         sel = plane == i
         grads[sel], rms[sel], ok[sel] = fit_planes(
-            surface, xs[sel], ys[sel], (batch.t_start, batch.t_end), cfg)
-    convert = _corrected_flows if cfg.mode == "corrected" else _benosman_flows
-    direction, magnitude, flow_ok = convert(grads, cfg)
+            stamps, xs[sel], ys[sel], (batch.t_start, batch.t_end), cfg)
+    direction, magnitude, flow_ok = _corrected_flows(grads, cfg)
     keep = np.flatnonzero(ok & flow_ok)
     order = keep[np.lexsort((ps[keep], ys[keep], xs[keep], ts[keep]))]
     return FlowBatch(batch.t_end, xs[order], ys[order], direction[order],

@@ -27,17 +27,6 @@ def hat(v):
     return _matrices(np.array([[o, -z, y], [z, o, -x], [-y, x, o]]))
 
 
-def exp_so3(phi):
-    """Rotation matrix from a rotation vector (Rodrigues, small-angle safe)."""
-    phi = np.asarray(phi, dtype=float)
-    angle = np.linalg.norm(phi)
-    if angle < 1e-10:
-        return np.eye(3) + hat(phi)
-    axis = phi / angle
-    k = hat(axis)
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
-
-
 def right_jacobian_so3(phi):
     """Right Jacobian, Exp(phi + d) ~ Exp(phi) Exp(Jr d); (..., 3) -> (..., 3, 3)."""
     phi = np.asarray(phi, dtype=float)
@@ -128,12 +117,6 @@ def quat_between(v_from, v_to):
         return np.array([0.0, axis[0], axis[1], axis[2]])
     q = np.array([1.0 + d, c[0], c[1], c[2]])
     return quat_normalize(q)
-
-
-def rotation_angle(r):
-    """Angle in radians of a rotation matrix (0..pi)."""
-    tr = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
-    return float(np.arccos(tr))
 
 
 def matrix_to_quat(r):

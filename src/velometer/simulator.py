@@ -37,7 +37,8 @@ consecutive groups of at most `_ROW_BUDGET` box rows. Each group runs the
 whole pipeline: band, exact tests, bisection, polarity, event expansion
 and timestamp jitter, drawn per group in candidate order. Only its event
 columns are kept. After the loop come the spurious events, drawn after
-every jitter draw, then the in-duration filter and a stable time sort.
+every jitter draw (also when no edge fires), then the in-duration filter and
+a stable time sort.
 
 Trajectories are closed-form (straight line or circular arc with the body
 z-axis tracking the tangent), so velocity, acceleration, angular rate and
@@ -95,9 +96,6 @@ class StraightTrajectory:
     def max_speed(self):
         return float(np.linalg.norm(self.v_world))
 
-    def ideal_imu(self, rate, gravity):
-        return _ideal_imu(self, rate, gravity)
-
     def plane_side(self, e0, e1, rays, offset_x=0.0):
         """Side of each ray's pixel relative to the projected segment e0-e1,
         as a function of time: (R(t) ray) . ((e0 - p(t)) x (e1 - p(t))) of
@@ -154,9 +152,6 @@ class CircularTrajectory:
 
     def max_speed(self):
         return self._rate * float(np.linalg.norm(self.radius_vec))
-
-    def ideal_imu(self, rate, gravity):
-        return _ideal_imu(self, rate, gravity)
 
     def plane_side(self, e0, e1, rays, offset_x=0.0):
         """As `StraightTrajectory.plane_side`. With R(t) = S r0 and
@@ -587,13 +582,33 @@ def _row_groups(rows, budget):
 
 def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
                     rng=None, camera="left"):
-    """Event stream of one camera over the trajectory (sorted, in bounds)."""
+    """Event stream of one camera over the trajectory (sorted, in bounds).
+
+    Spurious events are drawn whether or not any edge fires.
+    """
     rng = rng or np.random.default_rng(cfg.seed)
     intr = rig.left if camera == "left" else rig.right
     offset_x = 0.0 if camera == "left" else rig.baseline
-    if len(scene) == 0:
+    columns = (_edge_events(scene, traj, intr, cfg, rng, offset_x)
+               if len(scene) else [])
+    if cfg.spurious_rate > 0:
+        n_sp = rng.poisson(cfg.spurious_rate * traj.duration)
+        columns.append((rng.uniform(0.0, traj.duration, n_sp),
+                        rng.integers(0, intr.width, n_sp).astype(np.int32),
+                        rng.integers(0, intr.height, n_sp).astype(np.int32),
+                        rng.choice(np.array([-1, 1], dtype=np.int8), n_sp)))
+    if not columns:
         return np.empty(0, dtype=EVENT_DTYPE)
+    t_ev, x_ev, y_ev, p_ev = (np.concatenate(c) for c in zip(*columns))
+    del columns
+    keep = (t_ev >= 0.0) & (t_ev <= traj.duration)
+    t_ev, x_ev, y_ev, p_ev = t_ev[keep], x_ev[keep], y_ev[keep], p_ev[keep]
+    order = np.argsort(t_ev, kind="stable")
+    return make_events(t_ev[order], x_ev[order], y_ev[order], p_ev[order])
 
+
+def _edge_events(scene, traj, intr, cfg, rng, offset_x):
+    """(t, x, y, p) columns of the edge crossings, one tuple per group."""
     px_speed = _estimate_px_speed(traj, scene.edges, intr, cfg, offset_x)
     dt = max(min(cfg.px_step / (2.0 * px_speed), 2e-3), 2e-6)
     n_steps = int(np.ceil(traj.duration / dt))
@@ -645,22 +660,7 @@ def generate_events(scene: Scene, traj, rig: StereoRig, cfg: SimConfig,
                 ge[owner], sub[gk[owner]], sub[gk[owner] + 1], np.sign(d0))
             if len(events[0]):
                 columns.append(events)
-
-    # a stream without a single edge event gets no spurious events either
-    if not columns:
-        return np.empty(0, dtype=EVENT_DTYPE)
-    if cfg.spurious_rate > 0:
-        n_sp = rng.poisson(cfg.spurious_rate * traj.duration)
-        columns.append((rng.uniform(0.0, traj.duration, n_sp),
-                        rng.integers(0, intr.width, n_sp).astype(np.int32),
-                        rng.integers(0, intr.height, n_sp).astype(np.int32),
-                        rng.choice(np.array([-1, 1], dtype=np.int8), n_sp)))
-    t_ev, x_ev, y_ev, p_ev = (np.concatenate(c) for c in zip(*columns))
-    del columns
-    keep = (t_ev >= 0.0) & (t_ev <= traj.duration)
-    t_ev, x_ev, y_ev, p_ev = t_ev[keep], x_ev[keep], y_ev[keep], p_ev[keep]
-    order = np.argsort(t_ev, kind="stable")
-    return make_events(t_ev[order], x_ev[order], y_ev[order], p_ev[order])
+    return columns
 
 
 def _crossing_events(scene, traj, intr, cfg, rng, offset_x, n_iter, px, py,

@@ -113,17 +113,6 @@ class VelocitySpline:
         return np.einsum("...k,...kc->...c", w,
                          self.control_points[np.add.outer(j, np.arange(4))])
 
-    def velocity_jacobian(self, t):
-        """(segment index, 3x12 Jacobian w.r.t. the four active control points).
-
-        Columns are ordered [c_j, c_{j+1}, c_{j+2}, c_{j+3}], xyz within each.
-        """
-        j, w = self.weights(t)
-        jac = np.zeros((3, 12))
-        for m in range(4):
-            jac[:, 3 * m:3 * m + 3] = w[m] * np.eye(3)
-        return j, jac
-
     def knots(self):
         """Interior evaluation-span knot times (segment boundaries)."""
         return self.t0 + self.knot_dt * np.arange(3, self.num_controls + 1)

@@ -125,7 +125,8 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
     block^T @ strip, (B, B + S - 1) per pixel; its diagonal at offset o
     sums the products with the right block at strip offset o, which is
     disparity index s + S - 1 - o. The Gram matrices of a chunk are written
-    into one buffer, allocated once per call, with the Gram row outermost:
+    into one buffer, allocated once per call for the widest strip its rows
+    use, with the Gram row outermost:
     adding its B rows, each shifted by its index, sums every diagonal of
     the chunk in B long vector additions, so the (S, B, B) volume is never
     formed. An SSD at the rounding level of its terms is snapped to 0, so
@@ -171,8 +172,9 @@ def match_blocks(left: TimeSurface, right: TimeSurface, xs, ys, window,
     scores = np.full((k, d), -np.inf)
     # a chunk's Gram matrices, gram[c, k, t, :] = row c of term t of pixel
     # k, in one buffer for every strip width
-    gram_buf = np.empty(blk * _CHUNK * 4 * (blk + d - 1))
-    sums = np.empty(_CHUNK * 4 * (blk + d - 1))
+    wide = blk + widths[group[has]].max(initial=1) - 1
+    gram_buf = np.empty(blk * _CHUNK * 4 * wide)
+    sums = np.empty(_CHUNK * 4 * wide)
     for g, sw in enumerate(widths):
         members = np.flatnonzero(has & (group == g))
         if len(members) == 0:

@@ -2,10 +2,12 @@
 
 Untouched pixels carry -inf ("never"). The left camera keeps one surface per
 polarity, because events of opposite polarity belong to opposite sides of an
-edge and would corrupt local plane fits. Its two surfaces are the planes of
-one (2, h, w) array, so one scatter writes a batch of both polarities and the
-candidate culling reads both at once. The right camera serves stereo only,
-which reads the latest stamp of either polarity, so it keeps that one plane.
+edge and would corrupt local plane fits. A :class:`SurfacePair` holds them as
+the planes of one (2, h, w) `stamps` array, indexed by
+:meth:`SurfacePair.plane_of`, so one scatter writes a batch of both
+polarities, the candidate culling reads both at once and the plane fits read
+`stamps[i]`. The right camera serves stereo only, which reads the latest
+stamp of either polarity, so it keeps that one plane, a :class:`TimeSurface`.
 """
 
 import numpy as np
@@ -21,11 +23,6 @@ class TimeSurface:
         self.height = height
         self.stamps = np.full((height, width), NEVER)
         self.t_ref = float(t_ref)
-
-    def copy(self):
-        ts = TimeSurface(self.width, self.height, self.t_ref)
-        ts.stamps = self.stamps.copy()
-        return ts
 
     def update(self, batch: EventBatch):
         """Write each event's time, whatever its polarity; latest wins.
@@ -62,28 +59,20 @@ def _write_latest(stamps, t_ref, batch: EventBatch, plane):
 
 
 class SurfacePair:
-    """Per-polarity surfaces of one camera: `pos` and `neg` hold views of
-    the planes of the pair's (2, h, w) `stamps`, in the order of
-    :meth:`plane_of`. Batches must arrive in order: a batch may not start
-    before the pair's reference time `t_ref`.
+    """Per-polarity surfaces of one camera: the planes of one (2, h, w)
+    `stamps` array, in the order of :meth:`plane_of`. Batches must arrive in
+    order: a batch may not start before the pair's reference time `t_ref`.
     """
 
     def __init__(self, width, height):
         self.stamps = np.full((2, height, width), NEVER)
         self.t_ref = 0.0
-        self.planes = (TimeSurface(width, height), TimeSurface(width, height))
-        for plane, stamps in zip(self.planes, self.stamps):
-            plane.stamps = stamps
-        self.pos, self.neg = self.for_polarity(1), self.for_polarity(-1)
 
     @staticmethod
     def plane_of(p):
         """Index of the plane holding polarity p (elementwise): 0 for +1,
         1 for -1."""
         return (np.asarray(p) < 0).astype(np.intp)
-
-    def for_polarity(self, p):
-        return self.planes[self.plane_of(p)]
 
     def update(self, batch: EventBatch):
         """Write each event's time on its polarity's plane; latest wins.
@@ -92,13 +81,12 @@ class SurfacePair:
         """
         _write_latest(self.stamps, self.t_ref, batch, self.plane_of(batch.p))
         self.t_ref = batch.t_end
-        for plane in self.planes:
-            plane.t_ref = self.t_ref
 
     def combined(self, rows=slice(None)):
         """Latest-of-either-polarity surface (used for stereo matching),
         built over the rows `rows` only; every other row is NEVER."""
-        out = TimeSurface(self.pos.width, self.pos.height, self.t_ref)
-        np.maximum(self.neg.stamps[rows], self.pos.stamps[rows],
+        _, h, w = self.stamps.shape
+        out = TimeSurface(w, h, self.t_ref)
+        np.maximum(self.stamps[1, rows], self.stamps[0, rows],
                    out=out.stamps[rows])
         return out

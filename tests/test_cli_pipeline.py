@@ -171,6 +171,8 @@ class TestEstimateCli:
         ("flow.patch_radius=-1", "flow.patch_radius"),
         ("flow.patch_radius=7", "flow.border_margin"),
         ("flow.border_margin=0", "flow.border_margin"),
+        # the reciprocal flow mode is gone: an unknown key
+        ("flow.mode=benosman", "flow.mode"),
     ])
     def test_flow_and_output_keys_checked_before_inputs_are_read(
             self, tmp_path, capsys, override, key):
@@ -265,9 +267,10 @@ class TestFlowDebugCli:
 class TestStaticOrientation:
     def test_static_alignment_recovers_gravity_direction(self):
         # tilted stationary sensor: accel reads -R^T g
-        from velometer.rotations import exp_so3, matrix_to_quat
+        from velometer.rotations import quat_from_rotvec
         gravity = np.array([0.0, 0.0, -9.81])
-        r_true = exp_so3(np.array([0.3, -0.2, 0.0])) @ quat_to_matrix(
+        tilt = quat_to_matrix(quat_from_rotvec(np.array([0.3, -0.2, 0.0])))
+        r_true = tilt @ quat_to_matrix(
             np.array([0.5, -0.5, 0.5, -0.5]))  # arbitrary attitude
         n = 120
         t = np.arange(n) / 200.0

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from velometer import dataio
-from velometer.config import (PipelineConfig, apply_override, clone_config,
-                              load_overrides, validate_config)
+from velometer.config import (PipelineConfig, apply_override, load_overrides,
+                              validate_config)
 from velometer.events import ImuData, make_events
 from velometer.geometry import CameraIntrinsics, StereoRig
 
@@ -173,12 +173,14 @@ class TestCalibration:
 class TestConfigOverrides:
     def test_dotted_keys(self):
         cfg = PipelineConfig()
-        apply_override(cfg, "flow.mode", "benosman")
+        apply_override(cfg, "flow.max_flow", "3000")
         apply_override(cfg, "flow.batch_size", "30000")
         apply_override(cfg, "depth.score_min", "0.8")
         apply_override(cfg, "gravity", "0,0,-9.8")
-        assert cfg.flow.mode == "benosman"
+        assert cfg.flow.max_flow == 3000.0
+        assert type(cfg.flow.max_flow) is float
         assert cfg.flow.batch_size == 30000
+        assert type(cfg.flow.batch_size) is int
         assert cfg.depth.score_min == 0.8
         assert cfg.gravity == (0.0, 0.0, -9.8)
 
@@ -194,16 +196,8 @@ class TestConfigOverrides:
         assert cfg.spline.knot_dt == 0.05
         assert cfg.imu.rate_hz == 400.0
 
-    def test_clone_is_deep(self):
-        cfg = PipelineConfig()
-        dup = clone_config(cfg)
-        dup.flow.mode = "benosman"
-        assert cfg.flow.mode == "corrected"
-
     @pytest.mark.parametrize("key, value", [
         ("flow.batch_size", "0"),
-        # any mode but "corrected" used to run the benosman flows
-        ("flow.mode", "Corrected"),
         ("flow.patch_radius", "0"),
         ("flow.patch_radius", "-1"),
         # the 15 x 15 patch reaches past the 5 px border margin

@@ -38,7 +38,7 @@ def estimator_with_truth(cfg, rig, traj, t_end, knot0=0.0):
     """Estimator fed with ideal IMU, spline seeded from ground truth."""
     est = Estimator(rig, cfg)
     est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
-    est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+    est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
     dt = cfg.spline.knot_dt
     n = int(np.ceil((t_end - knot0) / dt)) + 4
     cp = np.stack([traj.velocity_body(knot0 + dt * (i - 3) + 0.5 * dt)
@@ -500,7 +500,7 @@ class TestNormalEquations:
                                            duration=1.0)
         est = Estimator(rig, cfg)
         est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
-        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         batches = [exact_observations(scene, traj, rig, 0.1, count=40),
                    FlowBatch.empty(0.2),
                    exact_observations(scene, traj, rig, 0.3, count=40)]
@@ -648,7 +648,7 @@ class TestStep:
                                            duration=3.0)
         est = Estimator(rig, cfg)
         est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
-        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         for t in np.arange(0.08, 3.0, 0.08):
             obs = exact_observations(scene, traj, rig, t, count=40)
             est.step(obs, t)
@@ -666,7 +666,7 @@ class TestStep:
                                            duration=1.5)
         est = Estimator(rig, cfg)
         est.set_initial_orientation(shift, matrix_to_quat(traj.rotation(0.0)))
-        imu = traj.ideal_imu(cfg.imu.rate_hz, GRAVITY)
+        imu = generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0]
         est.feed_imu(ImuData(imu.t + shift, imu.accel, imu.gyro))
         for t in np.arange(0.08, 1.5, 0.08):
             obs = exact_observations(scene, traj, rig, t, count=40)
@@ -683,7 +683,7 @@ class TestStep:
                                            duration=1.0)
         est = Estimator(rig, cfg)
         est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
-        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         obs = exact_observations(scene, traj, rig, 0.1, count=40)
         est.step(obs, 0.1)
         rep = est.step(FlowBatch.empty(0.35), 0.35)  # texture gap: IMU only
@@ -696,7 +696,7 @@ class TestStep:
                                            duration=1.0)
         est = Estimator(rig, cfg)
         est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
-        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         obs = exact_observations(scene, traj, rig, 0.5, count=40)
         est.step(obs, 0.5)
         with pytest.raises(SequencingError):
@@ -707,7 +707,7 @@ class TestStep:
                                            duration=1.0)
         est = Estimator(rig, cfg)
         est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
-        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         assert est.step(FlowBatch.empty(0.1), 0.1) is None
         assert est.status == "uninitialized"
         obs = exact_observations(scene, traj, rig, 0.3, count=40)
@@ -776,7 +776,7 @@ class TestWindowBoundary:
                                            duration=2.0)
         est = Estimator(rig, cfg)
         est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
-        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         for t in (0.1, 0.3, 0.5 - 5e-10, 0.7, 0.9, 1.1, 1.3, 1.55, 1.65):
             est.step(exact_observations(scene, traj, rig, t, count=40), t)
         assert est.status == "tracking"
@@ -929,7 +929,7 @@ class TestInitFailure:
                                        duration=1.0)
         est = Estimator(rig, cfg)
         est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
-        est.feed_imu(traj.ideal_imu(cfg.imu.rate_hz, GRAVITY))
+        est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         # four flows at one pixel along one direction: one constraint row
         k = 4
         flows = FlowBatch(0.1, np.full(k, 200), np.full(k, 100),

@@ -4,18 +4,39 @@ import pytest
 from velometer.config import ImuConfig
 from velometer.evaluation import (MetricError, VelocityTrack,
                                   align_and_compare, dead_reckon,
-                                  gt_velocity_track, imu_dead_reckon,
-                                  rotate_to_world)
+                                  gt_velocity_track, imu_dead_reckon)
 from velometer.imu import OrientationTrack
-from velometer.rotations import exp_so3, matrix_to_quat, quat_identity
+from velometer.rotations import (matrix_to_quat, quat_from_rotvec,
+                                 quat_identity, quat_to_matrix)
 from velometer.simulator import generate_imu, ground_truth, make_trajectory
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 
 
-def const_track(v, t0=0.0, t1=2.0, n=41, frame="body"):
+def const_track(v, t0=0.0, t1=2.0, n=41):
     t = np.linspace(t0, t1, n)
-    return VelocityTrack(t, np.tile(np.asarray(v, float), (n, 1)), frame)
+    return VelocityTrack(t, np.tile(np.asarray(v, float), (n, 1)))
+
+
+class TestVelocityTrack:
+    def test_ground_truth_track_is_a_body_frame_copy(self):
+        traj = make_trajectory("corridor", speed=2.0, omega=1.0, duration=1.0)
+        gt = ground_truth(traj, rate=100.0)
+        track = gt_velocity_track(gt)
+        assert np.array_equal(track.t, gt.t)
+        assert np.array_equal(track.v, gt.v_body)
+        before = gt.v_body.copy()
+        track.v[:] = 0.0
+        assert np.array_equal(gt.v_body, before)
+
+    def test_rejects_unsorted_or_non_finite(self):
+        # two positional arguments, as the benchmark builds its tracks
+        v = np.ones((3, 3))
+        with pytest.raises(ValueError, match="sorted"):
+            VelocityTrack([0.0, 0.2, 0.1], v)
+        v[1, 2] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            VelocityTrack([0.0, 0.1, 0.2], v)
 
 
 class TestAlignAndCompare:
@@ -55,18 +76,12 @@ class TestAlignAndCompare:
         with pytest.raises(MetricError):
             align_and_compare(a, b)
 
-    def test_frame_mismatch(self):
-        a = const_track([1, 0, 0])
-        b = const_track([1, 0, 0], frame="world")
-        with pytest.raises(MetricError):
-            align_and_compare(a, b)
-
     def test_rotation_invariance(self):
         rng = np.random.default_rng(1)
         t = np.linspace(0, 2, 60)
         v_gt = rng.normal(0, 1, (60, 3)) + [2, 0, 0]
         v_est = v_gt + rng.normal(0, 0.1, (60, 3))
-        r = exp_so3(np.array([0.3, -0.5, 0.8]))
+        r = quat_to_matrix(quat_from_rotvec(np.array([0.3, -0.5, 0.8])))
         rep1 = align_and_compare(VelocityTrack(t, v_est), VelocityTrack(t, v_gt))
         rep2 = align_and_compare(VelocityTrack(t, v_est @ r.T),
                                  VelocityTrack(t, v_gt @ r.T))
@@ -85,7 +100,7 @@ class TestDeadReckon:
     def test_circular_trajectory_closed_form(self):
         traj = make_trajectory("corridor", speed=2.0, omega=1.0, duration=3.0)
         gt = ground_truth(traj, rate=400.0)
-        track = VelocityTrack(gt.t, gt.v_body, frame="body")
+        track = VelocityTrack(gt.t, gt.v_body)
         orient = OrientationTrack.from_samples(gt.t, gt.quat_wb, GRAVITY)
         t, p = dead_reckon(track, orient, traj.position(0.0))
         for k in (len(t) // 2, len(t) - 1):
@@ -96,7 +111,7 @@ class TestDeadReckon:
         errs = []
         for rate in (100.0, 200.0):
             gt = ground_truth(traj, rate=rate)
-            track = VelocityTrack(gt.t, gt.v_body, frame="body")
+            track = VelocityTrack(gt.t, gt.v_body)
             orient = OrientationTrack.from_samples(gt.t, gt.quat_wb, GRAVITY)
             t, p = dead_reckon(track, orient, traj.position(0.0))
             errs.append(np.linalg.norm(p[-1] - traj.position(t[-1])))
@@ -113,7 +128,7 @@ class TestDeadReckon:
             imu, q0, traj.velocity_world(0.0), traj.position(0.0), GRAVITY)
         drift_imu = np.linalg.norm(p_imu[-1] - traj.position(t_imu[-1]))
         # single integration of exact velocity with gyro-only orientation
-        track = VelocityTrack(gt.t, gt.v_body, frame="body")
+        track = VelocityTrack(gt.t, gt.v_body)
         orient = OrientationTrack(imu.t[0], q0, GRAVITY)
         orient.extend(imu)
         t_v, p_v = dead_reckon(track, orient, traj.position(0.0))
@@ -128,16 +143,6 @@ class TestDeadReckon:
 
 
 class TestFrames:
-    def test_rotate_to_world(self):
-        traj = make_trajectory("corridor", speed=2.0, omega=1.0, duration=1.0)
-        gt = ground_truth(traj, rate=100.0)
-        body = gt_velocity_track(gt, frame="body")
-        world = gt_velocity_track(gt, frame="world")
-        orient = OrientationTrack.from_samples(gt.t, gt.quat_wb, GRAVITY)
-        converted = rotate_to_world(body, orient)
-        assert converted.frame == "world"
-        assert np.allclose(converted.v, world.v, atol=1e-9)
-
     def test_reports_deterministic(self):
         gt = const_track([1.0, 0.2, 0.0])
         est = const_track([1.05, 0.18, 0.01])

@@ -3,10 +3,34 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from velometer.geometry import (BodyKinematics, CameraIntrinsics, StereoRig,
-                                flow_matrices, flow_rows, motion_flow)
+from velometer.geometry import CameraIntrinsics, StereoRig, flow_rows
+from velometer.rotations import hat
 
 INTR = CameraIntrinsics(f=100.0, cx=173.0, cy=130.0, width=346, height=260)
+
+
+def flow_matrices(px):
+    """(A, B) at a pixel: the rows of flow_rows at n = (1, 0) and (0, 1)."""
+    return flow_rows(INTR, np.full(2, px[0]), np.full(2, px[1]), np.eye(2))
+
+
+def motion_flow(px, v, w, z):
+    """Full image velocity A v / Z + B w (px/s) from flow_rows."""
+    a, b = flow_matrices(px)
+    return a @ np.asarray(v, float) / z + b @ np.asarray(w, float)
+
+
+def exp_so3(phi):
+    """Rotation matrix of a nonzero rotation vector (Rodrigues)."""
+    angle = np.linalg.norm(phi)
+    k = hat(phi / angle)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def project(p_cam):
+    """Pixel coordinates of a camera-frame point in front of the camera."""
+    return np.array([INTR.f * p_cam[0] / p_cam[2] + INTR.cx,
+                     INTR.f * p_cam[1] / p_cam[2] + INTR.cy])
 
 
 def scalar_flow(f, xr, yr, v, w, z):
@@ -19,15 +43,13 @@ def scalar_flow(f, xr, yr, v, w, z):
 
 
 def test_pure_translation_at_principal_point():
-    kin = BodyKinematics(v=[1.0, 0.0, 0.0], omega=[0.0, 0.0, 0.0])
-    flow = motion_flow(INTR, (INTR.cx, INTR.cy), kin, 2.0)
+    flow = motion_flow((INTR.cx, INTR.cy), [1.0, 0.0, 0.0], np.zeros(3), 2.0)
     assert np.allclose(flow, [-50.0, 0.0], atol=1e-12)
 
 
 def test_pure_z_rotation():
-    kin = BodyKinematics(v=np.zeros(3), omega=[0.0, 0.0, 1.0])
     px = (INTR.cx + 10.0, INTR.cy + 20.0)
-    flow = motion_flow(INTR, px, kin, 1.0)
+    flow = motion_flow(px, np.zeros(3), [0.0, 0.0, 1.0], 1.0)
     assert np.allclose(flow, [20.0, -10.0], atol=1e-12)
 
 
@@ -36,22 +58,20 @@ def test_matrix_form_matches_scalar_expansion():
     v = np.array([0.2, -0.1, 0.5])
     w = np.array([0.1, -0.2, 0.3])
     z = 1.5
-    kin = BodyKinematics(v=v, omega=w)
     expected = scalar_flow(INTR.f, 5.0, -3.0, v, w, z)
-    assert np.allclose(motion_flow(INTR, px, kin, z), expected, atol=1e-12)
+    assert np.allclose(motion_flow(px, v, w, z), expected, atol=1e-12)
 
 
 def test_zero_kinematics_zero_flow():
-    kin = BodyKinematics(v=np.zeros(3), omega=np.zeros(3))
     for px in [(10, 10), (173, 130), (300, 200)]:
-        assert np.allclose(motion_flow(INTR, px, kin, 3.0), 0.0)
+        assert np.allclose(motion_flow(px, np.zeros(3), np.zeros(3), 3.0), 0.0)
 
 
 def test_doubling_depth_halves_translational_flow():
-    kin = BodyKinematics(v=[0.3, -0.2, 0.7], omega=np.zeros(3))
+    v = [0.3, -0.2, 0.7]
     px = (200.0, 90.0)
-    f1 = motion_flow(INTR, px, kin, 1.3)
-    f2 = motion_flow(INTR, px, kin, 2.6)
+    f1 = motion_flow(px, v, np.zeros(3), 1.3)
+    f2 = motion_flow(px, v, np.zeros(3), 2.6)
     assert np.allclose(f1, 2.0 * f2, rtol=1e-12)
 
 
@@ -62,17 +82,10 @@ def test_flow_matches_finite_difference_of_projection():
     p_cam0 = np.array([0.3, -0.2, 2.0])
     delta = 1e-6
 
-    from velometer.rotations import exp_so3
     # camera pose at t: R(t) = exp(w t), p(t) = v t (body frame at t=0)
-    def project(t):
-        r = exp_so3(w * t)
-        p_cam = r.T @ (p_cam0 - v * t)
-        return INTR.project(p_cam)
-
-    px0 = project(0.0)
-    fd = (project(delta) - px0) / delta
-    kin = BodyKinematics(v=v, omega=w)
-    flow = motion_flow(INTR, px0, kin, p_cam0[2])
+    px0 = project(p_cam0)
+    fd = (project(exp_so3(w * delta).T @ (p_cam0 - v * delta)) - px0) / delta
+    flow = motion_flow(px0, v, w, p_cam0[2])
     assert np.allclose(flow, fd, atol=1e-4)
 
 
@@ -80,51 +93,27 @@ def test_flow_matches_finite_difference_of_projection():
 def test_superposition_in_v_and_omega(vx, vz, wx, wz):
     px = (220.0, 70.0)
     z = 2.0
-    k1 = BodyKinematics(v=[vx, 0.1, vz], omega=np.zeros(3))
-    k2 = BodyKinematics(v=np.zeros(3), omega=[wx, 0.05, wz])
-    k12 = BodyKinematics(v=[vx, 0.1, vz], omega=[wx, 0.05, wz])
-    lhs = motion_flow(INTR, px, k12, z)
-    rhs = motion_flow(INTR, px, k1, z) + motion_flow(INTR, px, k2, z)
+    v, w, zero = [vx, 0.1, vz], [wx, 0.05, wz], np.zeros(3)
+    lhs = motion_flow(px, v, w, z)
+    rhs = motion_flow(px, v, zero, z) + motion_flow(px, zero, w, z)
     assert np.allclose(lhs, rhs, atol=1e-9)
 
 
 def test_projected_flow_consistency():
-    # n^T flow equals n^T A v / Z + n^T B w exactly, and flow_rows gives the
-    # same n^T A, n^T B rows for all pixels at once
+    # for any unit normal n, the rows n^T A and n^T B that flow_rows gives
+    # for all pixels at once project the scalar expansion of the full flow
     rng = np.random.default_rng(3)
-    pixels, normals, expected_a, expected_b = [], [], [], []
-    for _ in range(20):
-        px = (rng.uniform(1, 345), rng.uniform(1, 259))
-        v = rng.normal(size=3)
-        w = rng.normal(size=3)
-        z = rng.uniform(0.5, 5.0)
-        n = rng.normal(size=2)
-        n /= np.linalg.norm(n)
-        a, b = flow_matrices(INTR, px)
-        lhs = n @ motion_flow(INTR, px, BodyKinematics(v=v, omega=w), z)
-        rhs = n @ a @ v / z + n @ b @ w
-        assert abs(lhs - rhs) < 1e-12
-        pixels.append(px)
-        normals.append(n)
-        expected_a.append(n @ a)
-        expected_b.append(n @ b)
-    xs, ys = np.array(pixels).T
-    a_rows, b_rows = flow_rows(INTR, xs, ys, np.array(normals))
-    assert np.allclose(a_rows, expected_a, rtol=1e-12, atol=1e-9)
-    assert np.allclose(b_rows, expected_b, rtol=1e-12, atol=1e-9)
-
-
-def test_out_of_bounds_pixel_rejected():
-    with pytest.raises(ValueError):
-        flow_matrices(INTR, (-1.0, 10.0))
-    with pytest.raises(ValueError):
-        flow_matrices(INTR, (10.0, 260.0))
-
-
-def test_nonpositive_depth_rejected():
-    kin = BodyKinematics(v=np.zeros(3), omega=np.zeros(3))
-    with pytest.raises(ValueError):
-        motion_flow(INTR, (100, 100), kin, 0.0)
+    xs, ys = rng.uniform(1, 345, 20), rng.uniform(1, 259, 20)
+    v, w = rng.normal(size=(20, 3)), rng.normal(size=(20, 3))
+    z = rng.uniform(0.5, 5.0, 20)
+    n = rng.normal(size=(20, 2))
+    n /= np.linalg.norm(n, axis=1, keepdims=True)
+    a_rows, b_rows = flow_rows(INTR, xs, ys, n)
+    for k in range(20):
+        full = scalar_flow(INTR.f, xs[k] - INTR.cx, ys[k] - INTR.cy,
+                           v[k], w[k], z[k])
+        got = a_rows[k] @ v[k] / z[k] + b_rows[k] @ w[k]
+        assert abs(n[k] @ full - got) < 1e-9 * max(1.0, np.abs(full).max())
 
 
 def test_intrinsics_validation():

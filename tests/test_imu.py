@@ -10,14 +10,28 @@ from velometer.config import ImuConfig
 from velometer.events import ImuData
 from velometer.imu import (IntegrationError, OrientationTrack,
                            Preintegration, preintegrate, split_intervals)
-from velometer.rotations import (exp_so3, hat, quat_from_rotvec,
-                                 quat_identity, quat_mul, quat_normalize,
-                                 quat_to_matrix, right_jacobian_so3,
-                                 rotation_angle)
+from velometer.rotations import (hat, quat_from_rotvec, quat_identity,
+                                 quat_mul, quat_normalize, quat_to_matrix,
+                                 right_jacobian_so3)
 from velometer.simulator import generate_imu, make_trajectory
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
 ZERO_BIAS = np.zeros(6)     # [accel | gyro]
+
+
+def exp_so3(phi):
+    """Rotation matrix from a rotation vector (Rodrigues, small-angle safe)."""
+    phi = np.asarray(phi, dtype=float)
+    angle = np.linalg.norm(phi)
+    if angle < 1e-10:
+        return np.eye(3) + hat(phi)
+    k = hat(phi / angle)
+    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+
+
+def rotation_angle(r):
+    """Angle in radians of a rotation matrix (0..pi)."""
+    return float(np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)))
 
 
 def imu_stream(rate, duration, accel_fn, gyro_fn):
@@ -468,7 +482,8 @@ class TestVelocityIncrement:
         from velometer.config import SimConfig
         from velometer.simulator import make_trajectory
         traj = make_trajectory("corridor", speed=3.0, omega=0.8, duration=0.5)
-        imu = traj.ideal_imu(200.0, GRAVITY)
+        imu, _, _ = generate_imu(traj, ImuConfig(rate_hz=200.0), GRAVITY,
+                                 noise=False)
         t0, t1 = 0.1, 0.13
         pre = preintegrate(imu, t0, t1, ZERO_BIAS)
         v0 = traj.velocity_body(t0)

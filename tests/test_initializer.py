@@ -4,12 +4,17 @@ import numpy as np
 import pytest
 
 from velometer.config import EstimatorConfig
-from velometer.geometry import CameraIntrinsics, flow_matrices
+from velometer.geometry import CameraIntrinsics, flow_rows
 from velometer.initializer import (InitializationError, constraint_rows,
                                    ransac_initialize)
 from velometer.normal_flow import FlowBatch
 
 INTR = CameraIntrinsics(f=230.0, cx=173.0, cy=130.0, width=346, height=260)
+
+
+def flow_matrices(intr, px):
+    """(A, B) at a pixel: the rows of flow_rows at n = (1, 0) and (0, 1)."""
+    return flow_rows(intr, np.full(2, px[0]), np.full(2, px[1]), np.eye(2))
 
 
 def make_flows(rows, t=1.0):

@@ -7,9 +7,8 @@ from hypothesis import strategies as st
 
 from velometer.config import FlowConfig, SimConfig
 from velometer.events import EventBatch, batch_by_count, make_events
-from velometer.normal_flow import (benosman_flow_from_gradient, fit_planes,
-                                   normal_flow_from_gradient, process_batch,
-                                   select_candidates)
+from velometer.normal_flow import (_corrected_flows, fit_planes,
+                                   process_batch, select_candidates)
 from velometer.simulator import (default_rig, generate_stereo_events,
                                  make_scene, make_trajectory)
 from velometer.time_surface import SurfacePair, TimeSurface
@@ -160,15 +159,15 @@ def reference_select_candidates(batch, surfaces, cfg):
     stamps relative to the batch start."""
     ev = batch.events
     t0, t1 = batch.t_start, batch.t_end
-    w, h = surfaces.pos.width, surfaces.pos.height
+    _, h, w = surfaces.stamps.shape
     m = cfg.border_margin
     keep = ((ev["x"] >= m) & (ev["x"] < w - m)
             & (ev["y"] >= m) & (ev["y"] < h - m))
     r = cfg.patch_radius
     for pol in (1, -1):
-        surf = surfaces.for_polarity(pol)
-        valid = (surf.stamps >= t0) & (surf.stamps <= t1)
-        stamps = np.where(valid, surf.stamps - t0, 0.0)
+        plane = surfaces.stamps[surfaces.plane_of(pol)]
+        valid = (plane >= t0) & (plane <= t1)
+        stamps = np.where(valid, plane - t0, 0.0)
         n_valid = reference_box_sum(valid.astype(float), r)
         t_sum = reference_box_sum(stamps, r)
         sel = keep & (ev["p"] == pol)
@@ -260,8 +259,8 @@ class TestFrontEndDigest:
 
 def fit_plane(surface, px, window):
     """fit_planes at one pixel: (grad (2,), rms), or None where it fails."""
-    grads, rms, ok = fit_planes(surface, np.array([px[0]]), np.array([px[1]]),
-                                window, FlowConfig())
+    grads, rms, ok = fit_planes(surface.stamps, np.array([px[0]]),
+                                np.array([px[1]]), window, FlowConfig())
     return (grads[0], float(rms[0])) if ok[0] else None
 
 
@@ -283,7 +282,7 @@ class TestFitPlane:
         ts = ramp_surface(gx=0.01, gy=0.005)
         window = (ts.stamps.min(), ts.stamps.max() + 1.0)
         # perturb one patch pixel strongly; manual-removal reference fit
-        clean = ts.copy()
+        clean = ramp_surface(gx=0.01, gy=0.005)
         clean.stamps[19, 21] = window[0] - 10.0   # out of window: excluded
         grad_ref, _ = fit_plane(clean, (20, 20), window)
         ts.stamps[19, 21] += 0.5                  # gross outlier, in window
@@ -304,6 +303,14 @@ class TestFitPlane:
         assert fit_plane(ts, (20, 20), (0.5, 2.0)) is None
 
 
+def normal_flow_from_gradient(grad, cfg=None):
+    """_corrected_flows on one gradient: (direction, magnitude), or None
+    where the row is rejected."""
+    direction, magnitude, ok = _corrected_flows(
+        np.asarray(grad, dtype=float).reshape(1, 2), cfg or FlowConfig())
+    return (direction[0], float(magnitude[0])) if ok[0] else None
+
+
 class TestGradientToFlow:
     def test_axis_aligned(self):
         n, mag = normal_flow_from_gradient(np.array([0.02, 0.0]))
@@ -316,19 +323,10 @@ class TestGradientToFlow:
         assert abs(mag - 70.71067811865476) < 1e-9
         assert np.allclose(mag * n, [50.0, 50.0], atol=1e-9)
 
-    def test_benosman_overestimates_diagonal(self):
-        n, mag = benosman_flow_from_gradient(np.array([0.01, 0.01]))
-        assert np.allclose(mag * n, [100.0, 100.0], atol=1e-9)
-        assert abs(mag - np.hypot(100, 100)) < 1e-9
-        _, mag_ok = normal_flow_from_gradient(np.array([0.01, 0.01]))
-        # reciprocal components inflate the magnitude by |grad|^2 structure
-        assert mag > mag_ok
-
     def test_rejections(self):
         assert normal_flow_from_gradient(np.array([1e-5, 0.0])) is None
         cfg = FlowConfig(max_flow=40.0)
         assert normal_flow_from_gradient(np.array([0.02, 0.0]), cfg) is None
-        assert benosman_flow_from_gradient(np.array([0.02, 0.0])) is None
 
     @settings(max_examples=200)
     @given(st.floats(0.01, 4000.0), st.floats(0, 2 * np.pi))

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from velometer import simulator
 from velometer.config import ImuConfig, SimConfig
 from velometer.events import ImuData
-from velometer.geometry import BodyKinematics, motion_flow
+from velometer.geometry import flow_rows
 from velometer.imu import preintegrate
-from velometer.rotations import quat_to_matrix, rotation_angle
+from velometer.rotations import quat_to_matrix
 from velometer.simulator import (CircularTrajectory, Scene,
                                  StraightTrajectory, default_rig,
                                  exact_observations, generate_events,
@@ -20,6 +20,11 @@ from velometer.simulator import (CircularTrajectory, Scene,
                                  tilted_edge_scene, true_depth_at)
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
+
+
+def rotation_angle(r):
+    """Angle in radians of a rotation matrix (0..pi)."""
+    return float(np.arccos(np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)))
 
 
 def small_cfg(**kw):
@@ -94,6 +99,22 @@ class TestEventGeneration:
         scene = tilted_edge_scene(depth=2.0)
         ev = generate_events(scene, traj, rig, cfg)
         assert len(ev) == 0
+
+    @pytest.mark.parametrize("scene", [
+        tilted_edge_scene(), Scene(np.empty((0, 2, 3)), np.empty(0))],
+        ids=["static-edge", "empty-scene"])
+    def test_background_events_without_edge_events(self, scene):
+        # no edge fires; the background events are drawn all the same
+        cfg = SimConfig(spurious_rate=1000.0)
+        traj = StraightTrajectory(np.zeros(3), np.zeros(3), np.eye(3), 0.5)
+        ev = generate_events(scene, traj, default_rig(cfg), cfg,
+                             np.random.default_rng(4))
+        assert abs(len(ev) - 500) <= 5 * np.sqrt(500)
+        assert np.all(np.diff(ev["t"]) >= 0)
+        assert ev["t"].min() >= 0 and ev["t"].max() <= 0.5
+        assert ev["x"].min() >= 0 and ev["x"].max() < cfg.width
+        assert ev["y"].min() >= 0 and ev["y"].max() < cfg.height
+        assert set(np.unique(ev["p"])) == {-1, 1}
 
     def test_vertical_edge_crossing_times(self):
         # camera translating +x at 0.5 m/s, vertical edge at depth 2 m:
@@ -735,7 +756,8 @@ class TestImuGeneration:
 
     def test_integration_recovers_velocity(self):
         traj = make_trajectory("corridor", speed=3.0, omega=0.8, duration=0.6)
-        imu = traj.ideal_imu(200.0, GRAVITY)
+        imu, _, _ = generate_imu(traj, ImuConfig(rate_hz=200.0), GRAVITY,
+                                 noise=False)
         t0, t1 = 0.2, 0.45
         pre = preintegrate(imu, t0, t1, np.zeros(6),
                            ImuConfig(rate_hz=200.0))
@@ -750,7 +772,7 @@ class TestImuGeneration:
         traj = make_trajectory("const-vel", speed=0.0, duration=50.0)
         cfg = ImuConfig()
         imu, _, _ = generate_imu(traj, cfg, GRAVITY, np.random.default_rng(7))
-        clean = traj.ideal_imu(cfg.rate_hz, GRAVITY)
+        clean, _, _ = generate_imu(traj, cfg, GRAVITY, noise=False)
         resid_a = imu.accel - clean.accel
         resid_w = imu.gyro - clean.gyro
         # remove the (growing) bias random walk by differencing
@@ -783,10 +805,12 @@ class TestGroundTruthAndBypass:
         scene = make_scene("corridor", traj, cfg, np.random.default_rng(3))
         obs = exact_observations(scene, traj, rig, 0.25, count=40)
         assert len(obs) >= 10
-        kin = BodyKinematics(v=traj.velocity_body(0.25),
-                             omega=traj.omega_body(0.25))
+        v, w = traj.velocity_body(0.25), traj.omega_body(0.25)
         for k in range(len(obs)):
-            full = motion_flow(rig.left, (obs.x[k], obs.y[k]), kin, obs.depth[k])
+            # A and B: the rows of flow_rows at n = (1, 0) and (0, 1)
+            a, b = flow_rows(rig.left, np.full(2, obs.x[k]),
+                             np.full(2, obs.y[k]), np.eye(2))
+            full = a @ v / obs.depth[k] + b @ w
             # n^T flow must equal the stored magnitude up to pixel rounding
             proj = obs.direction[k] @ full
             mag = obs.magnitude[k]

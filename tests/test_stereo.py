@@ -224,7 +224,8 @@ def reference_match_blocks(left, right, xs, ys, window, cfg, mask=None):
 
 def with_holes(ts, frac, seed):
     """Copy of ts with a random fraction of pixels set to "never"."""
-    out = ts.copy()
+    out = TimeSurface(ts.width, ts.height, ts.t_ref)
+    out.stamps = ts.stamps.copy()
     holes = np.random.default_rng(seed).random(ts.stamps.shape) < frac
     out.stamps[holes] = -np.inf
     return out
