@@ -94,16 +94,13 @@ def cmd_evaluate(args):
         sub = VelocityTrack(est.t[mask], est.v[mask])
         if len(sub.t) >= 2:
             t_p, p = dead_reckon(sub, track, np.zeros(3))
-            with open(os.path.join(args.out, "deadreckon.csv"), "w") as fh:
-                for i in range(len(t_p)):
-                    fh.write(f"{int(round(t_p[i] * 1e9))},"
-                             f"{p[i, 0]:.9f},{p[i, 1]:.9f},{p[i, 2]:.9f}\n")
+            dataio._write_rows(os.path.join(args.out, "deadreckon.csv"),
+                               t_p, p, "%.9f")
 
     with open(os.path.join(args.out, "metrics.txt"), "w") as fh:
         fh.write(report.to_text())
-    with open(os.path.join(args.out, "ave_series.csv"), "w") as fh:
-        for i in range(len(report.t)):
-            fh.write(f"{int(round(report.t[i] * 1e9))},{report.ave[i]:.9f}\n")
+    dataio._write_rows(os.path.join(args.out, "ave_series.csv"), report.t,
+                       report.ave[:, None], "%.9f")
     with open(os.path.join(args.out, "rve_series.csv"), "w") as fh:
         for r in report.rve:
             fh.write(f"{r:.6f}\n")

@@ -2,7 +2,9 @@
 
 All knobs can be overridden with dotted keys, e.g. ``flow.max_flow=3000`` or
 ``spline.knot_dt=0.05``, either from the command line or from a plain
-``key = value`` text file.
+``key = value`` text file. Values that no caller varies, such as the
+solver tolerances, the RANSAC settings and the window length, are constants
+in the module that reads them.
 """
 
 from dataclasses import dataclass, field, fields
@@ -19,11 +21,7 @@ class FlowConfig:
     patch_radius: int = 2            # 5x5 neighborhood
     min_grad: float = 1e-4           # s/px, gradients below reject the measurement
     max_flow: float = 5000.0         # px/s, magnitudes above reject the measurement
-    min_batch_duration: float = 1e-6
     max_measurements: int = 800      # per-batch cap on plane fits (evenly subsampled)
-    min_plane_points: int = 6
-    refit_rms_factor: float = 2.0    # robust re-fit discards residuals > factor * rms
-    warmup_batches: int = 1          # batches that only build the surfaces
 
 
 @dataclass
@@ -52,7 +50,6 @@ class ImuConfig:
 @dataclass
 class SplineConfig:
     knot_dt: float = 0.1             # s between knots
-    window_segments: int = 10        # segments kept in the sliding window
     max_jerk: float = 100.0          # m/s^3, bound on the velocity's second derivative;
                                      # smoothness prior sigma = max_jerk * knot_dt^2
 
@@ -65,20 +62,11 @@ class EstimatorConfig:
     lm_lambda0: float = 1e-4
     lm_lambda_max: float = 1e8
     lm_max_iters: int = 10
-    cost_tol: float = 1e-6
-    step_tol: float = 1e-8
-    ransac_eps: float = 15.0         # px/s inlier threshold for the linear initializer
-    ransac_eps_frac: float = 0.05    # relative part of the inlier threshold
-    ransac_conf: float = 0.99
-    ransac_max_iters: int = 200
-    min_inlier_ratio: float = 0.3
-    cond_max: float = 1e6            # singular-value ratio flagged as rank deficient
     seed: int = 0
     output_hz: float = 75.0
     output_lag: float = 0.1          # s, emit only states refined by later batches
     bias_prior_acc: float = 0.1      # weak zero prior, m/s^2
     bias_prior_gyro: float = 0.02    # rad/s
-    min_imu_dt: float = 1e-3         # reject degenerate pre-integration intervals
 
 
 @dataclass

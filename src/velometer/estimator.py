@@ -55,6 +55,10 @@ from .rotations import hat, quat_to_matrix, right_jacobian_so3
 from .spline import VelocitySpline
 
 DV_STD_FLOOR = 1e-5     # m/s, keeps whitening finite for noise-free config
+_WINDOW_SEGMENTS = 10   # spline segments kept in the sliding window
+_COST_TOL = 1e-6        # stop: predicted decrease < this times the cost
+_STEP_TOL = 1e-8        # stop: step norm below this
+_MIN_IMU_DT = 1e-3      # s, shorter pre-integration intervals are skipped
 
 
 def huber_weights(r, delta):
@@ -323,8 +327,8 @@ class Estimator:
         """Whitened residuals and Jacobians of the window's N intervals at
         control points `cp` and bias rows `bs`; `span` is _imu_span().
 
-        Returns (r (N, 3), jac_cp0 (N, 3, 12), seg0 (N,), jac_cp1 (N, 3, 12),
-        seg1 (N,), jac_bias (N, 3, 6), bias segment index (N,)).
+        Returns (r (N, 3), jac (N, 3, 30)), the columns of jac in the order
+        of `span.blocks.states`: c_j0.., c_j1.., bias row seg.
         """
         k = self.intervals
         pre = k.pre
@@ -338,8 +342,8 @@ class Estimator:
         lr = -k.l_inv @ rot
         jac_cp1 = (lr[:, :, None, :] * span.w1[:, None, :, None]).reshape(-1, 3, 12)
         jac_bw = k.jac_bw0 - lr @ hat(v1) @ right_jacobian_so3(phi) @ pre.jac_dq_bw
-        jac_bias = np.concatenate([k.jac_ba, jac_bw], axis=-1)
-        return r, span.jac_cp0, span.j0, jac_cp1, span.j1, jac_bias, span.seg
+        return r, np.concatenate([span.jac_cp0, jac_cp1, k.jac_ba, jac_bw],
+                                 axis=2)
 
     # ------------------------------------------------------------------
     # optimization
@@ -412,8 +416,7 @@ class Estimator:
                        np.add.reduceat(jac * r[:, None], starts[:-1]))
 
         if len(imu_span.seg):
-            r, jc0, _, jc1, _, jb, _ = self.imu_residual(imu_span, cp, biases)
-            jac = np.concatenate([jc0, jc1, jb], axis=2)       # (N, 3, 30)
+            r, jac = self.imu_residual(imu_span, cp, biases)
             # a contiguous transpose: batched matmul is slow on strided input
             jac_t = np.ascontiguousarray(jac.transpose(0, 2, 1))
             imu_span.blocks.add(h, g, jac_t @ jac,
@@ -458,8 +461,8 @@ class Estimator:
         Each trial solves (H + lam diag(H)) step = -g. Before the trial point
         is evaluated, the Gauss-Newton model predicts the cost decrease
         -2 step^T g - step^T H step (the cost is the plain sum of squares,
-        without a factor 1/2). If that is below `cost_tol` times the cost, or
-        the step is shorter than `step_tol`, the window has converged and the
+        without a factor 1/2). If that is below `_COST_TOL` times the cost, or
+        the step is shorter than `_STEP_TOL`, the window has converged and the
         loop stops without evaluating the trial. A trial that lowers the cost
         is accepted and divides lam by 10; one that does not multiplies it by
         10. `converged` in the report is true only when the stopping rule
@@ -488,8 +491,8 @@ class Estimator:
                     lam *= 10.0
                     continue
                 predicted = -step @ (2.0 * g + h @ step)
-                if (predicted < est_cfg.cost_tol * cost
-                        or np.linalg.norm(step) < est_cfg.step_tol):
+                if (predicted < _COST_TOL * cost
+                        or np.linalg.norm(step) < _STEP_TOL):
                     converged = True
                     break
                 x_new = x + step
@@ -532,12 +535,11 @@ class Estimator:
 
     def _extend_preints(self, t_to):
         t_from = self.last_preint_end
-        min_dt = self.cfg.estimator.min_imu_dt
-        if t_to <= t_from + min_dt:
+        if t_to <= t_from + _MIN_IMU_DT:
             return
         spans = [(a, b) for a, b in split_intervals(
             t_from, t_to, self.cfg.imu.preint_dt, self.spline.knots())
-            if b - a >= min_dt]
+            if b - a >= _MIN_IMU_DT]
         if not spans:
             return
         t0, t1 = np.array(spans).T
@@ -606,7 +608,7 @@ class Estimator:
         self.status = "tracking"
         self._emit_velocity(t_batch)
 
-        horizon = t_batch - self.cfg.spline.window_segments * self.cfg.spline.knot_dt
+        horizon = t_batch - _WINDOW_SEGMENTS * self.cfg.spline.knot_dt
         if horizon > self.spline.t_min:
             before = self.spline.num_controls
             self.spline.drop_oldest(horizon)

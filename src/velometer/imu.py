@@ -24,7 +24,7 @@ padded and zero-length steps leave their interval unchanged. Everything
 that does not recurse is computed over the whole (N, M) stack.
 """
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -41,8 +41,8 @@ class IntegrationError(RuntimeError):
 
 @dataclass
 class Preintegration:
-    """One interval, or N stacked with a leading interval axis on every
-    field (from `preintegrate` of arrays); `pre[i]` is interval i."""
+    """Pre-integrated intervals; `preintegrate` returns N of them stacked,
+    with a leading interval axis on every field."""
 
     t0: float
     t1: float
@@ -53,11 +53,6 @@ class Preintegration:
     jac_dv_ba: np.ndarray        # d(delta_v)/d(accel bias)
     jac_dv_bw: np.ndarray        # d(delta_v)/d(gyro bias)
     jac_dq_bw: np.ndarray        # d(rotation vector)/d(gyro bias)
-
-    def __getitem__(self, i):
-        """Interval i of a stacked Preintegration, in the one-interval form."""
-        return Preintegration(**{f.name: getattr(self, f.name)[i]
-                                 for f in fields(self)})
 
     @property
     def dt(self):
@@ -125,16 +120,14 @@ def preintegrate(imu: ImuData, t0, t1, bias,
                  cfg: ImuConfig = None) -> Preintegration:
     """Midpoint integration of the IMU over the intervals [t0, t1].
 
-    t0, t1 (N,) and bias rows (N, 6) give a stacked Preintegration; scalar
-    ends and one bias row give the one-interval form. All N intervals
-    advance together, one sample step per pass; a step with dt <= 0 (a
-    repeated timestamp, or padding after a row's last sample) leaves its
-    interval unchanged.
+    Takes ends t0, t1 (N,) and bias rows (N, 6); returns the N intervals as
+    one stacked Preintegration. All N intervals advance together, one sample
+    step per pass; a step with dt <= 0 (a repeated timestamp, or padding
+    after a row's last sample) leaves its interval unchanged.
     """
     cfg = cfg or ImuConfig()
-    scalar = np.ndim(t0) == 0
-    t0 = np.atleast_1d(np.asarray(t0, dtype=float))
-    t1 = np.atleast_1d(np.asarray(t1, dtype=float))
+    t0 = np.asarray(t0, dtype=float)
+    t1 = np.asarray(t1, dtype=float)
     if np.any(t1 <= t0):
         raise IntegrationError("interval must have positive duration")
     bias = np.array(bias, dtype=float).reshape(len(t0), 6)
@@ -198,11 +191,10 @@ def preintegrate(imu: ImuData, t0, t1, bias,
         cov6 = np.where(live[:, k, None, None],
                         f[:, k] @ cov6 @ f_t[:, k] + q_noise[:, k], cov6)
 
-    pre = Preintegration(t0=t0, t1=t1, delta_v=dv, delta_q=qs[:, -1],
-                         cov=cov6[:, 3:, 3:].copy(), bias_ref=bias,
-                         jac_dv_ba=j_dv_ba, jac_dv_bw=j_dv_bw,
-                         jac_dq_bw=j_phi_bw[:, -1])
-    return pre[0] if scalar else pre
+    return Preintegration(t0=t0, t1=t1, delta_v=dv, delta_q=qs[:, -1],
+                          cov=cov6[:, 3:, 3:].copy(), bias_ref=bias,
+                          jac_dv_ba=j_dv_ba, jac_dv_bw=j_dv_bw,
+                          jac_dq_bw=j_phi_bw[:, -1])
 
 
 class OrientationTrack:

@@ -17,6 +17,15 @@ from .config import EstimatorConfig
 from .geometry import CameraIntrinsics, flow_rows
 from .normal_flow import FlowBatch
 
+# inlier threshold: the larger of a floor and a fraction of the flow speed,
+# since the plane-fit error grows with the speed
+_INLIER_EPS = 15.0          # px/s
+_INLIER_EPS_FRAC = 0.05
+_CONFIDENCE = 0.99          # of one all-inlier triple; sets the iterations
+_MAX_ITERS = 200
+_MIN_INLIER_RATIO = 0.3
+_COND_MAX = 1e6             # singular-value ratio flagged as rank deficient
+
 
 class InitializationError(RuntimeError):
     def __init__(self, reason, message=None):
@@ -51,7 +60,7 @@ def ransac_initialize(flows: FlowBatch, omega, intr: CameraIntrinsics,
     """RANSAC over 3-row minimal solves; raises InitializationError.
 
     Failure reasons: "too_few_observations", "rank_deficient" (all usable
-    systems have a singular-value ratio beyond cfg.cond_max, e.g. every flow
+    systems have a singular-value ratio beyond _COND_MAX, e.g. every flow
     coming from one straight edge), "low_inlier_ratio".
     """
     cfg = cfg or EstimatorConfig()
@@ -61,8 +70,7 @@ def ransac_initialize(flows: FlowBatch, omega, intr: CameraIntrinsics,
         raise InitializationError("too_few_observations",
                                   f"need at least 3 observations, got {k}")
     a_rows, rhs, depths = constraint_rows(flows, omega, intr)
-    # plane-fit error grows with flow speed: loosen the gate accordingly
-    eps = np.maximum(cfg.ransac_eps, cfg.ransac_eps_frac * flows.magnitude)
+    eps = np.maximum(_INLIER_EPS, _INLIER_EPS_FRAC * flows.magnitude)
 
     def residuals(v):
         return (a_rows @ v - rhs) / depths
@@ -70,14 +78,13 @@ def ransac_initialize(flows: FlowBatch, omega, intr: CameraIntrinsics,
     best_inliers = None
     best_count = 0
     best_rms = np.inf
-    max_iters = cfg.ransac_max_iters
-    iters_needed = max_iters
+    iters_needed = _MAX_ITERS
     it = 0
-    while it < min(max_iters, iters_needed):
+    while it < min(_MAX_ITERS, iters_needed):
         it += 1
         sample = rng.choice(k, size=3, replace=False)
         m = a_rows[sample]
-        if _condition_ratio(m) > cfg.cond_max:
+        if _condition_ratio(m) > _COND_MAX:
             continue
         v = np.linalg.solve(m, rhs[sample])
         res = np.abs(residuals(v))
@@ -94,26 +101,26 @@ def ransac_initialize(flows: FlowBatch, omega, intr: CameraIntrinsics,
             if ratio >= 1.0 - 1e-12:
                 break
             denom = np.log(max(1.0 - ratio ** 3, 1e-12))
-            iters_needed = int(np.ceil(np.log(1.0 - cfg.ransac_conf) / denom))
+            iters_needed = int(np.ceil(np.log(1.0 - _CONFIDENCE) / denom))
 
     if best_inliers is None:
-        if _condition_ratio(a_rows) > cfg.cond_max:
+        if _condition_ratio(a_rows) > _COND_MAX:
             raise InitializationError("rank_deficient",
                                       "observations do not span the velocity space")
         raise InitializationError("low_inlier_ratio", "no consensus found")
 
     idx = np.flatnonzero(best_inliers)
     m = a_rows[idx]
-    if _condition_ratio(m) > cfg.cond_max:
+    if _condition_ratio(m) > _COND_MAX:
         raise InitializationError("rank_deficient",
                                   "inlier system is rank deficient")
     v, *_ = np.linalg.lstsq(m, rhs[idx], rcond=None)
     res = np.abs(residuals(v))
     inliers = res < eps
     idx = np.flatnonzero(inliers)
-    if len(idx) / k < cfg.min_inlier_ratio:
+    if len(idx) / k < _MIN_INLIER_RATIO:
         raise InitializationError(
             "low_inlier_ratio",
-            f"inlier ratio {len(idx) / k:.2f} below {cfg.min_inlier_ratio}")
+            f"inlier ratio {len(idx) / k:.2f} below {_MIN_INLIER_RATIO}")
     rms = float(np.sqrt(np.mean(res[idx] ** 2)))
     return InitResult(velocity=v, inliers=idx, rms=rms, iterations=it)

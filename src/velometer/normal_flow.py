@@ -22,6 +22,10 @@ from .config import FlowConfig
 from .events import EventBatch
 from .time_surface import SurfacePair
 
+_MIN_BATCH_DURATION = 1e-6  # s, shorter batches yield no flows
+_MIN_PLANE_POINTS = 6       # stamped patch pixels a plane fit needs
+_REFIT_RMS_FACTOR = 2.0     # re-fit without residuals > this times the rms
+
 
 @dataclass
 class FlowBatch:
@@ -156,7 +160,7 @@ def fit_planes(stamps, xs, ys, window, cfg: FlowConfig):
 
     Returns (grads (K,2), rms (K,), ok (K,)). Fits use only patch pixels
     stamped within the window; one robust re-fit discards points whose
-    residual exceeds `refit_rms_factor` times the rms of the first pass.
+    residual exceeds `_REFIT_RMS_FACTOR` times the rms of the first pass.
     """
     t0, t1 = window
     r = cfg.patch_radius
@@ -177,13 +181,13 @@ def fit_planes(stamps, xs, ys, window, cfg: FlowConfig):
         coef, ok = _solve3(n_mats, rhs)
         res = np.einsum("pa,ka->kp", x_des, coef) - tv
         npts = mask.sum(axis=1)
-        ok &= npts >= cfg.min_plane_points
+        ok &= npts >= _MIN_PLANE_POINTS
         sq = np.where(mask, res, 0.0) ** 2
         rms = np.sqrt(sq.sum(axis=1) / np.maximum(npts, 1))
         return coef, res, rms, ok
 
     coef, res, rms, ok = solve(valid)
-    thresh = cfg.refit_rms_factor * rms
+    thresh = _REFIT_RMS_FACTOR * rms
     keep = valid & (np.abs(res) <= thresh[:, None] + 1e-18)
     redo = ok & (keep.sum(axis=1) < valid.sum(axis=1)) & (rms > 0)
     if np.any(redo):
@@ -214,7 +218,7 @@ def process_batch(batch: EventBatch, surfaces: SurfacePair,
     the batch end time; rows are ordered by the time of their originating
     event, then x, y and polarity.
     """
-    if batch.duration < cfg.min_batch_duration:
+    if batch.duration < _MIN_BATCH_DURATION:
         return FlowBatch.empty(batch.t_end)
     idx = select_candidates(batch, surfaces, cfg)
     if len(idx) > cfg.max_measurements:

@@ -22,6 +22,8 @@ from .rotations import quat_between, quat_identity
 from .stereo import associate, block_rows
 from .time_surface import SurfacePair, TimeSurface
 
+_WARMUP_BATCHES = 1     # leading batches that only build the surfaces
+
 
 class EstimationFailure(RuntimeError):
     """The pipeline never reached tracking state."""
@@ -87,7 +89,7 @@ class VelocityPipeline:
                     chunk, t0, max(float(chunk["t"][-1]), batch.t_end)))
                 right_cursor = hi
             self.left_surfaces.update(batch)
-            if batch_idx < cfg.flow.warmup_batches:
+            if batch_idx < _WARMUP_BATCHES:
                 continue    # surfaces need history before plane fits mean much
 
             flows = process_batch(batch, self.left_surfaces, cfg.flow)

@@ -734,7 +734,6 @@ def generate_imu(traj, imu_cfg: ImuConfig, gravity, rng=None, noise=True):
 class GroundTruth:
     t: np.ndarray
     v_body: np.ndarray
-    omega_body: np.ndarray
     quat_wb: np.ndarray
     bias_acc: np.ndarray = None
     bias_gyro: np.ndarray = None
@@ -745,9 +744,8 @@ def ground_truth(traj, rate=200.0, bias_acc=None, bias_gyro=None):
     ts = np.arange(n + 1) / rate
     rs, _ = traj.pose_batch(ts)
     v_body = np.stack([traj.velocity_body(t) for t in ts])
-    omega = np.stack([traj.omega_body(t) for t in ts])
     quats = np.stack([matrix_to_quat(r) for r in rs])
-    return GroundTruth(t=ts, v_body=v_body, omega_body=omega, quat_wb=quats,
+    return GroundTruth(t=ts, v_body=v_body, quat_wb=quats,
                        bias_acc=bias_acc, bias_gyro=bias_gyro)
 
 
@@ -764,7 +762,7 @@ def default_rig(cfg: SimConfig):
 def _project_scene_points(scene, traj, rig, t, camera="left", per_edge=24):
     """Sample points along every edge; project at time t.
 
-    Returns (px (M,2), depth (M,), tangent2d (M,2), edge index (M,)).
+    Returns (px (M,2), depth (M,), edge index (M,)).
     """
     intr = rig.left if camera == "left" else rig.right
     offset_x = 0.0 if camera == "left" else rig.baseline
@@ -780,16 +778,10 @@ def _project_scene_points(scene, traj, rig, t, camera="left", per_edge=24):
         u = intr.f * cam[..., 0] / z + intr.cx
         v = intr.f * cam[..., 1] / z + intr.cy
     ok &= (u >= 1) & (u <= intr.width - 2) & (v >= 1) & (v <= intr.height - 2)
-    # projected tangent per edge point: derivative of projection along the edge
-    e_dir = scene.edges[:, 1] - scene.edges[:, 0]
-    d_cam = np.einsum("ji,ej->ei", r, e_dir)
-    tan_u = intr.f * (d_cam[:, None, 0] * z - cam[..., 0] * d_cam[:, None, 2]) / z ** 2
-    tan_v = intr.f * (d_cam[:, None, 1] * z - cam[..., 1] * d_cam[:, None, 2]) / z ** 2
     eidx = np.broadcast_to(np.arange(len(scene))[:, None], z.shape)
     sel = np.nonzero(ok)
     px = np.stack([u[sel], v[sel]], axis=1)
-    tangent = np.stack([tan_u[sel], tan_v[sel]], axis=1)
-    return px, z[sel], tangent, eidx[sel]
+    return px, z[sel], eidx[sel]
 
 
 def exact_observations(scene, traj, rig, t, count=60):
@@ -803,7 +795,7 @@ def exact_observations(scene, traj, rig, t, count=60):
     n^T A v / Z + n^T B w. Every row has zero fit rms, its true depth and
     unit weight.
     """
-    px, _, _, eidx = _project_scene_points(scene, traj, rig, t)
+    px, _, eidx = _project_scene_points(scene, traj, rig, t)
     if len(px) == 0:
         return FlowBatch.empty(t)
     intr = rig.left
@@ -924,8 +916,8 @@ def export_dataset(out_dir, preset, cfg: SimConfig, imu_cfg: ImuConfig,
 
 def true_depth_at(scene, traj, rig, t, pixels, camera="left", max_px_dist=1.5):
     """Ground-truth depth at given pixels: depth of the nearest projected edge."""
-    px, depth, _, _ = _project_scene_points(scene, traj, rig, t, camera,
-                                            per_edge=160)
+    px, depth, _ = _project_scene_points(scene, traj, rig, t, camera,
+                                         per_edge=160)
     pixels = np.atleast_2d(np.asarray(pixels, dtype=float))
     out = np.full(len(pixels), np.nan)
     if len(px) == 0:

@@ -173,6 +173,8 @@ class TestEstimateCli:
         ("flow.border_margin=0", "flow.border_margin"),
         # the reciprocal flow mode is gone: an unknown key
         ("flow.mode=benosman", "flow.mode"),
+        # a fixed constant of the initializer: an unknown key
+        ("estimator.cond_max=1", "estimator.cond_max"),
     ])
     def test_flow_and_output_keys_checked_before_inputs_are_read(
             self, tmp_path, capsys, override, key):

@@ -75,7 +75,9 @@ def add_interval(est, t0, t1, bias):
 def window_preints(est):
     """The window's pre-integrations as stored, one interval each."""
     pre = est.intervals.pre
-    return [pre[i] for i in range(len(pre.t0))]
+    return [Preintegration(**{f.name: getattr(pre, f.name)[i]
+                              for f in dataclasses.fields(pre)})
+            for i in range(len(pre.t0))]
 
 
 def normal_equations(est, x):
@@ -293,7 +295,7 @@ class TestImuResidual:
         est = estimator_with_truth(cfg, rig, traj, 0.8)
         fit_spline_to_truth(est, traj)
         add_interval(est, 0.30, 0.33, ZERO_BIAS)
-        (r,), *_ = imu_residual(est)
+        (r,), _ = imu_residual(est)
         # unwhitened error is tiny; whitening divides by ~2e-4 std
         e = np.linalg.cholesky(est.intervals.pre.cov[0] + 1e-10 * np.eye(3)) @ r
         assert np.linalg.norm(e) < 1e-4
@@ -306,12 +308,13 @@ class TestImuResidual:
         random_biases(est, rng, 1e-2, 1e-3)
         add_interval(est, 0.30, 0.33, ZERO_BIAS)
         span = est._imu_span()
-        (r0,), (jc0,), (j0,), (jc1,), (j1,), (jb,), (seg,) = \
-            imu_residual(est, span)
+        _, (jac_all,) = imu_residual(est, span)
+        jc0, jc1, jb = jac_all[:, :12], jac_all[:, 12:24], jac_all[:, 24:]
+        (j0,), (j1,), (seg,) = span.j0, span.j1, span.seg
         eps = 1e-6
 
         def residual():
-            (r,), *_ = imu_residual(est, span)
+            (r,), _ = imu_residual(est, span)
             return r
 
         jac_cp = {}
@@ -340,7 +343,7 @@ class TestImuResidual:
 
     def test_degenerate_interval_rejected(self):
         # [0, 0.0305] splits into 0.03 s and 0.5 ms; the second is shorter
-        # than min_imu_dt and never enters the window
+        # than the estimator's 1 ms minimum and never enters the window
         cfg, rig, traj, _ = make_setup(duration=0.8)
         est = estimator_with_truth(cfg, rig, traj, 0.8)
         est._extend_preints(0.0305)
@@ -365,12 +368,15 @@ class TestImuResidual:
 
     def test_stacked_matches_per_interval(self):
         est = self._window()
-        stacked = imu_residual(est)
+        span = est._imu_span()
+        r, jac = imu_residual(est, span)
         refs = [reference_imu_residual(est, pre) for pre in window_preints(est)]
-        j0, j1 = stacked[2], stacked[4]
+        ref_r, jc0, j0, jc1, j1, jb, seg = (np.array(a) for a in zip(*refs))
         assert np.any(j0 == j1) and np.any(j0 != j1)
-        for got, want in zip(stacked, zip(*refs)):
-            want = np.array(want)
+        for got, want in ((span.j0, j0), (span.j1, j1), (span.seg, seg)):
+            np.testing.assert_array_equal(got, want)
+        for got, want in ((r, ref_r),
+                          (jac, np.concatenate([jc0, jc1, jb], axis=2))):
             np.testing.assert_allclose(got, want, rtol=1e-12,
                                        atol=1e-12 * np.abs(want).max())
 
@@ -464,8 +470,8 @@ class TestNormalEquations:
         est, batches = self._window()
         w = self._flow_weights(est, batches)
         assert np.any(w < 1.0) and np.any(w == 1.0)
-        _, _, j0, _, j1, _, _ = imu_residual(est)
-        assert np.any(j0 == j1) and np.any(j0 != j1)
+        span = est._imu_span()
+        assert np.any(span.j0 == span.j1) and np.any(span.j0 != span.j1)
         self._check(est, batches)
 
     def test_one_segment(self):
@@ -735,15 +741,18 @@ class TestExtendPreints:
         assert calls == [n] and n > 7
         assert est.report.imu_intervals == n
         assert est.last_preint_end == est.intervals.pre.t1[-1] == 0.7
-        for pre in window_preints(est):
-            seg, _ = est.spline.segment_of(0.5 * (pre.t0 + pre.t1))
-            one = preintegrate(est.imu, pre.t0, pre.t1, est.spline.biases[seg],
-                               cfg.imu)
-            np.testing.assert_array_equal(pre.bias_ref, one.bias_ref)
+        pre = est.intervals.pre
+        segs, _ = est.spline.segment_of(0.5 * (pre.t0 + pre.t1))
+        for i, seg in enumerate(segs):
+            row = slice(i, i + 1)
+            one = preintegrate(est.imu, pre.t0[row], pre.t1[row],
+                               est.spline.biases[[seg]], cfg.imu)
+            np.testing.assert_array_equal(pre.bias_ref[row], one.bias_ref)
             for name in ("delta_v", "delta_q", "cov", "jac_dv_ba",
                          "jac_dv_bw", "jac_dq_bw"):
                 want = getattr(one, name)
-                np.testing.assert_allclose(getattr(pre, name), want, rtol=1e-12,
+                np.testing.assert_allclose(getattr(pre, name)[row], want,
+                                           rtol=1e-12,
                                            atol=1e-12 * np.abs(want).max())
 
     @pytest.mark.parametrize("fault", ["gap", "uncovered"])

@@ -196,8 +196,8 @@ class TestEventGeneration:
         scene = tilted_edge_scene(depth=2.0, tilt_deg=15.0)
         t = 0.1
         from velometer.simulator import _project_scene_points
-        pl, zl, _, el = _project_scene_points(scene, traj, rig, t, "left")
-        pr, zr, _, er = _project_scene_points(scene, traj, rig, t, "right")
+        pl, zl, el = _project_scene_points(scene, traj, rig, t, "left")
+        pr, zr, er = _project_scene_points(scene, traj, rig, t, "right")
         m = min(len(pl), len(pr))
         for i in range(m):
             if el[i] != er[i]:
@@ -759,14 +759,14 @@ class TestImuGeneration:
         imu, _, _ = generate_imu(traj, ImuConfig(rate_hz=200.0), GRAVITY,
                                  noise=False)
         t0, t1 = 0.2, 0.45
-        pre = preintegrate(imu, t0, t1, np.zeros(6),
-                           ImuConfig(rate_hz=200.0))
+        pre = preintegrate(imu, np.array([t0]), np.array([t1]),
+                           np.zeros((1, 6)), ImuConfig(rate_hz=200.0))
         r0 = traj.rotation(t0)
-        v_pred = (traj.velocity_world(t0) + GRAVITY * pre.dt
-                  + r0 @ pre.delta_v)
+        v_pred = (traj.velocity_world(t0) + GRAVITY * pre.dt[0]
+                  + r0 @ pre.delta_v[0])
         assert np.allclose(v_pred, traj.velocity_world(t1), atol=2e-5)
         r_rel = r0.T @ traj.rotation(t1)
-        assert rotation_angle(quat_to_matrix(pre.delta_q).T @ r_rel) < 1e-5
+        assert rotation_angle(quat_to_matrix(pre.delta_q[0]).T @ r_rel) < 1e-5
 
     def test_noise_statistics(self):
         traj = make_trajectory("const-vel", speed=0.0, duration=50.0)
