@@ -65,7 +65,7 @@ def main():
     ev_l, ev_r = generate_stereo_events(scene, traj, rig, cfg.sim, rng)
     imu, _, _ = generate_imu(traj, cfg.imu, cfg.gravity_vec(), rng)
     gt = gt_velocity_track(ground_truth(traj, rate=cfg.imu.rate_hz))
-    q0 = matrix_to_quat(traj.rotation(0.0))
+    q0 = matrix_to_quat(traj.pose_batch(0.0)[0][0])
 
     corrected = pipeline.process_batch
 

@@ -42,7 +42,7 @@ def main():
     imu, _, _ = generate_imu(traj, cfg.imu, cfg.gravity_vec(), rng)
 
     pipe = VelocityPipeline(rig, cfg)
-    q0 = matrix_to_quat(traj.rotation(0.0))
+    q0 = matrix_to_quat(traj.pose_batch(0.0)[0][0])
     ts, vs, report = pipe.run(ev_l, ev_r, imu, q0=q0)
     print(report.to_text())
 

@@ -69,12 +69,19 @@ def read_events_csv(path):
     if data.shape[1] != 4:
         raise ParseError(path, 1, f"expected 4 columns, got {data.shape[1]}")
     t = _from_ns(data[:, 0])
-    if np.any(np.diff(t) < 0):
-        bad = int(np.flatnonzero(np.diff(t) < 0)[0]) + 2
-        raise ParseError(path, bad, "events not sorted by timestamp")
+    _check_sorted(path, t, "events")
     p = np.where(data[:, 3] > 0, 1, -1).astype(np.int8)
     return make_events(t, data[:, 1].astype(np.int32),
                        data[:, 2].astype(np.int32), p)
+
+
+def _check_sorted(path, t, what):
+    """ParseError naming the first line whose time is before the previous
+    line's (one row per line)."""
+    back = np.flatnonzero(np.diff(t) < 0)
+    if len(back):
+        raise ParseError(path, int(back[0]) + 2,
+                         f"{what} not sorted by timestamp")
 
 
 def _find_bad_line(path, ncols):
@@ -102,8 +109,9 @@ def read_imu_csv(path):
         raise ParseError(path, _find_bad_line(path, 7), str(exc)) from exc
     if data.shape[1] != 7:
         raise ParseError(path, 1, f"expected 7 columns, got {data.shape[1]}")
-    return ImuData(_from_ns(data[:, 0].astype(np.int64)),
-                   data[:, 1:4], data[:, 4:7])
+    t = _from_ns(data[:, 0].astype(np.int64))
+    _check_sorted(path, t, "IMU samples")
+    return ImuData(t, data[:, 1:4], data[:, 4:7])
 
 
 def write_velocity_csv(path, t, v):

@@ -170,7 +170,6 @@ class OptimizeReport:
     cost_after: float
     iterations: int
     converged: bool
-    lambda_final: float
 
 
 @dataclass
@@ -513,8 +512,7 @@ class Estimator:
         self.report.optimizations += 1
         self.report.cost_drops.append(cost0 - cost)
         return OptimizeReport(cost_before=cost0, cost_after=cost,
-                              iterations=iters, converged=converged,
-                              lambda_final=lam)
+                              iterations=iters, converged=converged)
 
     # ------------------------------------------------------------------
     # incremental interface

@@ -91,8 +91,9 @@ def dead_reckon(est: VelocityTrack, orientation: OrientationTrack, p0):
     """Position by single trapezoidal integration of rotated body velocity."""
     if est.t[0] < orientation.t_start - 1e-9 or est.t[-1] > orientation.t_end + 1e-9:
         raise MetricError("orientation does not cover the velocity track")
-    v_world = np.stack([orientation.rotation(t) @ v
-                        for t, v in zip(est.t, est.v)])
+    # on contiguous matrices matvec rounds as a product per sample does; on
+    # the strided stack of quat_to_matrix it can differ in the last bit
+    v_world = np.matvec(np.ascontiguousarray(orientation.rotation(est.t)), est.v)
     p = np.zeros((len(est.t), 3))
     p[0] = np.asarray(p0, dtype=float)
     dt = np.diff(est.t)
@@ -116,8 +117,7 @@ def imu_dead_reckon(imu: ImuData, q0, v0_world, p0, gravity_world):
     p = np.zeros((n, 3))
     v[0] = np.asarray(v0_world, dtype=float)
     p[0] = np.asarray(p0, dtype=float)
-    rots = [track.rotation(t) for t in imu.t]
-    acc_w = np.stack([rots[k] @ imu.accel[k] + g for k in range(n)])
+    acc_w = np.matvec(np.ascontiguousarray(track.rotation(imu.t)), imu.accel) + g
     for k in range(n - 1):
         dt = imu.t[k + 1] - imu.t[k]
         a_mid = 0.5 * (acc_w[k] + acc_w[k + 1])

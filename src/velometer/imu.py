@@ -224,8 +224,7 @@ class OrientationTrack:
         track.times = times[keep]
         track.quats = quat_normalize(np.asarray(quats, dtype=float)[keep])
         rel = quat_mul(quat_conj(track.quats[:-1]), track.quats[1:])
-        track.rates = (np.reshape([quat_to_rotvec(r) for r in rel], (-1, 3))
-                       / np.diff(track.times)[:, None])
+        track.rates = quat_to_rotvec(rel) / np.diff(track.times)[:, None]
         return track
 
     @property

@@ -37,8 +37,6 @@ class InitializationError(RuntimeError):
 class InitResult:
     velocity: np.ndarray
     inliers: np.ndarray      # row indices into the flow batch
-    rms: float               # px/s over the inliers
-    iterations: int
 
 
 def constraint_rows(flows: FlowBatch, omega, intr: CameraIntrinsics):
@@ -122,5 +120,4 @@ def ransac_initialize(flows: FlowBatch, omega, intr: CameraIntrinsics,
         raise InitializationError(
             "low_inlier_ratio",
             f"inlier ratio {len(idx) / k:.2f} below {_MIN_INLIER_RATIO}")
-    rms = float(np.sqrt(np.mean(res[idx] ** 2)))
-    return InitResult(velocity=v, inliers=idx, rms=rms, iterations=it)
+    return InitResult(velocity=v, inliers=idx)

@@ -79,15 +79,14 @@ def quat_from_rotvec(phi):
 
 
 def quat_to_rotvec(q):
+    """Rotation vectors of quaternions, angles in [0, pi]: (..., 4) -> (..., 3)."""
     q = quat_normalize(q)
-    if q[0] < 0:
-        q = -q
-    vec = q[1:]
-    s = np.linalg.norm(vec)
-    if s < 1e-12:
-        return 2.0 * vec
-    angle = 2.0 * np.arctan2(s, q[0])
-    return angle * vec / s
+    q = np.where(q[..., :1] < 0, -q, q)
+    vec = q[..., 1:]
+    s = _norm(vec)[..., None]
+    small = s < 1e-12
+    angle = 2.0 * np.arctan2(s, q[..., :1])
+    return np.where(small, 2.0 * vec, angle * vec / np.where(small, 1.0, s))
 
 
 def quat_to_matrix(q):
@@ -120,24 +119,34 @@ def quat_between(v_from, v_to):
 
 
 def matrix_to_quat(r):
-    """Quaternion [w, x, y, z] from a rotation matrix (Shepperd's method)."""
+    """Quaternions [w, x, y, z] of rotation matrices by Shepperd's method:
+    (..., 3, 3) -> (..., 4)."""
     r = np.asarray(r, dtype=float)
-    tr = np.trace(r)
-    if tr > 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([0.25 * s,
-                      (r[2, 1] - r[1, 2]) / s,
-                      (r[0, 2] - r[2, 0]) / s,
-                      (r[1, 0] - r[0, 1]) / s])
-    else:
-        i = int(np.argmax(np.diag(r)))
-        j, k = (i + 1) % 3, (i + 2) % 3
-        s = np.sqrt(max(r[i, i] - r[j, j] - r[k, k] + 1.0, 0.0)) * 2.0
-        q = np.empty(4)
-        q[0] = (r[k, j] - r[j, k]) / s
-        q[1 + i] = 0.25 * s
-        q[1 + j] = (r[j, i] + r[i, j]) / s
-        q[1 + k] = (r[k, i] + r[i, k]) / s
+    tr = np.trace(r, axis1=-2, axis2=-1)
+    # pivot on the trace when it is positive, else on the largest diagonal
+    # entry r_ii (branch i)
+    branch = np.where(tr > 0, 3,
+                      np.argmax(np.diagonal(r, axis1=-2, axis2=-1), axis=-1))
+    q = np.empty(r.shape[:-2] + (4,))
+    for b in range(4):
+        sel = branch == b
+        m = r[sel]
+        part = np.empty((len(m), 4))
+        if b == 3:
+            s = np.sqrt(tr[sel] + 1.0) * 2.0
+            part[:, 0] = 0.25 * s
+            part[:, 1] = (m[:, 2, 1] - m[:, 1, 2]) / s
+            part[:, 2] = (m[:, 0, 2] - m[:, 2, 0]) / s
+            part[:, 3] = (m[:, 1, 0] - m[:, 0, 1]) / s
+        else:
+            i, j, k = b, (b + 1) % 3, (b + 2) % 3
+            s = np.sqrt(np.maximum(m[:, i, i] - m[:, j, j] - m[:, k, k] + 1.0,
+                                   0.0)) * 2.0
+            part[:, 0] = (m[:, k, j] - m[:, j, k]) / s
+            part[:, 1 + i] = 0.25 * s
+            part[:, 1 + j] = (m[:, j, i] + m[:, i, j]) / s
+            part[:, 1 + k] = (m[:, k, i] + m[:, i, k]) / s
+        q[sel] = part
     return quat_normalize(q)
 
 

@@ -41,8 +41,11 @@ every jitter draw (also when no edge fires), then the in-duration filter and
 a stable time sort.
 
 Trajectories are closed-form (straight line or circular arc with the body
-z-axis tracking the tangent), so velocity, acceleration, angular rate and
-orientation are available exactly at any time.
+z-axis tracking the tangent). Each answers two batched queries at an array
+of times: `pose_batch` (world-from-body rotations and positions) and
+`motion_batch` (world-frame velocity, acceleration and angular rate).
+`body_motion` rotates the motion into the body frame; the IMU stream, the
+ground truth and the exact observations all read it from there.
 """
 
 from dataclasses import dataclass
@@ -75,23 +78,10 @@ class StraightTrajectory:
         p = self.p0[None] + ts[:, None] * self.v_world[None]
         return r, p
 
-    def position(self, t):
-        return self.p0 + t * self.v_world
-
-    def rotation(self, t):
-        return self.r0.copy()
-
-    def velocity_world(self, t):
-        return self.v_world.copy()
-
-    def accel_world(self, t):
-        return np.zeros(3)
-
-    def omega_body(self, t):
-        return np.zeros(3)
-
-    def velocity_body(self, t):
-        return self.r0.T @ self.v_world
+    def motion_batch(self, ts):
+        n = len(np.atleast_1d(ts))
+        return (np.broadcast_to(self.v_world, (n, 3)), np.zeros((n, 3)),
+                np.zeros((n, 3)))
 
     def max_speed(self):
         return float(np.linalg.norm(self.v_world))
@@ -130,25 +120,10 @@ class CircularTrajectory:
         p = self.center[None] + np.einsum("kij,j->ki", rot, self.radius_vec)
         return r, p
 
-    def position(self, t):
-        return self.pose_batch([t])[1][0]
-
-    def rotation(self, t):
-        return self.pose_batch([t])[0][0]
-
-    def velocity_world(self, t):
-        rel = self.position(t) - self.center
-        return np.cross(self.omega_world, rel)
-
-    def accel_world(self, t):
-        rel = self.position(t) - self.center
-        return np.cross(self.omega_world, np.cross(self.omega_world, rel))
-
-    def omega_body(self, t):
-        return self.rotation(t).T @ self.omega_world
-
-    def velocity_body(self, t):
-        return self.rotation(t).T @ self.velocity_world(t)
+    def motion_batch(self, ts):
+        v = np.cross(self.omega_world, self.pose_batch(ts)[1] - self.center)
+        return (v, np.cross(self.omega_world, v),
+                np.broadcast_to(self.omega_world, v.shape))
 
     def max_speed(self):
         return self._rate * float(np.linalg.norm(self.radius_vec))
@@ -178,18 +153,25 @@ class CircularTrajectory:
         return side
 
 
+def body_motion(traj, ts, gravity=0.0):
+    """World-from-body rotations (N, 3, 3) at the times ts, and the
+    body-frame velocity, specific force (acceleration minus `gravity`) and
+    angular rate (N, 3) of the trajectory's two batched queries."""
+    rs, _ = traj.pose_batch(ts)
+    v, a, w = traj.motion_batch(ts)
+    rt = np.swapaxes(rs, -1, -2)
+    return rs, np.matvec(rt, v), np.matvec(rt, a - gravity), np.matvec(rt, w)
+
+
+def _sample_times(traj, rate):
+    return np.arange(int(round(traj.duration * rate)) + 1) / rate
+
+
 def _ideal_imu(traj, rate, gravity):
     """Noise-free IMU stream over the trajectory duration."""
-    gravity = np.asarray(gravity, dtype=float)
-    n = int(round(traj.duration * rate))
-    ts = np.arange(n + 1) / rate
-    rs, _ = traj.pose_batch(ts)
-    accels = np.empty((len(ts), 3))
-    gyros = np.empty((len(ts), 3))
-    for k, t in enumerate(ts):
-        accels[k] = rs[k].T @ (traj.accel_world(t) - gravity)
-        gyros[k] = traj.omega_body(t)
-    return ImuData(ts, accels, gyros)
+    ts = _sample_times(traj, rate)
+    _, _, accel, gyro = body_motion(traj, ts, gravity)
+    return ImuData(ts, accel, gyro)
 
 
 def _look_rotation(forward, up_world=(0.0, 0.0, 1.0)):
@@ -740,12 +722,9 @@ class GroundTruth:
 
 
 def ground_truth(traj, rate=200.0, bias_acc=None, bias_gyro=None):
-    n = int(round(traj.duration * rate))
-    ts = np.arange(n + 1) / rate
-    rs, _ = traj.pose_batch(ts)
-    v_body = np.stack([traj.velocity_body(t) for t in ts])
-    quats = np.stack([matrix_to_quat(r) for r in rs])
-    return GroundTruth(t=ts, v_body=v_body, quat_wb=quats,
+    ts = _sample_times(traj, rate)
+    rs, v_body, _, _ = body_motion(traj, ts)
+    return GroundTruth(t=ts, v_body=v_body, quat_wb=matrix_to_quat(rs),
                        bias_acc=bias_acc, bias_gyro=bias_gyro)
 
 
@@ -767,16 +746,15 @@ def _project_scene_points(scene, traj, rig, t, camera="left", per_edge=24):
     intr = rig.left if camera == "left" else rig.right
     offset_x = 0.0 if camera == "left" else rig.baseline
     rs, ps = _camera_positions(traj, np.array([t]), offset_x)
-    r, p = rs[0], ps[0]
     svals = (np.arange(per_edge) + 0.5) / per_edge
     pts = (scene.edges[:, None, 0, :] * (1 - svals)[None, :, None]
            + scene.edges[:, None, 1, :] * svals[None, :, None])   # (E,S,3)
-    cam = np.einsum("ji,esj->esi", r, pts - p[None, None, :])
-    z = cam[..., 2]
+    x, y, z = (c.reshape(pts.shape[:2])
+               for c in _camera_planes(rs, ps, pts.reshape(-1, 3)))
     ok = z > 1e-3
     with np.errstate(divide="ignore", invalid="ignore"):
-        u = intr.f * cam[..., 0] / z + intr.cx
-        v = intr.f * cam[..., 1] / z + intr.cy
+        u = intr.f * x / z + intr.cx
+        v = intr.f * y / z + intr.cy
     ok &= (u >= 1) & (u <= intr.width - 2) & (v >= 1) & (v <= intr.height - 2)
     eidx = np.broadcast_to(np.arange(len(scene))[:, None], z.shape)
     sel = np.nonzero(ok)
@@ -843,7 +821,8 @@ def exact_observations(scene, traj, rig, t, count=60):
     x, y = pix[idx, 0].astype(np.int64), pix[idx, 1].astype(np.int64)
     z = cam[idx, 2]
     a_rows, b_rows = flow_rows(intr, x, y, n)
-    mag = a_rows @ traj.velocity_body(t) / z + b_rows @ traj.omega_body(t)
+    _, v_body, _, w_body = body_motion(traj, [t])
+    mag = a_rows @ v_body[0] / z + b_rows @ w_body[0]
     flip = mag < 0
     n[flip] = -n[flip]
     mag = np.abs(mag)
@@ -933,6 +912,6 @@ def true_depth_at(scene, traj, rig, t, pixels, camera="left", max_px_dist=1.5):
 __all__ = [
     "CircularTrajectory", "StraightTrajectory", "Scene", "GroundTruth",
     "make_trajectory", "make_scene", "tilted_edge_scene", "generate_events",
-    "generate_stereo_events", "generate_imu", "ground_truth", "default_rig",
-    "exact_observations", "true_depth_at",
+    "generate_stereo_events", "generate_imu", "ground_truth", "body_motion",
+    "default_rig", "exact_observations", "true_depth_at",
 ]

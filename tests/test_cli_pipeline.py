@@ -135,6 +135,23 @@ class TestEstimateCli:
                    "--out", str(tmp_path / "v.csv")])
         assert rc == 2
 
+    def test_unsorted_imu_file_exit_code(self, dataset, tmp_path, capsys):
+        lines = open(dataset["imu"]).readlines()
+        lines[10], lines[11] = lines[11], lines[10]
+        swapped = tmp_path / "imu_swapped.csv"
+        swapped.write_text("".join(lines))
+        rc = main(["estimate",
+                   "--events-left", dataset["events_left"],
+                   "--events-right", dataset["events_right"],
+                   "--imu", str(swapped),
+                   "--calib", dataset["calib"],
+                   "--out", str(tmp_path / "v.csv")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{swapped}:12: IMU samples not sorted" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "v.csv").exists()
+
     def test_out_of_range_config_exit_code(self, dataset, tmp_path):
         rc = main(["estimate",
                    "--events-left", dataset["events_left"],

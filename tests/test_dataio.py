@@ -68,6 +68,16 @@ class TestImuVelocityOrientation:
         assert np.allclose(back.accel, imu.accel, rtol=1e-10)
         assert np.allclose(back.gyro, imu.gyro, rtol=1e-10)
 
+    def test_imu_unsorted_rejected_at_first_bad_line(self, tmp_path):
+        path = tmp_path / "imu.csv"
+        path.write_text("1000,0,0,9.81,0,0,0\n"
+                        "3000,0,0,9.81,0,0,0\n"
+                        "2000,0,0,9.81,0,0,0\n"
+                        "4000,0,0,9.81,0,0,0\n")
+        with pytest.raises(dataio.ParseError, match="not sorted") as ei:
+            dataio.read_imu_csv(path)
+        assert ei.value.line == 3
+
     def test_velocity_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         t = np.arange(50) / 75.0

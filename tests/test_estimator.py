@@ -15,9 +15,9 @@ from velometer.normal_flow import FlowBatch
 from velometer.rotations import (hat, matrix_to_quat, quat_from_rotvec,
                                  quat_mul, quat_normalize, quat_to_matrix,
                                  right_jacobian_so3)
-from velometer.simulator import (default_rig, exact_observations,
-                                 generate_imu, make_scene, make_trajectory,
-                                 ground_truth)
+from velometer.simulator import (body_motion, default_rig,
+                                 exact_observations, generate_imu, make_scene,
+                                 make_trajectory, ground_truth)
 from velometer.spline import VelocitySpline
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -34,15 +34,19 @@ def make_setup(preset="corridor", speed=3.0, omega=0.8, duration=1.2,
     return cfg, rig, traj, scene
 
 
+def initial_quat(traj):
+    """World-from-body quaternion of the trajectory at t = 0."""
+    return matrix_to_quat(traj.pose_batch(0.0)[0][0])
+
+
 def estimator_with_truth(cfg, rig, traj, t_end, knot0=0.0):
     """Estimator fed with ideal IMU, spline seeded from ground truth."""
     est = Estimator(rig, cfg)
-    est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+    est.set_initial_orientation(0.0, initial_quat(traj))
     est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
     dt = cfg.spline.knot_dt
     n = int(np.ceil((t_end - knot0) / dt)) + 4
-    cp = np.stack([traj.velocity_body(knot0 + dt * (i - 3) + 0.5 * dt)
-                   for i in range(n)])
+    cp = body_motion(traj, knot0 + dt * (np.arange(n) - 3) + 0.5 * dt)[1]
     est.spline = VelocitySpline(knot0 - 3 * dt, dt, cp)
     est.status = "initialized"
     est.last_preint_end = knot0
@@ -234,11 +238,10 @@ def fit_spline_to_truth(est, traj):
     sp = est.spline
     ts = np.linspace(sp.t_min, sp.t_max - 1e-9, 40 * sp.num_segments)
     rows = np.zeros((len(ts), sp.num_controls))
-    targets = np.zeros((len(ts), 3))
     for i, t in enumerate(ts):
         j, w = sp.weights(t)
         rows[i, j:j + 4] = w
-        targets[i] = traj.velocity_body(t)
+    targets = body_motion(traj, ts)[1]
     sp.control_points, *_ = np.linalg.lstsq(rows, targets, rcond=None)
 
 
@@ -505,7 +508,7 @@ class TestNormalEquations:
         cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
                                            duration=1.0)
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(0.0, initial_quat(traj))
         est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         batches = [exact_observations(scene, traj, rig, 0.1, count=40),
                    FlowBatch.empty(0.2),
@@ -551,9 +554,10 @@ class TestOptimize:
         assert report.cost_after < report.cost_before
         # probe only where flow/IMU data exists: states beyond the last
         # observation have only the smoothness prior to pull them back
-        for t in np.arange(0.15, 0.86, 0.1):
+        ts = np.arange(0.15, 0.86, 0.1)
+        for t, v_true in zip(ts, body_motion(traj, ts)[1]):
             v = est.spline.velocity(t)
-            assert np.linalg.norm(v - traj.velocity_body(t)) < 2e-3
+            assert np.linalg.norm(v - v_true) < 2e-3
 
     @pytest.mark.parametrize("perturb", [0.0, 0.5])
     def test_converged(self, perturb):
@@ -653,7 +657,7 @@ class TestStep:
         cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
                                            duration=3.0)
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(0.0, initial_quat(traj))
         est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         for t in np.arange(0.08, 3.0, 0.08):
             obs = exact_observations(scene, traj, rig, t, count=40)
@@ -661,8 +665,9 @@ class TestStep:
         assert est.status == "tracking"
         ts, vs = est.velocity_track()
         mask = ts > 0.3
-        err = np.linalg.norm(vs[mask] - traj.velocity_body(0.0)[None, :], axis=1)
-        speed = np.linalg.norm(traj.velocity_body(0.0))
+        v_true = body_motion(traj, [0.0])[1]
+        err = np.linalg.norm(vs[mask] - v_true, axis=1)
+        speed = np.linalg.norm(v_true)
         assert err.mean() < 0.05 * speed
 
     def test_tracking_at_epoch_timestamps(self):
@@ -671,7 +676,7 @@ class TestStep:
         cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
                                            duration=1.5)
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(shift, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(shift, initial_quat(traj))
         imu = generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0]
         est.feed_imu(ImuData(imu.t + shift, imu.accel, imu.gyro))
         for t in np.arange(0.08, 1.5, 0.08):
@@ -681,27 +686,28 @@ class TestStep:
         ts, vs = est.velocity_track()
         mask = ts > shift + 0.3
         assert mask.sum() > 10
-        err = np.linalg.norm(vs[mask] - traj.velocity_body(0.0)[None, :], axis=1)
-        assert err.mean() < 0.05 * np.linalg.norm(traj.velocity_body(0.0))
+        v_true = body_motion(traj, [0.0])[1]
+        err = np.linalg.norm(vs[mask] - v_true, axis=1)
+        assert err.mean() < 0.05 * np.linalg.norm(v_true)
 
     def test_imu_only_batches(self):
         cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
                                            duration=1.0)
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(0.0, initial_quat(traj))
         est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         obs = exact_observations(scene, traj, rig, 0.1, count=40)
         est.step(obs, 0.1)
         rep = est.step(FlowBatch.empty(0.35), 0.35)  # texture gap: IMU only
         assert rep is not None and rep.converged
         v = est.spline.velocity(0.35)
-        assert np.linalg.norm(v - traj.velocity_body(0.35)) < 0.05
+        assert np.linalg.norm(v - body_motion(traj, [0.35])[1][0]) < 0.05
 
     def test_out_of_order_batch_rejected(self):
         cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
                                            duration=1.0)
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(0.0, initial_quat(traj))
         est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         obs = exact_observations(scene, traj, rig, 0.5, count=40)
         est.step(obs, 0.5)
@@ -712,7 +718,7 @@ class TestStep:
         cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
                                            duration=1.0)
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(0.0, initial_quat(traj))
         est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         assert est.step(FlowBatch.empty(0.1), 0.1) is None
         assert est.status == "uninitialized"
@@ -784,7 +790,7 @@ class TestWindowBoundary:
         cfg, rig, traj, scene = make_setup("const-vel", speed=2.0, omega=None,
                                            duration=2.0)
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(0.0, initial_quat(traj))
         est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         for t in (0.1, 0.3, 0.5 - 5e-10, 0.7, 0.9, 1.1, 1.3, 1.55, 1.65):
             est.step(exact_observations(scene, traj, rig, t, count=40), t)
@@ -831,7 +837,7 @@ class TestWindowRows:
         monkeypatch.setattr(velometer.estimator, "preintegrate", recording)
 
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(0.0, initial_quat(traj))
         est.feed_imu(imu)
         dropped = False
         for k, batch in enumerate(batches):
@@ -891,7 +897,7 @@ class TestDenseEquivalence:
 
         def run():
             est = Estimator(rig, cfg)
-            est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+            est.set_initial_orientation(0.0, initial_quat(traj))
             est.feed_imu(imu)
             for t, batch in zip(times, obs):
                 est.step(batch, t)
@@ -937,7 +943,7 @@ class TestInitFailure:
         cfg, rig, traj, _ = make_setup("const-vel", speed=2.0, omega=None,
                                        duration=1.0)
         est = Estimator(rig, cfg)
-        est.set_initial_orientation(0.0, matrix_to_quat(traj.rotation(0.0)))
+        est.set_initial_orientation(0.0, initial_quat(traj))
         est.feed_imu(generate_imu(traj, cfg.imu, GRAVITY, noise=False)[0])
         # four flows at one pixel along one direction: one constraint row
         k = 4

@@ -6,8 +6,7 @@ from velometer.evaluation import (MetricError, VelocityTrack,
                                   align_and_compare, dead_reckon,
                                   gt_velocity_track, imu_dead_reckon)
 from velometer.imu import OrientationTrack
-from velometer.rotations import (matrix_to_quat, quat_from_rotvec,
-                                 quat_identity, quat_to_matrix)
+from velometer.rotations import quat_from_rotvec, quat_identity, quat_to_matrix
 from velometer.simulator import generate_imu, ground_truth, make_trajectory
 
 GRAVITY = np.array([0.0, 0.0, -9.81])
@@ -102,9 +101,10 @@ class TestDeadReckon:
         gt = ground_truth(traj, rate=400.0)
         track = VelocityTrack(gt.t, gt.v_body)
         orient = OrientationTrack.from_samples(gt.t, gt.quat_wb, GRAVITY)
-        t, p = dead_reckon(track, orient, traj.position(0.0))
+        _, p_true = traj.pose_batch(gt.t)
+        t, p = dead_reckon(track, orient, p_true[0])
         for k in (len(t) // 2, len(t) - 1):
-            assert np.linalg.norm(p[k] - traj.position(t[k])) < 1e-3
+            assert np.linalg.norm(p[k] - p_true[k]) < 1e-3
 
     def test_trapezoid_second_order_convergence(self):
         traj = make_trajectory("corridor", speed=2.0, omega=1.0, duration=2.0)
@@ -113,26 +113,30 @@ class TestDeadReckon:
             gt = ground_truth(traj, rate=rate)
             track = VelocityTrack(gt.t, gt.v_body)
             orient = OrientationTrack.from_samples(gt.t, gt.quat_wb, GRAVITY)
-            t, p = dead_reckon(track, orient, traj.position(0.0))
-            errs.append(np.linalg.norm(p[-1] - traj.position(t[-1])))
+            _, p_true = traj.pose_batch(gt.t)
+            t, p = dead_reckon(track, orient, p_true[0])
+            errs.append(np.linalg.norm(p[-1] - p_true[-1]))
         assert errs[1] < errs[0] / 3.0   # ~4x for a 2nd-order rule
 
     def test_imu_double_integration_drifts_more(self):
         traj = make_trajectory("spin", speed=4.0, omega=8.0, duration=5.0)
         cfg = ImuConfig()
         imu, _, _ = generate_imu(traj, cfg, GRAVITY, np.random.default_rng(3))
-        q0 = matrix_to_quat(traj.rotation(0.0))
         gt = ground_truth(traj, rate=cfg.rate_hz)
+        q0 = gt.quat_wb[0]
+        _, p_true = traj.pose_batch(gt.t)
+        v0_world = traj.motion_batch(0.0)[0][0]
         # IMU-only double integration
-        t_imu, p_imu, _, _ = imu_dead_reckon(
-            imu, q0, traj.velocity_world(0.0), traj.position(0.0), GRAVITY)
-        drift_imu = np.linalg.norm(p_imu[-1] - traj.position(t_imu[-1]))
+        t_imu, p_imu, _, _ = imu_dead_reckon(imu, q0, v0_world, p_true[0],
+                                             GRAVITY)
+        assert np.array_equal(t_imu, gt.t)
+        drift_imu = np.linalg.norm(p_imu[-1] - p_true[-1])
         # single integration of exact velocity with gyro-only orientation
         track = VelocityTrack(gt.t, gt.v_body)
         orient = OrientationTrack(imu.t[0], q0, GRAVITY)
         orient.extend(imu)
-        t_v, p_v = dead_reckon(track, orient, traj.position(0.0))
-        drift_v = np.linalg.norm(p_v[-1] - traj.position(t_v[-1]))
+        t_v, p_v = dead_reckon(track, orient, p_true[0])
+        drift_v = np.linalg.norm(p_v[-1] - p_true[-1])
         assert drift_v < drift_imu
 
     def test_coverage_gap(self):

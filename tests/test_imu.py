@@ -484,15 +484,14 @@ class TestVelocityIncrement:
         # exact kinematics: camera on a circle, noise-free IMU; the measured
         # increment must match the prediction built from true velocities
         from velometer.config import SimConfig
-        from velometer.simulator import make_trajectory
+        from velometer.simulator import body_motion, make_trajectory
         traj = make_trajectory("corridor", speed=3.0, omega=0.8, duration=0.5)
         imu, _, _ = generate_imu(traj, ImuConfig(rate_hz=200.0), GRAVITY,
                                  noise=False)
         t0, t1 = 0.1, 0.13
         pre = preintegrate_one(imu, t0, t1, ZERO_BIAS)
-        v0 = traj.velocity_body(t0)
-        v1 = traj.velocity_body(t1)
-        g_body = -traj.rotation(t0).T @ GRAVITY   # specific-force convention
+        rs, (v0, v1), _, _ = body_motion(traj, [t0, t1])
+        g_body = -rs[0].T @ GRAVITY   # specific-force convention
         res = reference_velocity_increment(pre, v0, v1, g_body)
         assert np.linalg.norm(res) < 1e-6
 

@@ -13,7 +13,7 @@ from velometer.geometry import flow_rows
 from velometer.imu import preintegrate
 from velometer.rotations import quat_to_matrix
 from velometer.simulator import (CircularTrajectory, Scene,
-                                 StraightTrajectory, default_rig,
+                                 StraightTrajectory, body_motion, default_rig,
                                  exact_observations, generate_events,
                                  generate_imu, generate_stereo_events,
                                  ground_truth, make_scene, make_trajectory,
@@ -44,9 +44,10 @@ def lateral_traj(speed, duration):
 class TestTrajectories:
     def test_const_vel_kinematics(self):
         traj = make_trajectory("const-vel", speed=2.0, duration=1.0)
-        assert np.allclose(traj.velocity_body(0.3), [0, 0, 2.0])
-        assert np.allclose(traj.omega_body(0.5), 0.0)
-        assert np.allclose(traj.accel_world(0.1), 0.0)
+        _, v, _, w = body_motion(traj, [0.3, 0.5])
+        assert np.allclose(v, [0, 0, 2.0])
+        assert np.allclose(w, 0.0)
+        assert np.allclose(traj.motion_batch([0.1])[1], 0.0)
 
     @pytest.mark.parametrize("duration", [0.0, -1.0, float("nan")])
     def test_non_positive_duration_rejected(self, duration):
@@ -55,38 +56,39 @@ class TestTrajectories:
 
     def test_corridor_targets(self):
         traj = make_trajectory("corridor", duration=1.0)
-        assert abs(np.linalg.norm(traj.velocity_world(0.2)) - 5.68) < 1e-9
-        assert abs(np.linalg.norm(traj.omega_body(0.2)) - 0.66) < 1e-9
+        assert abs(np.linalg.norm(traj.motion_batch(0.2)[0]) - 5.68) < 1e-9
+        assert abs(np.linalg.norm(body_motion(traj, 0.2)[3]) - 0.66) < 1e-9
         # body velocity is forward (z) throughout
-        for t in (0.0, 0.4, 0.9):
-            vb = traj.velocity_body(t)
+        for vb in body_motion(traj, [0.0, 0.4, 0.9])[1]:
             assert abs(vb[2] - 5.68) < 1e-9
             assert np.allclose(vb[:2], 0.0, atol=1e-9)
 
     def test_spin_targets(self):
         traj = make_trajectory("spin", duration=0.5)
-        assert abs(np.linalg.norm(traj.velocity_world(0.1)) - 4.94) < 1e-9
-        assert abs(np.linalg.norm(traj.omega_body(0.1)) - 13.3) < 1e-9
+        assert abs(np.linalg.norm(traj.motion_batch(0.1)[0]) - 4.94) < 1e-9
+        assert abs(np.linalg.norm(body_motion(traj, 0.1)[3]) - 13.3) < 1e-9
 
     def test_numeric_differentiation_consistency(self):
         # world velocity equals d(position)/dt; body omega matches R' = R [w]x
         for preset in ("const-vel", "corridor", "spin", "boxes"):
             traj = make_trajectory(preset, duration=1.0)
             h = 1e-6
-            for t in (0.2, 0.7):
-                fd_v = (traj.position(t + h) - traj.position(t - h)) / (2 * h)
-                assert np.allclose(fd_v, traj.velocity_world(t), atol=1e-6)
-                r0 = traj.rotation(t)
-                r1 = traj.rotation(t + h)
+            ts = np.array([0.2, 0.7])
+            rs, ps = traj.pose_batch(np.concatenate([ts, ts + h, ts - h]))
+            omega_body = body_motion(traj, ts)[3]
+            v_world = traj.motion_batch(ts)[0]
+            for k in range(len(ts)):
+                fd_v = (ps[k + 2] - ps[k + 4]) / (2 * h)
+                assert np.allclose(fd_v, v_world[k], atol=1e-6)
+                r0, r1 = rs[k], rs[k + 2]
                 w_hat = r0.T @ (r1 - r0) / h
                 w = np.array([w_hat[2, 1], w_hat[0, 2], w_hat[1, 0]])
-                assert np.allclose(w, traj.omega_body(t), atol=1e-4)
+                assert np.allclose(w, omega_body[k], atol=1e-4)
 
     def test_rotation_orthonormal(self):
         for preset in ("corridor", "spin"):
             traj = make_trajectory(preset, duration=1.0)
-            for t in (0.0, 0.5, 1.0):
-                r = traj.rotation(t)
+            for r in traj.pose_batch([0.0, 0.5, 1.0])[0]:
                 assert np.allclose(r @ r.T, np.eye(3), atol=1e-12)
                 assert abs(np.linalg.det(r) - 1.0) < 1e-12
 
@@ -129,9 +131,8 @@ class TestEventGeneration:
         assert len(ev) > 0
         assert np.all(np.diff(ev["t"]) >= 0)
         intr = rig.left
-        for rec in ev[:: max(1, len(ev) // 50)]:
-            t = rec["t"]
-            p = traj.position(t)
+        sample = ev[:: max(1, len(ev) // 50)]
+        for rec, p in zip(sample, traj.pose_batch(sample["t"])[1]):
             cam = np.array([0.0, 0.0, 2.0]) - p   # point on the edge
             u = intr.f * cam[0] / cam[2] + intr.cx
             assert abs(u - rec["x"]) < 1.0
@@ -692,6 +693,78 @@ class TestEventDigests:
         assert stereo_digest(preset, cfg) == digest
 
 
+def array_digest(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.ascontiguousarray(a).tobytes())
+    return h.hexdigest()
+
+
+def flow_digest(batch):
+    """SHA-256 of a flow batch's time and array fields; a field left as
+    None is skipped, since its bytes would be a pointer."""
+    fields = (batch.x, batch.y, batch.direction, batch.magnitude,
+              batch.fit_rms, batch.depth, batch.weight)
+    return array_digest(np.float64(batch.t),
+                        *(f for f in fields if f is not None))
+
+
+@pytest.fixture(scope="module")
+def long_corridor():
+    """The 15 s seed-0 corridor scene, drawn as `export_dataset` draws it."""
+    cfg = SimConfig()
+    traj = make_trajectory("corridor", duration=15.0)
+    scene = make_scene("corridor", traj, cfg,
+                       np.random.default_rng(0).spawn(3)[0])
+    return scene, traj, default_rig(cfg)
+
+
+class TestTruthDigests:
+    """IMU streams, ground truth and exact observations pinned byte for
+    byte, so that a change of how the trajectories answer their queries
+    cannot change a sample."""
+
+    @pytest.mark.parametrize("preset, imu_digest, gt_digest", [
+        ("const-vel",
+         "fbf217c1a5b734cbf8398b09f59bead8d1459c9717abc68a8ad1dee6608d8714",
+         "f22ed12ac3b883d73212c9b689a3154d6d3dbf970492d473526bd8809fb5d6cf"),
+        ("corridor",
+         "77679cbd3bda42a3af662dbd01c5354086268a58caddf5ce8a6487ce8981fc37",
+         "080acc8abe7ed6470a6ffedc2c8a0f626af7abe3bc970561846557e99fc27cda"),
+        ("boxes",
+         "09c7a2551fe3190e1709af35caf3fd461bb07e57c34b2c0a00462b8f46d61995",
+         "76530d3bf50ddc047be3431983b4c99cd5e5bc4bd0b1d29635bcbb1b8a5fb331"),
+        ("spin",
+         "6de998b9af3b980068dca5c5070f9d31b6965c383bd9612464fa3708a9968a5a",
+         "4947b7d939e47937f1b1241fd8401679c2f680af2630327477100ae37aa0e2e3"),
+    ])
+    def test_imu_and_ground_truth_pinned(self, preset, imu_digest, gt_digest):
+        cfg = ImuConfig()
+        traj = make_trajectory(preset, duration=2.5)
+        imu, ba, bw = generate_imu(traj, cfg, GRAVITY,
+                                   np.random.default_rng(5))
+        gt = ground_truth(traj, rate=cfg.rate_hz, bias_acc=ba, bias_gyro=bw)
+        assert array_digest(imu.t, imu.accel, imu.gyro, ba, bw) == imu_digest
+        assert array_digest(gt.t, gt.v_body, gt.quat_wb) == gt_digest
+
+    @pytest.mark.parametrize("t, rows, digest", [
+        (0.0, 59,
+         "cafb84568b9082ea2803c8aeb1a7484cf8732a8ac649c1958104a6b9b0310d3e"),
+        (3.7, 60,
+         "f44bddc60202f0163a31569dae69c2cea3b4111a84a17c8f3731643d5140375f"),
+        (7.4, 60,
+         "a6af05a63914fc3efee5fbfc94fc61eff4f0a5cfa8bc17f848a16c7f0ff4ba93"),
+        (11.1, 59,
+         "883291f20aae18338308530c48e5883ac3d7fbf46c28997fdc746bd1ebbeb145"),
+        (15.0, 59,
+         "51a8457d23b86723223aa7e80fd6b31c1ee73bb09e942a4ced312c93d3c9b180"),
+    ])
+    def test_exact_observations_pinned(self, long_corridor, t, rows, digest):
+        obs = exact_observations(*long_corridor, t)
+        assert len(obs) == rows
+        assert flow_digest(obs) == digest
+
+
 class TestRowBudget:
     def test_groups_are_consecutive_and_within_budget(self):
         groups = simulator._row_groups(np.array([3, 5, 2, 9, 1, 1, 4]), 8)
@@ -749,7 +822,7 @@ class TestImuGeneration:
         imu, ba, bw = generate_imu(traj, ImuConfig(), GRAVITY,
                                    np.random.default_rng(0), noise=False)
         # specific force of a stationary sensor: -R^T g = +9.81 up (body y down)
-        r = traj.rotation(0.0)
+        r = traj.pose_batch(0.0)[0][0]
         expected = -r.T @ GRAVITY
         assert np.allclose(imu.accel, expected[None, :], atol=1e-12)
         assert np.allclose(imu.gyro, 0.0)
@@ -761,11 +834,11 @@ class TestImuGeneration:
         t0, t1 = 0.2, 0.45
         pre = preintegrate(imu, np.array([t0]), np.array([t1]),
                            np.zeros((1, 6)), ImuConfig(rate_hz=200.0))
-        r0 = traj.rotation(t0)
-        v_pred = (traj.velocity_world(t0) + GRAVITY * pre.dt[0]
-                  + r0 @ pre.delta_v[0])
-        assert np.allclose(v_pred, traj.velocity_world(t1), atol=2e-5)
-        r_rel = r0.T @ traj.rotation(t1)
+        (r0, r1), _ = traj.pose_batch([t0, t1])
+        v_world = traj.motion_batch([t0, t1])[0]
+        v_pred = v_world[0] + GRAVITY * pre.dt[0] + r0 @ pre.delta_v[0]
+        assert np.allclose(v_pred, v_world[1], atol=2e-5)
+        r_rel = r0.T @ r1
         assert rotation_angle(quat_to_matrix(pre.delta_q[0]).T @ r_rel) < 1e-5
 
     def test_noise_statistics(self):
@@ -805,7 +878,7 @@ class TestGroundTruthAndBypass:
         scene = make_scene("corridor", traj, cfg, np.random.default_rng(3))
         obs = exact_observations(scene, traj, rig, 0.25, count=40)
         assert len(obs) >= 10
-        v, w = traj.velocity_body(0.25), traj.omega_body(0.25)
+        _, (v,), _, (w,) = body_motion(traj, [0.25])
         for k in range(len(obs)):
             # A and B: the rows of flow_rows at n = (1, 0) and (0, 1)
             a, b = flow_rows(rig.left, np.full(2, obs.x[k]),
